@@ -21,11 +21,12 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, analysis, model, semidiscrete, timestep
-from .jacobi import build_basis
+from .jacobi import JacobiBasis, build_basis
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
@@ -171,30 +172,47 @@ class RunResult:
     stats: timestep.IntegrationStats
 
 
-def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
-               snapshot_times=()) -> RunResult:
-    """Assemble, integrate and wrap one (N, k, gamma) run."""
+@dataclass(frozen=True)
+class Discretization:
+    """Basis, initial state and vector field of one problem at one N.
+
+    Independent of the time step and the SDIRK member, so one instance
+    serves every (k, gamma) solve of an error table.
+    """
+
+    basis: JacobiBasis
+    state0: semidiscrete.State
+    field: Callable[[float, np.ndarray], np.ndarray]
+
+
+def discretize(problem: Problem, n: int) -> Discretization:
+    """Build the basis, assemble the solution operators and the initial state."""
     basis = build_basis(0.0, n)
     sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
     state0 = semidiscrete.initial_state(
         basis, problem.imap, problem.eta_init, problem.u_init, problem.bdata
     )
-    field = semidiscrete.make_vector_field(sys_, problem.bdata)
+    return Discretization(basis, state0, semidiscrete.make_vector_field(sys_, problem.bdata))
+
+
+def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
+               snapshot_times=(), disc: Discretization | None = None) -> RunResult:
+    """Integrate and wrap one (N, k, gamma) run; ``disc`` reuses a
+    discretization of ``problem`` at this N (built here when omitted)."""
+    if disc is None:
+        disc = discretize(problem, n)
+    basis, state0 = disc.basis, disc.state0
     scheme = timestep.SdirkScheme.from_gamma(gamma)
     plan = timestep.IntegrationPlan(k=k, t_end=t_end, snapshot_times=tuple(snapshot_times))
-    tf, y, raw_snaps, stats = timestep.integrate(field, state0.vector, scheme, plan)
-    bc = semidiscrete.BoundaryValues.at_time(problem.bdata, tf)
-    final = analysis.NodalSolution.from_state(
-        basis, problem.imap, state0.with_vector(y, tf, bc)
-    )
-    snaps = [
+    tf, y, raw_snaps, stats = timestep.integrate(disc.field, state0.vector, scheme, plan)
+    sols = [
         analysis.NodalSolution.from_state(
             basis, problem.imap,
             state0.with_vector(ys, ts, semidiscrete.BoundaryValues.at_time(problem.bdata, ts)),
         )
-        for ts, ys in raw_snaps
+        for ts, ys in [(tf, y)] + raw_snaps
     ]
-    return RunResult(solution=final, snapshots=snaps, stats=stats)
+    return RunResult(solution=sols[0], snapshots=sols[1:], stats=stats)
 
 
 def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
@@ -204,14 +222,17 @@ def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
         raise ConfigError("error_table mode needs a closed-form solution preset")
     spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
     n = cfg.n_values[0]
+    disc = discretize(problem, n)
+    finals = {
+        gamma: [solve_once(problem, n, k, gamma, cfg.t_end, disc=disc).solution
+                for k in k_values]
+        for gamma in cfg.gammas
+    }
+    # the norms peak in memory; the solution operators are not needed for them
+    del disc
     columns = {}
-    for gamma in cfg.gammas:
-        errors = []
-        for k in k_values:
-            run = solve_once(problem, n, k, gamma, cfg.t_end)
-            errors.append(
-                analysis.error_vs_exact(run.solution, problem.exact, cfg.t_end, spec)
-            )
+    for gamma, sols in finals.items():
+        errors = [analysis.error_vs_exact(sol, problem.exact, cfg.t_end, spec) for sol in sols]
         columns[gamma] = analysis.rate_table(k_values, errors, label=f"gamma={gamma:.10g}")
     return {"k_values": list(k_values), "columns": columns, "norm": spec.label}
 

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: multiplication, pivoted LU, triangular solves.
+"""Dense pivoted LU factorization and solves with vector or matrix right-hand sides.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects (row major).  The
 factorization is LAPACK-backed (``scipy.linalg``); this module pins the
@@ -54,15 +54,6 @@ class LuFactorization:
         return self.lu.shape
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def lu_factor(a) -> LuFactorization:
     """Partial-pivot LU factorization of a square matrix."""
     a = _as_matrix(a)
@@ -94,7 +85,3 @@ def lu_solve(f: LuFactorization, rhs) -> np.ndarray:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, factorization is {n}x{n}")
     return scipy.linalg.lu_solve((f.lu, f.piv), rhs, check_finite=False)
 
-
-def solve(a, rhs) -> np.ndarray:
-    """One-shot factor-and-solve."""
-    return lu_solve(lu_factor(a), rhs)

@@ -94,7 +94,12 @@ class IntervalMap:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet data eta, u at both endpoints with analytic time derivatives."""
+    """Dirichlet data eta, u at both endpoints with analytic time derivatives.
+
+    ``steady`` marks data that does not change in time; the constructors of
+    such data (``homogeneous``, ``constant``) set it, so the vector field can
+    solve the boundary contribution once instead of once per time.
+    """
 
     eta_left: Callable[[float], float]
     eta_right: Callable[[float], float]
@@ -104,11 +109,12 @@ class BoundaryData:
     deta_right: Callable[[float], float]
     du_left: Callable[[float], float]
     du_right: Callable[[float], float]
+    steady: bool = False
 
     @staticmethod
     def homogeneous() -> "BoundaryData":
         zero = lambda t: 0.0
-        return BoundaryData(*(zero,) * 8)
+        return BoundaryData(*(zero,) * 8, steady=True)
 
     @staticmethod
     def constant(eta_left: float, eta_right: float, u_left: float, u_right: float):
@@ -122,6 +128,7 @@ class BoundaryData:
             deta_right=zero,
             du_left=zero,
             du_right=zero,
+            steady=True,
         )
 
     @staticmethod

@@ -16,8 +16,19 @@ parts).  The system reads
     (W + b B) eta' = -(K D1) u - (coupling from boundary data) + G (eta.u)
     (W + d B) u'   = -(K D1 + |c| B2) eta + G (u.u/2) + (boundary data),
 
-with W the interior weight diagonal.  ``gamma_rhs`` carries every
-boundary-data contribution; interior blocks are factored once at assembly.
+with W the interior weight diagonal.  The Lobatto rule integrates
+u' psi_i w exactly, so the advection rows satisfy (K D1)[1:N, :] = -G
+(summation by parts, for every mu) and both equations are in flux form:
+
+    (W + b B) eta' = G (u + eta.u) - b B[:, (0, N)] eta'_edge
+    (W + d B) u'   = G (eta + u.u/2) - |c| B2 eta - d B[:, (0, N)] u'_edge.
+
+The mass matrices are constant, so assembly solves them once against G
+(one factorization and one matrix solve per distinct mass coefficient) and
+derives every other block from that solve: M^-1 B = (M^-1 G) D1 and
+M^-1 B2 = (M^-1 G) D2.  A vector-field evaluation is then matrix-vector
+products only; boundary data contributes one solved vector per distinct
+time (``boundary_rhs``).
 """
 
 from __future__ import annotations
@@ -87,28 +98,24 @@ class State:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Constant blocks of the coefficient ODE system, assembled once.
+    """Solution operators of the coefficient ODE system, formed once.
 
-    All blocks are in physical scaling: weights carry one factor of the
-    interval scale, each differentiation order divides by it.  Immutable;
-    reuse across the whole time integration.
+    Every operator already carries the inverse mass matrix of its equation
+    (M_b = W + b B for eta, M_d = W + d B for u), in physical scaling.
+    With b == d both equations share one operator object (``op_u is
+    op_eta``).  Immutable; reuse across the whole time integration.
     """
 
     basis: JacobiBasis
     params: SystemParams
     imap: IntervalMap
-    w_int: np.ndarray            # interior physical quadrature weights
-    d1_phys: np.ndarray          # full (N+1)^2 physical differentiation matrix
-    lhs_eta: linalg.LuFactorization
-    lhs_u: linalg.LuFactorization
-    adv_int: np.ndarray          # (K D1) interior block
-    stiff_u_int: np.ndarray      # (K D1 + |c| B2) interior block
-    grad_test: np.ndarray        # G restricted to interior columns
-    # boundary columns (left, right) of the corresponding full blocks:
-    mass_cols: np.ndarray        # B[:, (0, N)]
-    adv_cols: np.ndarray         # (K D1)[:, (0, N)]
-    stiff_cols: np.ndarray       # |c| B2[:, (0, N)]
-    grad_cols: np.ndarray        # G[:, (0, N)]
+    # interior operators, (N-1) x (N-1):
+    op_eta: np.ndarray              # M_b^-1 G, acts on the flux u + eta*u
+    op_u: np.ndarray                # M_d^-1 G, acts on the flux eta + u*u/2
+    stiff_u: np.ndarray | None      # |c| M_d^-1 B2, acts on eta; None when c == 0
+    # solved boundary columns (left, right of each block):
+    edge_eta: np.ndarray            # M_b^-1 [-b B | G], acts on (eta', u + eta*u)
+    edge_u: np.ndarray              # M_d^-1 [-d B | G | -|c| B2], acts on (u', eta + u*u/2, eta)
 
     @property
     def n(self) -> int:
@@ -124,13 +131,11 @@ def _physical_blocks(basis: JacobiBasis, imap: IntervalMap):
     return w, d1, d2, psi
 
 
-def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap,
-             force_general: bool = False) -> AssembledSystem:
-    """Build and factor the constant blocks of the semidiscrete system.
+def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> AssembledSystem:
+    """Build the G-NI blocks and solve the mass systems against them.
 
-    The eta-equation mass uses coefficient b, the u-equation mass uses d.
-    For mu = 0 the auxiliary matrix vanishes and its products are skipped
-    unless ``force_general`` keeps the general path (testing hook).
+    The eta-equation mass uses coefficient b, the u-equation mass uses d;
+    with b == d one factorization and one solve serve both equations.
     """
     global assembly_count
     assembly_count += 1
@@ -138,87 +143,80 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap,
     n = basis.n
     w, d1, d2, psi = _physical_blocks(basis, imap)
     interior = slice(1, n)
-
-    d1_int_cols = d1[:, interior]                      # (N+1, N-1)
-    if basis.mu == 0.0 and not force_general:
-        gfull = d1_int_cols.T * w[None, :]
-    else:
-        gfull = (d1_int_cols - psi).T * w[None, :]     # G, (N-1, N+1)
-    bfull = gfull @ d1                                  # weak 2nd derivative block
-    b2full = gfull @ d2                                 # weak 3rd derivative block
-
-    w_int = w[interior]
-    kd1 = w_int[:, None] * d1[interior, :]              # (K D1) interior rows
-    absc = abs(params.c)
-
-    lhs_eta = np.diag(w_int) + params.b * bfull[:, interior]
-    lhs_u = np.diag(w_int) + params.d * bfull[:, interior]
-    stiff_u = kd1[:, interior] + absc * b2full[:, interior]
-
     edge = [0, n]
-    sys = AssembledSystem(
+
+    gfull = (d1[:, interior] - psi).T * w[None, :]      # G, (N-1, N+1)
+    mass_int = gfull @ d1[:, interior]                  # B[:, 1:N]
+    w_diag = np.diag(w[interior])
+
+    def solve_grad(coeff: float) -> np.ndarray:
+        """M^-1 G for the mass matrix W + coeff B."""
+        return linalg.lu_solve(linalg.lu_factor(w_diag + coeff * mass_int), gfull)
+
+    p = params
+    absc = abs(p.c)
+    grad_b = solve_grad(p.b)
+    grad_d = grad_b if p.d == p.b else solve_grad(p.d)
+    op_eta = np.ascontiguousarray(grad_b[:, interior])
+    op_u = op_eta if grad_d is grad_b else np.ascontiguousarray(grad_d[:, interior])
+    stiff_u = absc * (grad_d @ d2[:, interior]) if absc else None
+    return AssembledSystem(
         basis=basis,
         params=params,
         imap=imap,
-        w_int=w_int,
-        d1_phys=d1,
-        lhs_eta=linalg.lu_factor(lhs_eta),
-        lhs_u=linalg.lu_factor(lhs_u),
-        adv_int=kd1[:, interior],
-        stiff_u_int=stiff_u,
-        grad_test=gfull[:, interior],
-        mass_cols=bfull[:, edge],
-        adv_cols=kd1[:, edge],
-        stiff_cols=absc * b2full[:, edge],
-        grad_cols=gfull[:, edge],
+        op_eta=op_eta,
+        op_u=op_u,
+        stiff_u=stiff_u,
+        edge_eta=np.hstack([-p.b * (grad_b @ d1[:, edge]), grad_b[:, edge]]),
+        edge_u=np.hstack([
+            -p.d * (grad_d @ d1[:, edge]), grad_d[:, edge], -absc * (grad_d @ d2[:, edge]),
+        ]),
     )
-    return sys
 
 
-def gamma_rhs(sys: AssembledSystem, state: State):
-    """Boundary-data contributions to the right-hand sides of both equations.
+def boundary_rhs(sys: AssembledSystem, bc: BoundaryValues) -> np.ndarray:
+    """Solved boundary-data contribution to (eta', u') at one time.
 
     Collects, per equation: the mixed-derivative mass columns against the
-    boundary time derivatives, the advection columns against the opposite
-    component's boundary values, the weak third-derivative columns against
-    eta (u equation only), and the nonlinear edge products eta*u and u^2/2
-    hitting the boundary columns of the gradient-test matrix.
+    boundary time derivatives, the gradient-test columns against the edge
+    fluxes u + eta*u and eta + u^2/2, and the weak third-derivative columns
+    against eta (u equation only).
     """
-    bc = state.bc
-    p = sys.params
-    edge_eta = np.array([bc.eta_left, bc.eta_right])
-    edge_u = np.array([bc.u_left, bc.u_right])
-    edge_deta = np.array([bc.deta_left, bc.deta_right])
-    edge_du = np.array([bc.du_left, bc.du_right])
-
-    gamma1 = (
-        -p.b * (sys.mass_cols @ edge_deta)
-        - sys.adv_cols @ edge_u
-        + sys.grad_cols @ (edge_eta * edge_u)
+    eta_l, eta_r, u_l, u_r = bc.eta_left, bc.eta_right, bc.u_left, bc.u_right
+    edge_eta = np.array(
+        [bc.deta_left, bc.deta_right, u_l + eta_l * u_l, u_r + eta_r * u_r]
     )
-    gamma2 = (
-        -p.d * (sys.mass_cols @ edge_du)
-        - sys.adv_cols @ edge_eta
-        - sys.stiff_cols @ edge_eta
-        + sys.grad_cols @ (0.5 * edge_u * edge_u)
+    edge_u = np.array(
+        [bc.du_left, bc.du_right, eta_l + 0.5 * u_l * u_l, eta_r + 0.5 * u_r * u_r,
+         eta_l, eta_r]
     )
-    return gamma1, gamma2
+    return np.concatenate([sys.edge_eta @ edge_eta, sys.edge_u @ edge_u])
 
 
-def rhs_eval(sys: AssembledSystem, state: State):
-    """Semidiscrete vector field: solve the factored mass systems for
-    (eta'(t), u'(t)) given the current interior state and boundary snapshot."""
-    eta, u = state.eta, state.u
-    gamma1, gamma2 = gamma_rhs(sys, state)
-    rhs1 = -(sys.adv_int @ u) + sys.grad_test @ (eta * u) + gamma1
-    rhs2 = -(sys.stiff_u_int @ eta) + sys.grad_test @ (0.5 * u * u) + gamma2
-    deta = linalg.lu_solve(sys.lhs_eta, rhs1)
-    du = linalg.lu_solve(sys.lhs_u, rhs2)
-    if not (np.all(np.isfinite(deta)) and np.all(np.isfinite(du))):
+def rhs_eval(sys: AssembledSystem, t: float, y: np.ndarray,
+             boundary: np.ndarray) -> np.ndarray:
+    """Semidiscrete vector field (eta'(t), u'(t)) on the stacked interior
+    vector y, given the solved boundary contribution at t."""
+    m = y.size // 2
+    eta, u = y[:m], y[m:]
+    flux = np.empty((2, m))
+    np.multiply(eta, u, out=flux[0])
+    flux[0] += u
+    np.multiply(0.5 * u, u, out=flux[1])
+    flux[1] += eta
+    if sys.op_u is sys.op_eta:
+        # one pass over the shared operator for both equations
+        dy = (flux @ sys.op_eta.T).ravel()
+    else:
+        dy = np.concatenate([sys.op_eta @ flux[0], sys.op_u @ flux[1]])
+    if sys.stiff_u is not None:
+        dy[m:] -= sys.stiff_u @ eta
+    dy += boundary
+    if not np.all(np.isfinite(dy)):
         raise FloatingPointError(
-            f"semidiscrete vector field produced non-finite values at t={state.t}"
+            f"semidiscrete vector field produced non-finite values at t={t}"
         )
-    return deta, du
+    return dy
 
 
 def initial_state(basis: JacobiBasis, imap: IntervalMap, eta_init, u_init,
@@ -236,13 +234,25 @@ def initial_state(basis: JacobiBasis, imap: IntervalMap, eta_init, u_init,
 
 
 def make_vector_field(sys: AssembledSystem, bdata: BoundaryData):
-    """Wrap the assembled system as F(t, y) on the stacked interior vector."""
-    m = sys.n - 1
+    """Wrap the assembled system as F(t, y) on the stacked interior vector.
+
+    Steady boundary data is solved once here; time-dependent data once per
+    distinct t (the fixed-point iterations of a stage share their time).
+    """
+    if bdata.steady:
+        boundary = boundary_rhs(sys, BoundaryValues.at_time(bdata, 0.0))
+
+        def field(t: float, y: np.ndarray) -> np.ndarray:
+            return rhs_eval(sys, t, y, boundary)
+
+        return field
+
+    cached = [None, None]   # last time, its boundary contribution
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
-        bc = BoundaryValues.at_time(bdata, t)
-        state = State(eta=y[:m], u=y[m:], t=t, bc=bc)
-        deta, du = rhs_eval(sys, state)
-        return np.concatenate([deta, du])
+        if cached[0] != t:
+            cached[1] = boundary_rhs(sys, BoundaryValues.at_time(bdata, t))
+            cached[0] = t
+        return rhs_eval(sys, t, y, cached[1])
 
     return field

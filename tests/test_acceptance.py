@@ -23,11 +23,10 @@ import math
 import numpy as np
 import pytest
 
-from bousspec import analysis, jacobi, model, semidiscrete, timestep
+from bousspec import analysis, experiments, jacobi, model, timestep
 from bousspec.analysis import NodalSolution, NormSpec
 from bousspec.jacobi import build_basis, glj_rule
 from bousspec.model import BoundaryData, IntervalMap
-from bousspec.semidiscrete import BoundaryValues
 from bousspec.timestep import IntegrationPlan, SdirkScheme
 
 K_SWEEP = (0.125, 0.0625, 0.03125)
@@ -39,31 +38,24 @@ def report(criterion: str, ok: bool, detail: str):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _solve(problem_params, imap, bdata, eta_init, u_init, n, k, gamma, t_end):
-    basis = build_basis(0.0, n)
-    sys_ = semidiscrete.assemble(basis, problem_params, imap)
-    st0 = semidiscrete.initial_state(basis, imap, eta_init, u_init, bdata)
-    field = semidiscrete.make_vector_field(sys_, bdata)
-    tf, y, _, stats = timestep.integrate(
-        field, st0.vector, SdirkScheme.from_gamma(gamma), IntegrationPlan(k=k, t_end=t_end)
+def _exact_problem(exact, imap, bdata):
+    return experiments.Problem(
+        exact.params, imap, lambda x: exact.eta(x, 0.0), lambda x: exact.u(x, 0.0),
+        bdata, exact,
     )
-    bc = BoundaryValues.at_time(bdata, tf)
-    return NodalSolution.from_state(basis, imap, st0.with_vector(y, tf, bc)), stats
 
 
 def _error_sweep(exact, imap, bdata, n, spec, t_end=2.0):
     out = {}
     stats_seen = []
+    problem = _exact_problem(exact, imap, bdata)
+    disc = experiments.discretize(problem, n)
     for gamma in GAMMAS:
         errors = []
         for k in K_SWEEP:
-            sol, stats = _solve(
-                exact.params, imap, bdata,
-                lambda x: exact.eta(x, 0.0), lambda x: exact.u(x, 0.0),
-                n, k, gamma, t_end,
-            )
-            stats_seen.append(stats.max_stage_iters)
-            errors.append(analysis.error_vs_exact(sol, exact, t_end, spec))
+            run = experiments.solve_once(problem, n, k, gamma, t_end, disc=disc)
+            stats_seen.append(run.stats.max_stage_iters)
+            errors.append(analysis.error_vs_exact(run.solution, exact, t_end, spec))
         rates = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
         out[gamma] = (errors, rates)
     out["max_stage_iters"] = max(stats_seen)
@@ -148,13 +140,11 @@ def _ratio_chain(theta2, data_kind, interval, n_list, k_of_n, t_end, specs,
     else:
         eta_init, u_init = model.nonsmooth_data(data_kind)
         bdata = BoundaryData.homogeneous()
-    sols = {}
-    for n in n_list:
-        sol, _ = _solve(
-            params, imap, bdata, eta_init, u_init, n, k_of_n(n),
-            timestep.GAMMA_ORDER3, t_end,
-        )
-        sols[n] = sol
+    problem = experiments.Problem(params, imap, eta_init, u_init, bdata)
+    sols = {
+        n: experiments.solve_once(problem, n, k_of_n(n), timestep.GAMMA_ORDER3, t_end).solution
+        for n in n_list
+    }
     out = {}
     for row_n in n_list[:-2]:
         trio = [sols[row_n], sols[2 * row_n], sols[4 * row_n]]
@@ -243,13 +233,10 @@ def test_criterion_7_spatial_spectral_convergence():
     imap = IntervalMap(-32.0, 32.0)
     spec = NormSpec(2, 1)
     errors = []
+    problem = _exact_problem(exact, imap, BoundaryData.homogeneous())
     for n in (32, 64, 128, 256):
-        sol, _ = _solve(
-            exact.params, imap, BoundaryData.homogeneous(),
-            lambda x: exact.eta(x, 0.0), lambda x: exact.u(x, 0.0),
-            n, 1e-3, timestep.GAMMA_ORDER3, 2.0,
-        )
-        errors.append(analysis.error_vs_exact(sol, exact, 2.0, spec))
+        run = experiments.solve_once(problem, n, 1e-3, timestep.GAMMA_ORDER3, 2.0)
+        errors.append(analysis.error_vs_exact(run.solution, exact, 2.0, spec))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     monotone = all(r > 1.0 for r in ratios)
     # average decay over the sweep: at least one decade per doubling

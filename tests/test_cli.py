@@ -116,6 +116,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
+    from bousspec import semidiscrete
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("include-preset = table5\nn = 8 16 32\n")
+    physical = semidiscrete._physical_blocks
+    # zero quadrature weights make the mass matrix exactly singular
+    monkeypatch.setattr(
+        semidiscrete, "_physical_blocks",
+        lambda basis, imap: (0.0 * physical(basis, imap)[0],) + physical(basis, imap)[1:],
+    )
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
+    assert "singular" in capsys.readouterr().err
+
+
 def test_cli_diagnose_quadrature(capsys):
     assert cli.main(["diagnose", "quadrature", "--mu", "0", "--N", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
