@@ -130,22 +130,22 @@ def error_vs_exact(sol: NodalSolution, exact: ExactSolution, t: float,
 def self_norm(sol: NodalSolution, spec: NormSpec) -> float:
     """Product norm of the solution itself on the refinement grid."""
     pts, w = _grid(spec, sol.imap, sol.basis.n)
-    comps = []
-    for comp, order in (("eta", spec.eta_order), ("u", spec.u_order)):
-        vals = [eval_solution(sol, pts, comp, d) for d in range(order + 1)]
-        comps.append(sobolev_norm(vals, w))
-    return spec.combined(*comps)
+    return spec.combined(*(sobolev_norm(vals, w) for vals in _sample(sol, pts, spec)))
 
 
-def _pair_diff_norm(a: NodalSolution, b: NodalSolution, pts, w, spec: NormSpec) -> float:
-    comps = []
-    for comp, order in (("eta", spec.eta_order), ("u", spec.u_order)):
-        diffs = [
-            eval_solution(a, pts, comp, d) - eval_solution(b, pts, comp, d)
-            for d in range(order + 1)
-        ]
-        comps.append(sobolev_norm(diffs, w))
-    return spec.combined(*comps)
+def _sample(sol: NodalSolution, pts, spec: NormSpec):
+    """[eta derivatives, u derivatives] of ``sol`` on pts, orders 0..spec's."""
+    return [
+        [eval_solution(sol, pts, comp, d) for d in range(order + 1)]
+        for comp, order in (("eta", spec.eta_order), ("u", spec.u_order))
+    ]
+
+
+def _diff_norm(sa, sb, w, spec: NormSpec) -> float:
+    """Product norm of the difference of two ``_sample`` results."""
+    return spec.combined(*(
+        sobolev_norm([a - b for a, b in zip(ca, cb)], w) for ca, cb in zip(sa, sb)
+    ))
 
 
 def convergence_ratio(sols, spec: NormSpec) -> float:
@@ -161,8 +161,10 @@ def convergence_ratio(sols, spec: NormSpec) -> float:
     if not (s2.basis.n == 2 * s1.basis.n and s4.basis.n == 2 * s2.basis.n):
         raise ValueError("solution degrees must double: N, 2N, 4N")
     pts, w = _grid(spec, s4.imap, s4.basis.n)
-    num = _pair_diff_norm(s1, s2, pts, w, spec)
-    den = _pair_diff_norm(s2, s4, pts, w, spec)
+    # each level is sampled once; s_2N enters both differences
+    v1, v2, v4 = (_sample(s, pts, spec) for s in sols)
+    num = _diff_norm(v1, v2, w, spec)
+    den = _diff_norm(v2, v4, w, spec)
     if den == 0.0:
         raise ZeroDivisionError(
             "refinement difference vanished; the error floor was reached"

@@ -20,7 +20,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -215,6 +215,11 @@ def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
     return RunResult(solution=sols[0], snapshots=sols[1:], stats=stats)
 
 
+def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationStats) -> dict:
+    """The integration statistics of one (N, k, gamma) solve, for run.meta."""
+    return {"n": n, "k": k, "gamma": gamma, **asdict(stats)}
+
+
 def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
     """Errors and observed rates over a time-step sweep, one column per gamma."""
     problem = _resolve_problem(cfg)
@@ -223,28 +228,33 @@ def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
     spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
     n = cfg.n_values[0]
     disc = discretize(problem, n)
-    finals = {
-        gamma: [solve_once(problem, n, k, gamma, cfg.t_end, disc=disc).solution
-                for k in k_values]
-        for gamma in cfg.gammas
-    }
+    finals, solves = {}, []
+    for gamma in cfg.gammas:
+        finals[gamma] = []
+        for k in k_values:
+            run = solve_once(problem, n, k, gamma, cfg.t_end, disc=disc)
+            finals[gamma].append(run.solution)
+            solves.append(_solve_record(n, k, gamma, run.stats))
     # the norms peak in memory; the solution operators are not needed for them
     del disc
     columns = {}
     for gamma, sols in finals.items():
         errors = [analysis.error_vs_exact(sol, problem.exact, cfg.t_end, spec) for sol in sols]
         columns[gamma] = analysis.rate_table(k_values, errors, label=f"gamma={gamma:.10g}")
-    return {"k_values": list(k_values), "columns": columns, "norm": spec.label}
+    return {"k_values": list(k_values), "columns": columns, "norm": spec.label,
+            "solves": solves}
 
 
 def run_ratio_table(cfg: ExperimentConfig) -> dict:
     """Refinement quotients E_N along the doubling chain, all requested norms."""
     problem = _resolve_problem(cfg)
     gamma = cfg.gammas[0]
-    sols = {}
+    sols, solves = {}, []
     for n in cfg.n_values:
-        run = solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end)
+        k = cfg.step_for(n)
+        run = solve_once(problem, n, k, gamma, cfg.t_end)
         sols[n] = run.solution
+        solves.append(_solve_record(n, k, gamma, run.stats))
     specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
         analysis.NormSpec(*pair) for pair in cfg.extra_norms
     ]
@@ -256,17 +266,16 @@ def run_ratio_table(cfg: ExperimentConfig) -> dict:
                 [sols[n], sols[2 * n], sols[4 * n]], spec
             )
         rows.append(row)
-    return {"rows": rows, "norms": [s.label for s in specs]}
+    return {"rows": rows, "norms": [s.label for s in specs], "solves": solves}
 
 
 def run_snapshot(cfg: ExperimentConfig) -> dict:
     problem = _resolve_problem(cfg)
     n = cfg.n_values[0]
+    k, gamma = cfg.step_for(n), cfg.gammas[0]
     times = cfg.snapshot_times or (cfg.t_end,)
-    run = solve_once(
-        problem, n, cfg.step_for(n), cfg.gammas[0], cfg.t_end, snapshot_times=times
-    )
-    return {"run": run, "problem": problem}
+    run = solve_once(problem, n, k, gamma, cfg.t_end, snapshot_times=times)
+    return {"run": run, "problem": problem, "solves": [_solve_record(n, k, gamma, run.stats)]}
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +542,13 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
     return written
 
 
-def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float) -> str:
-    """Run metadata; lives outside the CSVs so those stay byte-reproducible."""
+def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
+                   solves=()) -> str:
+    """Run metadata; lives outside the CSVs so those stay byte-reproducible.
+
+    Each entry of ``solves`` (see ``_solve_record``) becomes one
+    ``solve = {...}`` line with the integration statistics of that solve.
+    """
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "run.meta")
     with open(path, "w") as fh:
@@ -542,6 +556,8 @@ def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float) -> str:
         fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
         for key, value in sorted(vars(cfg).items()):
             fh.write(f"{key} = {value!r}\n")
+        for record in solves:
+            fh.write(f"solve = {record!r}\n")
     return path
 
 
@@ -559,5 +575,5 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     else:
         result = run_snapshot(cfg)
         written = write_snapshots(result, outdir, cfg)
-    write_metadata(outdir, cfg, time.time() - started)
+    write_metadata(outdir, cfg, time.time() - started, result["solves"])
     return written

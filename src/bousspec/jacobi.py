@@ -76,8 +76,18 @@ def _jacobi_rows(a: float, n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _sym_jacobi(a: float, n: int, x):
+    """Row n of ``_jacobi_rows`` by the same recurrence, keeping two rows."""
     x = np.asarray(x, dtype=float)
-    return _jacobi_rows(a, n, x)[-1] if n > 0 else np.ones_like(x)
+    prev, cur = np.ones_like(x), (a + 1.0) * x
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        s = 2.0 * k + 2.0 * a
+        c1 = 2.0 * k * (k + 2.0 * a) * (s - 2.0)
+        c2 = (s - 1.0) * s * (s - 2.0)
+        c3 = 2.0 * (k + a - 1.0) ** 2 * s
+        prev, cur = cur, (c2 * x * cur - c3 * prev) / c1
+    return cur
 
 
 def _check_x(x):

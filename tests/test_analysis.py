@@ -108,8 +108,10 @@ def test_error_symmetry_between_sampled_exact_solutions():
     )
     spec = NormSpec(1, 1, grid_degree=1024)
     pts, w = analysis._grid(spec, imap, 256)
-    a = analysis._pair_diff_norm(mk(b1, 0.0), mk(b2, 0.3), pts, w, spec)
-    b = analysis._pair_diff_norm(mk(b2, 0.3), mk(b1, 0.0), pts, w, spec)
+    s1 = analysis._sample(mk(b1, 0.0), pts, spec)
+    s2 = analysis._sample(mk(b2, 0.3), pts, spec)
+    a = analysis._diff_norm(s1, s2, w, spec)
+    b = analysis._diff_norm(s2, s1, w, spec)
     assert a == pytest.approx(b, rel=1e-13)
 
 

@@ -1,3 +1,4 @@
+import ast
 import os
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from bousspec import cli, experiments
 from bousspec.experiments import ConfigError, PRESETS, parse_config
+from bousspec.timestep import GAMMA_ORDER3
 
 
 QUICK_RATIO = """
@@ -90,6 +92,31 @@ def test_cli_rerun_reproduces_identical_bytes(tmp_path):
         assert cli.main(["compare", str(cfg_file), "--output", str(out)]) == 0
         outs.append((out / "ratios.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _meta_solves(path):
+    prefix = "solve = "
+    lines = path.read_text().splitlines()
+    return [ast.literal_eval(line[len(prefix):]) for line in lines if line.startswith(prefix)]
+
+
+@pytest.mark.parametrize("text, t_end, solves", [
+    (QUICK_RATIO, 1.0, [(n, 0.2 / n, GAMMA_ORDER3) for n in (16, 32, 64)]),
+    ("include-preset = table2\nn = 32\nk-list = 0.5 0.25\n", 2.0,
+     [(32, k, g) for g in (0.5, GAMMA_ORDER3) for k in (0.5, 0.25)]),
+])
+def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves):
+    # one run.meta line per (N, k, gamma) solve, in solve order
+    cfg_file = tmp_path / "quick.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    records = _meta_solves(out / "run.meta")
+    assert [(r["n"], r["k"], r["gamma"]) for r in records] == pytest.approx(solves)
+    for rec in records:
+        assert rec["steps"] == round(t_end / rec["k"])
+        assert 2 * rec["steps"] <= rec["rhs_evals"]
+        assert 1 <= rec["max_stage_iters"] <= rec["rhs_evals"]
 
 
 def test_cli_snapshot_run(tmp_path):

@@ -23,6 +23,13 @@ def test_chebyshev_zero_structure():
     assert jacobi.jacobi_eval(-0.5, 3, math.cos(math.pi / 6)) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("a", [0.0, -0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+def test_two_row_recurrence_matches_all_rows(a, n):
+    x = np.linspace(-1.0, 1.0, 41)
+    assert np.array_equal(jacobi._sym_jacobi(a, n, x), jacobi._jacobi_rows(a, n, x)[-1])
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         jacobi.jacobi_eval(1.5, 2, 0.0)

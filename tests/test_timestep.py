@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bousspec import analysis, model, semidiscrete, timestep
+from bousspec import analysis, experiments, model, semidiscrete, timestep
 from bousspec.jacobi import build_basis
 from bousspec.timestep import IntegrationPlan, SdirkScheme
 
@@ -85,6 +85,46 @@ def test_stage_divergence_detection():
     stiff = lambda t, v: -1e9 * v
     with pytest.raises(timestep.StageDivergenceError):
         timestep.sdirk_step(stiff, 0.0, np.array([1.0]), 0.1, SdirkScheme.midpoint())
+
+
+# --- stage predictor ----------------------------------------------------------
+
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("scheme", [SdirkScheme.midpoint(), SdirkScheme.order3()])
+@pytest.mark.parametrize("lam, f, y0", [
+    (-1.0, lambda t, v: -v, np.array([1.0])),
+    # (x, y) as z = x + iy: the rotation is z' = i z, eigenvalues +-i
+    (1j, lambda t, v: _ROTATION @ v, np.array([1.0, 0.0])),
+])
+def test_integrate_matches_stability_function_power(scheme, lam, f, y0):
+    # predicted starting values change only where the stage iterations
+    # begin; the converged steps still multiply by R(k lam)
+    k, n = 0.1, 10
+    _, y, _, stats = timestep.integrate(f, y0, scheme, IntegrationPlan(k=k, t_end=n * k))
+    z = timestep.stability_function(scheme, k * lam) ** n
+    want = np.array([z.real, z.imag]) if y0.size == 2 else np.array([z.real])
+    assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+    assert stats.steps == n
+
+
+@pytest.mark.parametrize("scheme", [SdirkScheme.midpoint(), SdirkScheme.order3()])
+def test_first_integrate_step_is_sdirk_step(scheme):
+    f = lambda t, v: -v + np.cos(t) * v * v
+    y0 = np.array([0.3, -0.2, 0.5])
+    plan = IntegrationPlan(k=0.05, t_end=0.1, snapshot_times=(0.05,))
+    _, _, snaps, _ = timestep.integrate(f, y0, scheme, plan)
+    assert np.array_equal(snaps[0][1], timestep.sdirk_step(f, 0.0, y0, 0.05, scheme))
+
+
+def test_predictor_evaluation_count_table5():
+    # 6.0 evaluations per step; 10.0 with cold starts, 7.0 when either
+    # stage drops its extrapolation from the previous step
+    cfg = experiments.PRESETS["table5"]
+    problem = experiments._resolve_problem(cfg)
+    run = experiments.solve_once(problem, 128, cfg.step_for(128), cfg.gammas[0], cfg.t_end)
+    assert run.stats.rhs_evals / run.stats.steps <= 6.5
 
 
 # --- stability function and dispersion --------------------------------------
