@@ -546,13 +546,15 @@ def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
                    solves=()) -> str:
     """Run metadata; lives outside the CSVs so those stay byte-reproducible.
 
-    Each entry of ``solves`` (see ``_solve_record``) becomes one
-    ``solve = {...}`` line with the integration statistics of that solve.
+    Records the numpy version (its BLAS does every product and solve).  Each
+    entry of ``solves`` (see ``_solve_record``) becomes one ``solve = {...}``
+    line with the integration statistics of that solve.
     """
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "run.meta")
     with open(path, "w") as fh:
         fh.write(f"version = {__version__}\n")
+        fh.write(f"numpy = {np.__version__}\n")
         fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
         for key, value in sorted(vars(cfg).items()):
             fh.write(f"{key} = {value!r}\n")

@@ -21,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
-
 _NODE_TOL = 1e-14          # Newton stopping tolerance for node search
 _NODE_MAX_ITERS = 100
 _WEIGHT_VERIFY_TOL = 1e-9  # moment-oracle gate on the computed weights
@@ -59,24 +57,8 @@ def weight_moment(mu: float, k: int) -> float:
     )
 
 
-def _jacobi_rows(a: float, n: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..n of the symmetric Jacobi family J_k^(a,a)(x), standard normalization."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
-    if n >= 1:
-        out[1] = (a + 1.0) * x
-    for k in range(2, n + 1):
-        s = 2.0 * k + 2.0 * a
-        c1 = 2.0 * k * (k + 2.0 * a) * (s - 2.0)
-        c2 = (s - 1.0) * s * (s - 2.0)
-        c3 = 2.0 * (k + a - 1.0) ** 2 * s
-        out[k] = (c2 * x * out[k - 1] - c3 * out[k - 2]) / c1
-    return out
-
-
 def _sym_jacobi(a: float, n: int, x):
-    """Row n of ``_jacobi_rows`` by the same recurrence, keeping two rows."""
+    """J_n^(a,a)(x) in the standard normalization, by the three-term recurrence."""
     x = np.asarray(x, dtype=float)
     prev, cur = np.ones_like(x), (a + 1.0) * x
     if n == 0:
@@ -192,20 +174,22 @@ def glj_nodes(mu: float, n: int) -> np.ndarray:
 
 
 def glj_weights(mu: float, nodes: np.ndarray) -> np.ndarray:
-    """Unique weights making the Lobatto rule exact on P_{2N-1} against w.
+    """Weights making the Lobatto rule exact on P_{2N-1} against w.
 
-    Determined by the moment conditions sum_j w_j J_k(x_j) = m0 * delta_{k0},
-    k = 0..N (exactness on P_N in the orthogonal basis; the node choice then
-    gives 2N-1).  Verified post-construction against the monomial moment
-    oracle up to degree 2N-1; failure signals ill-conditioning or bad nodes.
+    Closed form for alpha = beta = mu (Shen, Tang & Wang, *Spectral Methods*,
+    Springer 2011, ch. 3): w_j = C / J_N(x_j)^2 at the interior nodes and
+    (mu + 1) C / J_N(+-1)^2 at the ends, with C fixed by sum_j w_j = m0.
+    The recurrence gives J_N(-x) = (-1)^N J_N(x) bit for bit, so on mirrored
+    nodes the weights are exactly mirror-symmetric.  Verified
+    post-construction against the monomial moment oracle up to degree
+    2N-1; failure signals bad nodes.
     """
     mu = validate_mu(mu)
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size - 1
-    vand = _jacobi_rows(mu, n, nodes)
-    rhs = np.zeros(n + 1)
-    rhs[0] = weight_moment(mu, 0)
-    w = linalg.lu_solve(linalg.lu_factor(vand), rhs)
+    w = 1.0 / _sym_jacobi(mu, n, nodes) ** 2
+    w[[0, n]] *= mu + 1.0
+    w *= weight_moment(mu, 0) / w.sum()
 
     if np.any(w <= 0.0):
         raise QuadratureError(f"nonpositive quadrature weight for mu={mu}, n={n}")

@@ -1,5 +1,7 @@
 import ast
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,12 +113,36 @@ def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves):
     cfg_file.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    assert f"numpy = {np.__version__}" in (out / "run.meta").read_text().splitlines()
     records = _meta_solves(out / "run.meta")
     assert [(r["n"], r["k"], r["gamma"]) for r in records] == pytest.approx(solves)
     for rec in records:
         assert rec["steps"] == round(t_end / rec["k"])
         assert 2 * rec["steps"] <= rec["rhs_evals"]
         assert 1 <= rec["max_stage_iters"] <= rec["rhs_evals"]
+
+
+NO_SCIPY_RUN = """
+import sys
+from bousspec import cli
+rc = cli.main(["run", sys.argv[1], "--output", sys.argv[2]])
+print(rc, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI and running an experiment must
+    # not load scipy, at import time or lazily on the run path
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("include-preset = table5\nn = 8 16 32\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(cfg_file), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_snapshot_run(tmp_path):
