@@ -1,9 +1,10 @@
 """Weighted Sobolev norms, error measurement, convergence-ratio harness.
 
 Norms are estimated by Gauss-Lobatto quadrature on a refinement grid of
-degree M (default twice the largest polynomial degree being compared):
+degree M = max(64, 2 N_max), N_max the largest polynomial degree compared:
 ||f||_{H^k}^2 ~ sum_{l<=k} sum_j |f^(l)(y_j)|^2 w_j, with physical-interval
-nodes and weights.  Product norms are the sum of the component norms.
+nodes and weights.  Product norms are sqrt(|eta|^2 + |u|^2).  Every norm
+samples a solution through one interpolation matrix (``_sample``).
 All tables in the experiment suite use the unweighted (mu = 0) norms.
 """
 
@@ -25,38 +26,19 @@ _MIN_GRID_DEGREE = 64
 class NormSpec:
     """Product-norm request: H^{eta_order} x H^{u_order} with weight mu.
 
-    ``combine`` selects how the two component norms form the product norm:
-    "rss" is the Euclidean combination sqrt(|eta|^2 + |u|^2), which is what
-    the reference experiment tables use (the tent quotients pin it to four
-    digits); "sum" is the |eta| + |u| variant.
+    The product norm is the Euclidean combination sqrt(|eta|^2 + |u|^2), the
+    one the reference experiment tables use (the tent quotients pin it to
+    four digits).
     """
 
     eta_order: int = 0
     u_order: int = 0
     mu: float = 0.0
-    grid_degree: int | None = None
-    combine: str = "rss"
 
     def __post_init__(self):
         for k in (self.eta_order, self.u_order):
             if k not in (0, 1, 2):
                 raise ValueError("component orders must be 0, 1 or 2")
-        if self.combine not in ("rss", "sum"):
-            raise ValueError("combine must be 'rss' or 'sum'")
-
-    def combined(self, eta_norm: float, u_norm: float) -> float:
-        if self.combine == "sum":
-            return eta_norm + u_norm
-        return math.hypot(eta_norm, u_norm)
-
-    def resolve_degree(self, n_max: int) -> int:
-        if self.grid_degree is not None:
-            if self.grid_degree < 2 * n_max:
-                raise ValueError(
-                    f"evaluation grid degree {self.grid_degree} < 2*{n_max}"
-                )
-            return self.grid_degree
-        return max(_MIN_GRID_DEGREE, 2 * n_max)
 
     @property
     def label(self) -> str:
@@ -81,18 +63,21 @@ class NodalSolution:
         )
 
 
-def eval_solution(sol: NodalSolution, points, component: str = "eta",
-                  deriv: int = 0) -> np.ndarray:
-    """Evaluate a solution component (or derivative) at physical points."""
+def _reference_points(imap: IntervalMap, points) -> np.ndarray:
+    """Map physical points into [-1, 1]; points outside the interval raise."""
     points = np.asarray(points, dtype=float)
-    lo, hi = sol.imap.left, sol.imap.right
+    lo, hi = imap.left, imap.right
     span = hi - lo
     if np.any(points < lo - 1e-12 * span) or np.any(points > hi + 1e-12 * span):
         raise ValueError("evaluation points outside the physical interval")
+    return np.clip(imap.to_reference(points), -1.0, 1.0)
+
+
+def eval_solution(sol: NodalSolution, points, component: str = "eta",
+                  deriv: int = 0) -> np.ndarray:
+    """Evaluate a solution component (or derivative) at physical points."""
     values = sol.eta if component == "eta" else sol.u
-    ref = sol.imap.to_reference(points)
-    np.clip(ref, -1.0, 1.0, out=ref)
-    out = nodal_eval(sol.basis, values, ref, deriv)
+    out = nodal_eval(sol.basis, values, _reference_points(sol.imap, points), deriv)
     return out / sol.imap.scale**deriv
 
 
@@ -107,45 +92,52 @@ def sobolev_norm(derivs, weights) -> float:
 
 
 def _grid(spec: NormSpec, imap: IntervalMap, n_max: int):
-    m = spec.resolve_degree(n_max)
-    rule = glj_rule(spec.mu, m)
+    """Physical nodes and weights of the refinement rule for degrees <= n_max."""
+    rule = glj_rule(spec.mu, max(_MIN_GRID_DEGREE, 2 * n_max))
     return imap.to_physical(rule.nodes), imap.scale * rule.weights
+
+
+def _sample(sol: NodalSolution, pts, spec: NormSpec) -> np.ndarray:
+    """Derivative samples of ``sol`` on pts, one column per (component, order).
+
+    Columns are eta, eta', ... up to ``spec.eta_order``, then u, u', ... up to
+    ``spec.u_order``; one interpolation matrix serves all of them.
+    """
+    basis, s = sol.basis, sol.imap.scale
+    cols = []
+    for v, order in ((sol.eta, spec.eta_order), (sol.u, spec.u_order)):
+        cols.append(v)
+        if order >= 1:
+            cols.append(basis.d1 @ v / s)
+        if order >= 2:
+            cols.append(basis.d2 @ v / s**2)
+    return nodal_eval(basis, np.column_stack(cols), _reference_points(sol.imap, pts))
+
+
+def _diff_norm(sa, sb, w) -> float:
+    """Product norm of the difference of two ``_sample``-shaped samples.
+
+    sqrt(|eta|^2 + |u|^2) adds the squared component norms, so it is the
+    quadrature sum over every sampled column.
+    """
+    return sobolev_norm((sa - sb).T, w)
 
 
 def error_vs_exact(sol: NodalSolution, exact: ExactSolution, t: float,
                    spec: NormSpec) -> float:
     """Product norm of (eta_N - eta(., t), u_N - u(., t))."""
     pts, w = _grid(spec, sol.imap, sol.basis.n)
-    comps = []
-    for comp, order in (("eta", spec.eta_order), ("u", spec.u_order)):
-        exact_fn = exact.eta if comp == "eta" else exact.u
-        diffs = [
-            eval_solution(sol, pts, comp, d) - exact_fn(pts, t, d)
-            for d in range(order + 1)
-        ]
-        comps.append(sobolev_norm(diffs, w))
-    return spec.combined(*comps)
+    ref = np.column_stack(
+        [exact.eta(pts, t, d) for d in range(spec.eta_order + 1)]
+        + [exact.u(pts, t, d) for d in range(spec.u_order + 1)]
+    )
+    return _diff_norm(_sample(sol, pts, spec), ref, w)
 
 
 def self_norm(sol: NodalSolution, spec: NormSpec) -> float:
     """Product norm of the solution itself on the refinement grid."""
     pts, w = _grid(spec, sol.imap, sol.basis.n)
-    return spec.combined(*(sobolev_norm(vals, w) for vals in _sample(sol, pts, spec)))
-
-
-def _sample(sol: NodalSolution, pts, spec: NormSpec):
-    """[eta derivatives, u derivatives] of ``sol`` on pts, orders 0..spec's."""
-    return [
-        [eval_solution(sol, pts, comp, d) for d in range(order + 1)]
-        for comp, order in (("eta", spec.eta_order), ("u", spec.u_order))
-    ]
-
-
-def _diff_norm(sa, sb, w, spec: NormSpec) -> float:
-    """Product norm of the difference of two ``_sample`` results."""
-    return spec.combined(*(
-        sobolev_norm([a - b for a, b in zip(ca, cb)], w) for ca, cb in zip(sa, sb)
-    ))
+    return _diff_norm(_sample(sol, pts, spec), 0.0, w)
 
 
 def convergence_ratio(sols, spec: NormSpec) -> float:
@@ -163,8 +155,8 @@ def convergence_ratio(sols, spec: NormSpec) -> float:
     pts, w = _grid(spec, s4.imap, s4.basis.n)
     # each level is sampled once; s_2N enters both differences
     v1, v2, v4 = (_sample(s, pts, spec) for s in sols)
-    num = _diff_norm(v1, v2, w, spec)
-    den = _diff_norm(v2, v4, w, spec)
+    num = _diff_norm(v1, v2, w)
+    den = _diff_norm(v2, v4, w)
     if den == 0.0:
         raise ZeroDivisionError(
             "refinement difference vanished; the error floor was reached"

@@ -50,10 +50,7 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     if cfg.mode != "ratio_table":
         raise ConfigError("compare needs a ratio_table config (doubling N chain)")
-    written = experiments.execute(cfg, outdir=args.output)
-    for path in written:
-        print(path)
-    return EXIT_OK
+    return _cmd_run(args)
 
 
 def _cmd_diagnose(args) -> int:

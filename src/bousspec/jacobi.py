@@ -24,7 +24,7 @@ import numpy as np
 _NODE_TOL = 1e-14          # Newton stopping tolerance for node search
 _NODE_MAX_ITERS = 100
 _WEIGHT_VERIFY_TOL = 1e-9  # moment-oracle gate on the computed weights
-_HIT_TOL = 1e-12           # removable-singularity branch in nodal evaluation
+_HIT_TOL = 1e-12           # points this close to a node take its unit row
 
 
 class QuadratureError(RuntimeError):
@@ -111,22 +111,27 @@ def jacobi_deriv(mu: float, n: int, x, order: int = 1):
     return out if out.shape else float(out)
 
 
-def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
-    """Plain bisection on a bracketed sign change of fn."""
+def _bisect(fn, lo, hi, iters: int = 200) -> np.ndarray:
+    """Plain bisection on bracketed sign changes of fn, all brackets at once.
+
+    A bracket stops once it is narrower than 4e-16 or fn vanishes at its
+    midpoint; the result is that bracket's midpoint.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    if flo * fn(hi) > 0.0:
+    if np.any(flo * fn(hi) > 0.0):
         raise QuadratureError("bisection fallback called without a sign change")
+    hi = np.where(flo == 0.0, lo, hi)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
-        if fm == 0.0 or hi - lo < 4e-16:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
+        done = (fm == 0.0) | (hi - lo < 4e-16)
+        if np.all(done):
+            break
+        # finished brackets collapse onto their midpoint and stay there
+        left = (flo * fm < 0.0) & ~done
+        hi = np.where(left | done, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
     return 0.5 * (lo + hi)
 
 
@@ -134,7 +139,8 @@ def glj_nodes(mu: float, n: int) -> np.ndarray:
     """Gauss-Lobatto-Jacobi nodes: -1, 1 and the n-1 interior zeros of J_n'.
 
     Newton iteration from Chebyshev-Gauss-Lobatto guesses cos(pi j / n),
-    with a bisection fallback on bracketed sign changes if Newton stalls.
+    with a bisection fallback if Newton stalls: all n-1 sign changes are
+    bracketed on a fine grid and bisected together as one vector.
     The returned array is strictly increasing and exactly antisymmetric.
     """
     mu = validate_mu(mu)
@@ -163,7 +169,7 @@ def glj_nodes(mu: float, n: int) -> np.ndarray:
         idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         if idx.size != n - 1:
             raise QuadratureError(f"node search failed for mu={mu}, n={n}")
-        x = np.array([_bisect(lambda t: float(g(t)), grid[i], grid[i + 1]) for i in idx])
+        x = _bisect(g, grid[idx], grid[idx + 1])
 
     x = 0.5 * (x - x[::-1])  # even weight: enforce exact antisymmetry
     resid = np.abs(g(x))
@@ -293,7 +299,6 @@ class JacobiBasis:
     d1: np.ndarray
     d2: np.ndarray
     psi: np.ndarray
-    jn_at_nodes: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -309,69 +314,39 @@ def _build_basis(mu: float, n: int) -> JacobiBasis:
     bary = _bary_weights(rule.nodes)
     d1, d2 = diff_matrices(rule.nodes, bary)
     psi = aux_matrix(mu, rule.nodes, d1)
-    jn = np.asarray(jacobi_eval(mu, n, rule.nodes))
-    for a in (bary, d1, d2, psi, jn):
+    for a in (bary, d1, d2, psi):
         a.setflags(write=False)
-    return JacobiBasis(
-        mu=float(mu), n=n, rule=rule, bary=bary, d1=d1, d2=d2, psi=psi, jn_at_nodes=jn
-    )
+    return JacobiBasis(mu=float(mu), n=n, rule=rule, bary=bary, d1=d1, d2=d2, psi=psi)
 
 
 build_basis = lru_cache(maxsize=32)(_build_basis)
 
 
 def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
-    """Evaluate the nodal interpolant of ``values`` (and derivatives) at x.
+    """Evaluate the nodal interpolant of ``values`` (or a derivative) at x.
 
-    Second-form barycentric evaluation; derivative quotients follow the
-    Schneider-Werner recurrence.  Points within 1e-12 of a node take the
-    analytic limit (nodal value / differentiation-matrix rows).
+    ``values`` is a vector or an (N+1) x k block of nodal values.  Barycentric
+    interpolation in matrix form (Berrut & Trefethen, SIAM Rev. 46 (2004)):
+    E[i, j] = (b_j / (x_i - x_j)) / sum_l b_l / (x_i - x_l), with an exact
+    unit row for any point within 1e-12 of a node.  A derivative is E applied
+    to the nodal derivative values d1 @ values or d2 @ values, which define
+    the derivative polynomial exactly.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1 or 2")
     values = np.asarray(values, dtype=float)
+    if deriv:
+        values = (basis.d1, basis.d2)[deriv - 1] @ values
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    nodes, bary = basis.nodes, basis.bary
 
-    d = x[:, None] - nodes[None, :]
-    hit = np.abs(d) < _HIT_TOL
-    is_hit = hit.any(axis=1)
-    dsafe = np.where(hit, 1.0, d)
-    beta = bary[None, :] / dsafe
-    denom = beta.sum(axis=1)
+    e = np.atleast_1d(x)[:, None] - basis.nodes[None, :]
+    hit = np.abs(e) < _HIT_TOL
+    e[hit] = 1.0
+    np.divide(basis.bary, e, out=e)
+    rows = hit.any(axis=1)
+    e[rows] = hit[rows]
+    e /= e.sum(axis=1, keepdims=True)
 
-    p0 = (beta @ values) / denom
-    out = [p0]
-    if deriv >= 1:
-        q1 = (p0[:, None] - values[None, :]) / dsafe
-        p1 = (beta * q1).sum(axis=1) / denom
-        out.append(p1)
-    if deriv >= 2:
-        q2 = (p1[:, None] - q1) / dsafe
-        p2 = 2.0 * (beta * q2).sum(axis=1) / denom
-        out.append(p2)
-
-    if np.any(is_hit):
-        rows = np.nonzero(is_hit)[0]
-        cols = hit[rows].argmax(axis=1)
-        out[0][rows] = values[cols]
-        if deriv >= 1:
-            out[1][rows] = basis.d1[cols] @ values
-        if deriv >= 2:
-            out[2][rows] = basis.d2[cols] @ values
-
-    res = out[deriv]
-    return float(res[0]) if scalar else res
-
-
-def nodal_basis_eval(basis: JacobiBasis, j: int, x, deriv: int = 0):
-    """psi_j(x) or psi_j'(x): the Kronecker nodal basis evaluated off-grid."""
-    if not 0 <= j <= basis.n:
-        raise ValueError(f"basis index {j} out of range 0..{basis.n}")
-    if deriv not in (0, 1):
-        raise ValueError("deriv must be 0 or 1")
-    unit = np.zeros(basis.n + 1)
-    unit[j] = 1.0
-    return nodal_eval(basis, unit, x, deriv)
+    res = e @ values
+    return res[0] if scalar else res

@@ -41,9 +41,6 @@ from . import linalg
 from .jacobi import JacobiBasis
 from .model import BoundaryData, IntervalMap, SystemParams
 
-# incremented on every assemble() call; lets tests pin "assembled once" reuse
-assembly_count = 0
-
 
 @dataclass(frozen=True)
 class BoundaryValues:
@@ -137,9 +134,6 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     The eta-equation mass uses coefficient b, the u-equation mass uses d;
     with b == d one factorization and one solve serve both equations.
     """
-    global assembly_count
-    assembly_count += 1
-
     n = basis.n
     w, d1, d2, psi = _physical_blocks(basis, imap)
     interior = slice(1, n)

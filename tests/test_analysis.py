@@ -18,13 +18,12 @@ def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(3, 0)
     with pytest.raises(ValueError):
-        NormSpec(0, 0, combine="max")
+        NormSpec(0, -1)
     spec = NormSpec(2, 1)
     assert spec.label == "H2xH1"
-    assert spec.resolve_degree(512) == 1024
-    assert NormSpec(0, 0).resolve_degree(8) == 64
-    with pytest.raises(ValueError):
-        NormSpec(0, 0, grid_degree=100).resolve_degree(256)
+    imap = IntervalMap(-1.0, 1.0)
+    assert analysis._grid(spec, imap, 512)[0].size == 1025
+    assert analysis._grid(spec, imap, 8)[0].size == 65
 
 
 def test_eval_solution_at_own_nodes_and_outside():
@@ -106,12 +105,13 @@ def test_error_symmetry_between_sampled_exact_solutions():
         eta=sol_exact.eta(imap.to_physical(basis.nodes), t),
         u=sol_exact.u(imap.to_physical(basis.nodes), t), t=t,
     )
-    spec = NormSpec(1, 1, grid_degree=1024)
-    pts, w = analysis._grid(spec, imap, 256)
+    spec = NormSpec(1, 1)
+    pts, w = analysis._grid(spec, imap, 512)
+    assert pts.size == 1025
     s1 = analysis._sample(mk(b1, 0.0), pts, spec)
     s2 = analysis._sample(mk(b2, 0.3), pts, spec)
-    a = analysis._diff_norm(s1, s2, w, spec)
-    b = analysis._diff_norm(s2, s1, w, spec)
+    a = analysis._diff_norm(s1, s2, w)
+    b = analysis._diff_norm(s2, s1, w)
     assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -152,11 +152,13 @@ def test_rate_table():
         analysis.rate_table([1.0], [2.0])
 
 
-def test_combine_conventions():
-    spec_rss = NormSpec(0, 0, combine="rss")
-    spec_sum = NormSpec(0, 0, combine="sum")
-    assert spec_rss.combined(3.0, 4.0) == 5.0
-    assert spec_sum.combined(3.0, 4.0) == 7.0
+def test_product_norm_is_euclidean():
+    # sqrt(|eta|^2 + |u|^2): constants 3 and 4 on an interval of length 2
+    imap = IntervalMap(-1.0, 1.0)
+    sol = poly_solution(imap, 8, lambda x: np.full_like(x, 3.0), lambda x: np.full_like(x, 4.0))
+    assert analysis.self_norm(sol, NormSpec(0, 0)) == pytest.approx(5 * math.sqrt(2), rel=1e-14)
+    # the derivative columns of constants add nothing
+    assert analysis.self_norm(sol, NormSpec(1, 2)) == pytest.approx(5 * math.sqrt(2), rel=1e-12)
 
 
 def test_sobolev_norm_polynomial_exactness(rng):

@@ -196,6 +196,52 @@ def test_symmetric_guess_bisection_fallback():
     assert abs(root) < 1e-14
     with pytest.raises(jacobi.QuadratureError):
         jacobi._bisect(lambda x: 1.0, -1.0, 1.0)
+    # all brackets at once: the zeros of J_4' are 0 and +-sqrt(3/7)
+    roots = jacobi._bisect(
+        lambda x: jacobi.jacobi_deriv(0.0, 4, x, 1), [-0.9, -0.3, 0.5], [-0.5, 0.2, 0.9]
+    )
+    assert np.abs(roots - [-math.sqrt(3 / 7), 0.0, math.sqrt(3 / 7)]).max() < 1e-15
+    # a zero at a bracket's lower end is returned as is
+    roots = jacobi._bisect(lambda x: x, [0.0, -0.5], [1.0, 0.25])
+    assert roots[0] == 0.0 and abs(roots[1]) < 1e-15
+
+
+def _scalar_bisect(fn, lo, hi, iters=200):
+    # reference: one bracket at a time, with the arithmetic of the vector version
+    flo = fn(lo)
+    if flo == 0.0:
+        return lo
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if fm == 0.0 or hi - lo < 4e-16:
+            return mid
+        if flo * fm < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("mu,n", [(0.5, 32), (0.6, 40), (0.25, 17)])
+def test_vector_bisection_matches_scalar_reference(mu, n):
+    g = lambda x: jacobi.jacobi_deriv(mu, n, x, 1)
+    grid = np.cos(np.pi * np.arange(8 * n, -1, -1) / (8 * n))
+    vals = g(grid)
+    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    assert idx.size == n - 1
+    want = [_scalar_bisect(lambda t: float(g(t)), grid[i], grid[i + 1]) for i in idx]
+    assert np.array_equal(jacobi._bisect(g, grid[idx], grid[idx + 1]), want)
+
+
+@pytest.mark.parametrize("mu,n", [(0.5, 128), (0.45, 256)])
+def test_bisection_node_search_builds_large_rules(mu, n):
+    # Newton stalls for these (mu, n); the vector bisection fallback must
+    # still give a rule that passes the moment oracle inside glj_rule
+    nodes = jacobi.glj_rule(mu, n).nodes
+    assert nodes.size == n + 1
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1])
 
 
 # --- nodal basis and matrices ----------------------------------------------
@@ -207,23 +253,23 @@ def basis8():
 
 def test_kronecker_property(basis8):
     n = basis8.n
+    psi = jacobi.nodal_eval(basis8, np.eye(n + 1), basis8.nodes)
     for j in (0, 3, n):
-        vals = jacobi.nodal_basis_eval(basis8, j, basis8.nodes)
         expect = np.zeros(n + 1)
         expect[j] = 1.0
-        assert np.abs(vals - expect).max() < 1e-12
+        assert np.abs(psi[:, j] - expect).max() < 1e-12
 
 
 def test_partition_of_unity(basis8):
     xs = np.linspace(-1.0, 1.0, 17)
-    total = sum(jacobi.nodal_basis_eval(basis8, j, xs) for j in range(basis8.n + 1))
+    total = jacobi.nodal_eval(basis8, np.eye(basis8.n + 1), xs).sum(axis=1)
     assert np.abs(total - 1.0).max() < 1e-12
 
 
 def test_nodal_derivative_matches_d1_columns(basis8):
+    dpsi = jacobi.nodal_eval(basis8, np.eye(basis8.n + 1), basis8.nodes, 1)
     for j in (0, 2, 5, 8):
-        vals = jacobi.nodal_basis_eval(basis8, j, basis8.nodes, deriv=1)
-        assert np.abs(vals - basis8.d1[:, j]).max() < 1e-10
+        assert np.abs(dpsi[:, j] - basis8.d1[:, j]).max() < 1e-10
 
 
 def test_closed_form_matches_barycentric_two_normalizations(basis8):
@@ -231,14 +277,14 @@ def test_closed_form_matches_barycentric_two_normalizations(basis8):
     # invariant under rescaling the polynomial family.
     n, mu = basis8.n, basis8.mu
     xs = np.linspace(-0.97, 0.94, 9)
+    psi = jacobi.nodal_eval(basis8, np.eye(n + 1), xs)
     for j in (0, 4, n):
         c = (mu + 1 if j in (0, n) else 1.0) / (n * (n + 2 * mu + 1))
         for scale_factor in (1.0, 3.7):
             jn_x = scale_factor * jacobi.jacobi_deriv(mu, n, xs, 1)
             jn_at = scale_factor * jacobi.jacobi_eval(mu, n, basis8.nodes[j])
             closed = c * (1 - xs**2) * jn_x / ((basis8.nodes[j] - xs) * jn_at)
-            bary = jacobi.nodal_basis_eval(basis8, j, xs)
-            assert np.abs(closed - bary).max() < 1e-11
+            assert np.abs(closed - psi[:, j]).max() < 1e-11
 
 
 @pytest.mark.parametrize("mu", MUS)
@@ -275,15 +321,17 @@ def test_aux_matrix_boundary_rows(basis8):
     # mu/((1+mu)(x_j - x_p)) needs the factor J_n(x_p)/J_n(x_j); both
     # routes below agree with the assembled -mu * d1 rows.
     n, mu = basis8.n, basis8.mu
+    jn = jacobi.jacobi_eval(mu, n, basis8.nodes)
     for j in range(1, n):
         xj = basis8.nodes[j]
         for row, xp in ((0, -1.0), (n, 1.0)):
-            ratio = basis8.jn_at_nodes[row] / basis8.jn_at_nodes[j]
+            ratio = jn[row] / jn[j]
             closed = mu / ((1 + mu) * (xj - xp)) * ratio
             assert basis8.psi[row, j - 1] == pytest.approx(closed, rel=1e-12)
             eps = 1e-7
             x_near = xp - math.copysign(eps, xp)
-            limit = 2 * x_near * mu * jacobi.nodal_basis_eval(basis8, j, x_near) / (1 - x_near**2)
+            psi_j = jacobi.nodal_eval(basis8, np.eye(n + 1), x_near)[j]
+            limit = 2 * x_near * mu * psi_j / (1 - x_near**2)
             assert basis8.psi[row, j - 1] == pytest.approx(limit, rel=1e-5)
 
 
@@ -293,10 +341,16 @@ def test_nodal_eval_derivative_orders(rng):
     poly = np.polynomial.Polynomial(coeff)
     vals = poly(basis.nodes)
     xs = rng.uniform(-1.0, 1.0, size=40)
+    block = np.column_stack([vals, np.cos(basis.nodes), basis.nodes**24])
     for d in range(3):
         got = jacobi.nodal_eval(basis, vals, xs, d)
         want = poly.deriv(d)(xs) if d else poly(xs)
         assert np.abs(got - want).max() < 1e-10
+        # a 2-D block evaluates column by column (up to BLAS summation order)
+        cols = np.column_stack([jacobi.nodal_eval(basis, c, xs, d) for c in block.T])
+        got = jacobi.nodal_eval(basis, block, xs, d)
+        assert got.shape == (xs.size, 3)
+        assert np.abs(got - cols).max() <= 1e-14 * np.abs(cols).max()
 
 
 def test_nodal_eval_at_nodes_uses_exact_branch():
@@ -304,6 +358,18 @@ def test_nodal_eval_at_nodes_uses_exact_branch():
     vals = np.sin(basis.nodes)
     got = jacobi.nodal_eval(basis, vals, basis.nodes.copy(), 1)
     assert np.abs(got - basis.d1 @ vals).max() < 1e-13
+
+
+@pytest.mark.parametrize("mu,n", [(0.0, 12), (0.25, 8), (0.0, 512)])
+def test_nodal_eval_points_on_nodes_give_unit_rows(mu, n):
+    basis = jacobi.build_basis(mu, n)
+    eye = np.eye(n + 1)
+    assert np.array_equal(jacobi.nodal_eval(basis, eye, basis.nodes), eye)
+    # within the hit tolerance of a node, still the exact unit row
+    near = basis.nodes[[0, n // 3, n]] + np.array([4e-13, -4e-13, -4e-13])
+    assert np.array_equal(jacobi.nodal_eval(basis, eye, near), eye[[0, n // 3, n]])
+    vals = np.cos(3.0 * basis.nodes)
+    assert jacobi.nodal_eval(basis, vals, basis.nodes[n // 3]) == vals[n // 3]
 
 
 def test_build_basis_is_cached_and_readonly():
