@@ -57,19 +57,25 @@ def weight_moment(mu: float, k: int) -> float:
     )
 
 
-def _sym_jacobi(a: float, n: int, x):
-    """J_n^(a,a)(x) in the standard normalization, by the three-term recurrence."""
+def _sym_jacobi_pair(a: float, n: int, x):
+    """(J_n, J_{n-1}) of parameter (a, a) at x, n >= 1, by the three-term
+    recurrence in the standard normalization."""
     x = np.asarray(x, dtype=float)
     prev, cur = np.ones_like(x), (a + 1.0) * x
-    if n == 0:
-        return prev
     for k in range(2, n + 1):
         s = 2.0 * k + 2.0 * a
         c1 = 2.0 * k * (k + 2.0 * a) * (s - 2.0)
         c2 = (s - 1.0) * s * (s - 2.0)
         c3 = 2.0 * (k + a - 1.0) ** 2 * s
         prev, cur = cur, (c2 * x * cur - c3 * prev) / c1
-    return cur
+    return cur, prev
+
+
+def _sym_jacobi(a: float, n: int, x):
+    """J_n^(a,a)(x) in the standard normalization, by the three-term recurrence."""
+    if n == 0:
+        return np.ones_like(np.asarray(x, dtype=float))
+    return _sym_jacobi_pair(a, n, x)[0]
 
 
 def _check_x(x):
@@ -153,10 +159,16 @@ def glj_nodes(mu: float, n: int) -> np.ndarray:
     def gp(x):
         return jacobi_deriv(mu, n, x, 2)
 
+    # Newton on z = J_{n-1}^(a,a), a = mu + 1 (J_n' up to a constant), with
+    # z' from the same recurrence pass: (1 - x^2) z' = -(n-1) x z + (n-1+a) z_prev
+    a = mu + 1.0
     x = np.cos(np.pi * np.arange(n - 1, 0, -1) / n)
     converged = False
     for _ in range(_NODE_MAX_ITERS):
-        dx = g(x) / gp(x)
+        z, z_prev = _sym_jacobi_pair(a, n - 1, x)
+        # an iterate clipped to +-1 makes this 0/0: Newton has stalled
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = (1.0 - x * x) * z / (-(n - 1) * x * z + (n - 1 + a) * z_prev)
         x -= dx
         np.clip(x, -1.0, 1.0, out=x)
         if np.max(np.abs(dx)) < _NODE_TOL:
@@ -164,9 +176,11 @@ def glj_nodes(mu: float, n: int) -> np.ndarray:
             break
     if not converged or np.any(np.diff(x) <= 0.0):
         # Newton stalled or roots collided; rebracket from a fine sampling.
+        # A sample where g is exactly zero (the Chebyshev-Lobatto nodes lie
+        # on this grid) is a root: its bracket starts there.
         grid = np.cos(np.pi * np.arange(8 * n, -1, -1) / (8 * n))
-        vals = g(grid)
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        sign = np.sign(g(grid))
+        idx = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0))[0]
         if idx.size != n - 1:
             raise QuadratureError(f"node search failed for mu={mu}, n={n}")
         x = _bisect(g, grid[idx], grid[idx + 1])
@@ -288,6 +302,7 @@ def aux_matrix(mu: float, nodes: np.ndarray, d1: np.ndarray) -> np.ndarray:
 class JacobiBasis:
     """Degree-N nodal basis on the Gauss-Lobatto-Jacobi points.
 
+    The nodes are mirrored exactly (x_{N-j} == -x_j; ``build_basis`` checks).
     Immutable after construction (arrays are read-only), so instances can be
     shared freely across threads and cached.
     """
@@ -311,6 +326,9 @@ class JacobiBasis:
 
 def _build_basis(mu: float, n: int) -> JacobiBasis:
     rule = glj_rule(mu, n)
+    # the parity-folded assembly (semidiscrete) relies on x_{N-j} == -x_j
+    if not np.array_equal(rule.nodes[::-1], -rule.nodes):
+        raise QuadratureError(f"nodes for mu={mu}, n={n} are not mirrored exactly")
     bary = _bary_weights(rule.nodes)
     d1, d2 = diff_matrices(rule.nodes, bary)
     psi = aux_matrix(mu, rule.nodes, d1)

@@ -24,15 +24,28 @@ u' psi_i w exactly, so the advection rows satisfy (K D1)[1:N, :] = -G
     (W + d B) u'   = G (eta + u.u/2) - |c| B2 eta - d B[:, (0, N)] u'_edge.
 
 The mass matrices are constant, so assembly solves them once against G
-(one factorization and one matrix solve per distinct mass coefficient) and
-derives every other block from that solve: M^-1 B = (M^-1 G) D1 and
-M^-1 B2 = (M^-1 G) D2.  A vector-field evaluation is then matrix-vector
-products only; boundary data contributes one solved vector per distinct
-time (``boundary_rhs``).
+and |c| B2, and a vector-field evaluation is matrix-vector products only;
+boundary data contributes one solved vector per distinct time
+(``boundary_rhs``).
+
+The nodes are mirrored (x_{N-j} = -x_j), so with J the flip of the m = N-1
+interior values, W and B commute with J while G and B2 change sign under
+it: every solution operator A satisfies A = -J A J and maps even vectors
+(J v = v) to odd ones and odd to even.  With half = ceil(m/2), v folds to
+e = v_top + (J v)_top and o = v_top - (J v)_top (top: the first half
+entries; o vanishes at a centre node), and A v is the odd vector with top
+half A_oe e plus the even vector with top half A_eo o, two products of
+half size (the even-odd decomposition: Solomonoff, J. Comput. Phys. 98
+(1992) 174-177; Kopriva, Implementing Spectral Methods for PDEs, Springer
+2009).  Assembly works in the folded form throughout: each distinct mass
+matrix splits into an even and an odd half block, each half block is
+factored once and solved against the folded G (and |c| B2), and the full
+(N-1)^2 operators are never formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,19 +111,33 @@ class AssembledSystem:
     """Solution operators of the coefficient ODE system, formed once.
 
     Every operator already carries the inverse mass matrix of its equation
-    (M_b = W + b B for eta, M_d = W + d B for u), in physical scaling.
-    With b == d both equations share one operator object (``op_u is
-    op_eta``).  Immutable; reuse across the whole time integration.
+    (M_b = W + b B for eta, M_d = W + d B for u), in physical scaling, and
+    is held parity-folded: a (2, half, half) array whose slice 0 takes the
+    even fold of a vector to the top half of the odd part of the result and
+    slice 1 takes the odd fold to the top half of the even part, both
+    transposed for ``fold @ slice``.  The three operators are views into
+    ``ops``, the stack ``rhs_eval`` applies in one batched product; with
+    b == d both equations share one operator object (``op_u is op_eta``).
+    Immutable; reuse across the whole time integration.
     """
 
     basis: JacobiBasis
     params: SystemParams
     imap: IntervalMap
-    # interior operators, (N-1) x (N-1):
+    half: int                       # fold length ceil((N-1)/2)
+    # (2, width, half) when b == d, else (2, 2, width, half) for (eta, u):
+    # rows [:half] act on a flux fold, rows [half:] (width = 2 half when
+    # c != 0) on the eta fold, zero for the eta equation
+    ops: np.ndarray
+    fold_shape: tuple               # the folded inputs, (2, 2, width) or (2, 2, 1, width)
     op_eta: np.ndarray              # M_b^-1 G, acts on the flux u + eta*u
     op_u: np.ndarray                # M_d^-1 G, acts on the flux eta + u*u/2
-    stiff_u: np.ndarray | None      # |c| M_d^-1 B2, acts on eta; None when c == 0
-    # solved boundary columns (left, right of each block):
+    stiff_u: np.ndarray | None      # -|c| M_d^-1 B2, acts on eta; None when c == 0
+    # y.take(gather) is (eta, u) x (top, mirror halves); scatter takes the
+    # unfolded (top, mirror) x (eta, u) x half back to the order of y
+    gather: np.ndarray
+    scatter: np.ndarray
+    # solved boundary columns (left, right of each block), (N-1) rows:
     edge_eta: np.ndarray            # M_b^-1 [-b B | G], acts on (eta', u + eta*u)
     edge_u: np.ndarray              # M_d^-1 [-d B | G | -|c| B2], acts on (u', eta + u*u/2, eta)
 
@@ -128,43 +155,141 @@ def _physical_blocks(basis: JacobiBasis, imap: IntervalMap):
     return w, d1, d2, psi
 
 
-def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> AssembledSystem:
-    """Build the G-NI blocks and solve the mass systems against them.
+def _fold_columns(x: np.ndarray, half: int):
+    """(X U_e, X U_o) for an r x m block X, with U_e (U_o) the m x half
+    (m x (m - half)) map from the top half of an even (odd) vector to the
+    whole vector: a column plus its mirror (a centre column once) and a
+    column minus its mirror."""
+    pairs = x.shape[1] - half
+    mirror = x[:, ::-1]
+    even = x[:, :half] + mirror[:, :half]
+    if half > pairs:
+        even[:, -1] *= 0.5
+    return even, x[:, :pairs] - mirror[:, :pairs]
 
-    The eta-equation mass uses coefficient b, the u-equation mass uses d;
-    with b == d one factorization and one solve serve both equations.
+
+def _folded_blocks(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
+    """The G-NI blocks the folded solves need, in physical scaling.
+
+    Returns the interior weights, the top half rows of the column folds of
+    B, G and (when ``stiff``) B2, and the edge columns B[:, (0, N)],
+    G[:, (0, N)] and B2[:, (0, N)].  B and B2 are folded through D1 and D2
+    (G (D U) = (G D) U, a quarter of the flops), and no full block outlives
+    this call.
     """
     n = basis.n
+    half = n // 2
     w, d1, d2, psi = _physical_blocks(basis, imap)
     interior = slice(1, n)
     edge = [0, n]
-
     gfull = (d1[:, interior] - psi).T * w[None, :]      # G, (N-1, N+1)
-    mass_int = gfull @ d1[:, interior]                  # B[:, 1:N]
-    w_diag = np.diag(w[interior])
+    top = gfull[:half]
 
-    def solve_grad(coeff: float) -> np.ndarray:
-        """M^-1 G for the mass matrix W + coeff B."""
-        return linalg.lu_solve(linalg.lu_factor(w_diag + coeff * mass_int), gfull)
+    def folded_product(x):
+        x_even, x_odd = _fold_columns(x[:, interior], half)
+        return top @ x_even, top @ x_odd
 
+    return (
+        w[interior],
+        folded_product(d1),
+        _fold_columns(top[:, interior], half),
+        folded_product(d2) if stiff else None,
+        (gfull @ d1[:, edge], gfull[:, edge], gfull @ d2[:, edge]),
+    )
+
+
+def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> AssembledSystem:
+    """Build the folded G-NI blocks and solve the folded mass systems.
+
+    The eta-equation mass uses coefficient b, the u-equation mass uses d;
+    with b == d one pair of half-size factorizations and solves serves both
+    equations.
+    """
+    n = basis.n
+    m = n - 1
+    half = n // 2                   # ceil(m / 2)
+    pairs = m - half
     p = params
     absc = abs(p.c)
-    grad_b = solve_grad(p.b)
-    grad_d = grad_b if p.d == p.b else solve_grad(p.d)
-    op_eta = np.ascontiguousarray(grad_b[:, interior])
-    op_u = op_eta if grad_d is grad_b else np.ascontiguousarray(grad_d[:, interior])
-    stiff_u = absc * (grad_d @ d2[:, interior]) if absc else None
+    w, mass, grad, third, (mass_edge, grad_edge, third_edge) = _folded_blocks(
+        basis, imap, absc > 0.0
+    )
+
+    def solve_folded(coeff: float, out: np.ndarray, edge_rhs: np.ndarray) -> np.ndarray:
+        """Fold M^-1 G (and -|c| M^-1 B2 when ``out`` has room) into ``out``
+        for the mass matrix M = W + coeff B, from its even and odd half
+        blocks; return the dense M^-1 edge_rhs."""
+        even = coeff * mass[0]                          # (M U_e)[:half]
+        even[np.diag_indices(half)] += w[:half]
+        odd = coeff * mass[1][:pairs]                   # (M U_o)[:pairs]
+        odd[np.diag_indices(pairs)] += w[:pairs]
+        # images of even folds are odd (rows [:pairs]) and of odd folds even
+        # (rows [:half]); a fold counts each mirror pair twice, hence the 1/2
+        blocks = out.shape[1] // half
+        sources = (grad, third)[:blocks]
+        scales = (0.5, -0.5 * absc)[:blocks]
+        mirror = edge_rhs[::-1]
+        rhs_odd = np.hstack([c * b[0][:pairs] for c, b in zip(scales, sources)]
+                            + [0.5 * (edge_rhs[:pairs] - mirror[:pairs])])
+        rhs_even = np.hstack([c * b[1] for c, b in zip(scales, sources)]
+                             + [0.5 * (edge_rhs[:half] + mirror[:half])])
+        x_odd = linalg.lu_solve(linalg.lu_factor(odd), rhs_odd)
+        x_even = linalg.lu_solve(linalg.lu_factor(even), rhs_even)
+        for k in range(blocks):
+            rows = slice(k * half, (k + 1) * half)
+            out[0, rows, :pairs] = x_odd[:, rows].T
+            out[1, k * half:k * half + pairs] = x_even[:, k * pairs:(k + 1) * pairs].T
+        edge_odd = x_odd[:, blocks * half:]
+        edge_even = x_even[:, blocks * pairs:]
+        solved = np.empty_like(edge_rhs)
+        solved[:half] = edge_even
+        solved[:pairs] += edge_odd
+        solved[::-1][:pairs] = edge_even[:pairs] - edge_odd
+        return solved
+
+    width = 2 * half if absc else half
+    rhs_u = np.hstack([-p.d * mass_edge, grad_edge, -absc * third_edge])
+    if p.b == p.d:
+        ops = np.zeros((2, width, half))
+        fold_shape = (2, 2, width)
+        edge_u = solve_folded(p.d, ops, rhs_u)
+        edge_eta = edge_u[:, :4]
+        op_eta = op_u = ops[:, :half]
+        u_ops = ops
+    else:
+        ops = np.zeros((2, 2, width, half))
+        fold_shape = (2, 2, 1, width)
+        edge_u = solve_folded(p.d, ops[:, 1], rhs_u)
+        edge_eta = solve_folded(p.b, ops[:, 0, :half], np.hstack([-p.b * mass_edge, grad_edge]))
+        op_eta, op_u = ops[:, 0, :half], ops[:, 1, :half]
+        u_ops = ops[:, 1]
+    top = np.arange(half)
+    eta_top, eta_mirror = top, m - 1 - top
+    u_top, u_mirror = m + top, 2 * m - 1 - top
+    if absc:
+        # each flux half is followed by eta (for the eta fold) and u = 0,
+        # the appended entry 2 m, which make the fluxes 0 and eta there
+        zero = np.full(half, 2 * m)
+        eta_top, eta_mirror = np.r_[eta_top, eta_top], np.r_[eta_mirror, eta_mirror]
+        u_top, u_mirror = np.r_[u_top, zero], np.r_[u_mirror, zero]
+    gather = np.array([np.r_[eta_top, eta_mirror], np.r_[u_top, u_mirror]])
+    # a centre node (odd m) is read back from its top copy
+    scatter = np.concatenate([top, 2 * half + top[:pairs][::-1]])
+    scatter = np.concatenate([scatter, half + scatter])
     return AssembledSystem(
         basis=basis,
         params=params,
         imap=imap,
+        half=half,
+        ops=ops,
+        fold_shape=fold_shape,
         op_eta=op_eta,
         op_u=op_u,
-        stiff_u=stiff_u,
-        edge_eta=np.hstack([-p.b * (grad_b @ d1[:, edge]), grad_b[:, edge]]),
-        edge_u=np.hstack([
-            -p.d * (grad_d @ d1[:, edge]), grad_d[:, edge], -absc * (grad_d @ d2[:, edge]),
-        ]),
+        stiff_u=u_ops[:, half:] if absc else None,
+        gather=gather,
+        scatter=scatter,
+        edge_eta=edge_eta,
+        edge_u=edge_u,
     )
 
 
@@ -187,26 +312,39 @@ def boundary_rhs(sys: AssembledSystem, bc: BoundaryValues) -> np.ndarray:
     return np.concatenate([sys.edge_eta @ edge_eta, sys.edge_u @ edge_u])
 
 
+#: per-equation factors of the flux rows (u + eta*u, eta + u*u/2)
+_FLUX_SCALE = np.array([[1.0], [0.5]])
+#: (top, mirror) -> (top + mirror, top - mirror) and (odd, even) -> (even + odd, even - odd)
+_FOLD = np.array([[1.0, 1.0], [1.0, -1.0]])
+_UNFOLD = np.array([[1.0, 1.0], [-1.0, 1.0]])
+_ZERO = np.zeros(1)
+
+
 def rhs_eval(sys: AssembledSystem, t: float, y: np.ndarray,
              boundary: np.ndarray) -> np.ndarray:
     """Semidiscrete vector field (eta'(t), u'(t)) on the stacked interior
-    vector y, given the solved boundary contribution at t."""
-    m = y.size // 2
-    eta, u = y[:m], y[m:]
-    flux = np.empty((2, m))
-    np.multiply(eta, u, out=flux[0])
-    flux[0] += u
-    np.multiply(0.5 * u, u, out=flux[1])
-    flux[1] += eta
-    if sys.op_u is sys.op_eta:
-        # one pass over the shared operator for both equations
-        dy = (flux @ sys.op_eta.T).ravel()
-    else:
-        dy = np.concatenate([sys.op_eta @ flux[0], sys.op_u @ flux[1]])
+    vector y, given the solved boundary contribution at t.
+
+    y is gathered into the top halves of eta and u and their mirror images,
+    the fluxes are formed there (each half followed by eta, for the
+    stiffness block, when c != 0) and folded to top + mirror and
+    top - mirror; the folded operators map the folds to the top halves of
+    the odd and even parts of the field, which unfold to even + odd and
+    even - odd and scatter back.
+    """
+    half = sys.half
     if sys.stiff_u is not None:
-        dy[m:] -= sys.stiff_u @ eta
+        y = np.concatenate((y, _ZERO))          # u = 0 in the slots that carry eta
+    sides = y.take(sys.gather)                  # (eta, u) x (top, mirror) halves
+    flux = sides * _FLUX_SCALE
+    flux *= sides[1]
+    flux += sides[::-1]                         # u + eta*u, eta + u*u/2
+    folds = (_FOLD @ flux.reshape(2, 2, -1)).transpose(1, 0, 2)    # (even, odd) x (eta, u)
+    parts = (folds.reshape(sys.fold_shape) @ sys.ops).reshape(2, 2 * half)
+    dy = (_UNFOLD @ parts).take(sys.scatter)
     dy += boundary
-    if not np.all(np.isfinite(dy)):
+    # the sum of squares is finite unless an entry is not (or it overflows)
+    if not math.isfinite(dy @ dy) and not np.isfinite(dy).all():
         raise FloatingPointError(
             f"semidiscrete vector field produced non-finite values at t={t}"
         )

@@ -101,7 +101,7 @@ def _stage_solve(f, t_stage, base, coeff_k, y_guess, scheme, step_index, stats):
     for it in range(1, scheme.max_stage_iters + 1):
         y_next = base + coeff_k * f(t_stage, y)
         stats.rhs_evals += 1
-        diff = float(np.max(np.abs(y_next - y)))
+        diff = float(np.abs(y_next - y).max())
         y = y_next
         if diff <= scheme.stage_tol:
             stats.max_stage_iters = max(stats.max_stage_iters, it)

@@ -244,6 +244,37 @@ def test_bisection_node_search_builds_large_rules(mu, n):
     assert np.array_equal(nodes, -nodes[::-1])
 
 
+@pytest.mark.parametrize("n", [17, 64, 128])
+def test_bisection_fallback_keeps_roots_on_grid_samples(monkeypatch, n):
+    # with no Newton step the fallback must find all n - 1 roots; for
+    # mu = -1/2 they are cos(pi j / n), samples of its grid where J_n' can
+    # evaluate to exactly 0.0, and for mu = 0, 1/2 they match Newton's nodes
+    newton = {mu: jacobi.glj_nodes(mu, n) for mu in (0.0, 0.5)}
+    monkeypatch.setattr(jacobi, "_NODE_MAX_ITERS", 0)
+    nodes = jacobi.glj_nodes(-0.5, n)
+    assert np.abs(nodes - np.cos(np.pi * np.arange(n, -1, -1) / n)).max() <= 1e-15
+    for mu, ref in newton.items():
+        assert np.abs(jacobi.glj_nodes(mu, n) - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.25])
+@pytest.mark.parametrize("n", [16, 17, 128, 512])
+def test_newton_node_search_needs_no_fallback(monkeypatch, mu, n):
+    # the one-pass Newton step converges on its own for these (mu, n), and
+    # quadratically: at most 7 steps from the Chebyshev-Lobatto guesses
+    # (one recurrence pass each, plus two for the residual gate)
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("bisection fallback reached")
+
+    passes = []
+    pair = jacobi._sym_jacobi_pair
+    monkeypatch.setattr(jacobi, "_bisect", no_fallback)
+    monkeypatch.setattr(jacobi, "_sym_jacobi_pair", lambda *a: passes.append(1) or pair(*a))
+    nodes = jacobi.glj_nodes(mu, n)
+    assert np.all(np.diff(nodes) > 0.0)
+    assert len(passes) <= 7 + 2
+
+
 # --- nodal basis and matrices ----------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -378,3 +409,16 @@ def test_build_basis_is_cached_and_readonly():
     assert a is b
     with pytest.raises(ValueError):
         a.d1[0, 0] = 1.0
+
+
+def test_build_basis_rejects_unmirrored_nodes(monkeypatch):
+    # the folded assembly needs x_{N-j} == -x_j bit for bit
+    rule = jacobi.glj_rule(0.0, 8)
+    nodes = rule.nodes.copy()
+    nodes[2] = np.nextafter(nodes[2], 0.0)
+    bent = jacobi.QuadratureRule(mu=0.0, nodes=nodes, weights=rule.weights)
+    monkeypatch.setattr(jacobi, "glj_rule", lambda mu, n: bent)
+    with pytest.raises(jacobi.QuadratureError, match="mirrored"):
+        jacobi.build_basis.__wrapped__(0.0, 8)
+    monkeypatch.setattr(jacobi, "glj_rule", lambda mu, n: rule)
+    assert np.array_equal(jacobi.build_basis.__wrapped__(0.0, 8).nodes, rule.nodes)

@@ -25,6 +25,25 @@ def full_blocks(basis, params, imap):
     return w, g, mass, third, kd1
 
 
+def dense_operator(folded, m):
+    """The m x m operator a folded (2, half, half) block stands for.
+
+    Applies it to the unit vectors: each folds to top + mirror and
+    top - mirror, the blocks give the top halves of the odd and the even
+    part of the image, and the image is even + odd on top, even - odd on
+    the mirrored half.
+    """
+    half = folded.shape[1]
+    eye = np.eye(m)
+    top, mirror = eye[:half], eye[::-1][:half]
+    odd_part = folded[0].T @ (top + mirror)
+    even_part = folded[1].T @ (top - mirror)
+    a = np.empty((m, m))
+    a[:half] = even_part + odd_part
+    a[::-1][:half] = even_part - odd_part
+    return a
+
+
 def constant(v):
     return lambda t: v
 
@@ -94,7 +113,8 @@ def test_degenerate_mass_is_diagonal():
     _, g, _, _, _ = full_blocks(basis, params, imap)
     w = imap.scale * basis.weights[1:-1]
     # M = W: the solution operator is the test matrix divided by the weights
-    assert np.abs(w[:, None] * sys_.op_eta - g[:, 1:-1]).max() < 1e-13 * np.abs(g).max()
+    op = dense_operator(sys_.op_eta, basis.n - 1)
+    assert np.abs(w[:, None] * op - g[:, 1:-1]).max() < 1e-13 * np.abs(g).max()
     assert sys_.op_u is sys_.op_eta and sys_.stiff_u is None
 
 
@@ -109,6 +129,9 @@ def test_mass_matrix_spd_for_bbm(setup_mu):
     lhs = np.diag(w[1:n]) + params.b * mass[:, 1:n]
     eig = np.linalg.eigvalsh(0.5 * (lhs + lhs.T))
     assert eig.min() > 0
+    # and the folded operator solves that mass system against G
+    op = dense_operator(sys_.op_eta, n - 1)
+    assert np.abs(lhs @ op - g[:, 1:n]).max() < 1e-13 * np.abs(g).max()
 
 
 def test_interval_scaling_factors():
@@ -132,7 +155,35 @@ def test_interval_scaling_factors():
     phys = semidiscrete.assemble(basis, params, IntervalMap(-8.0, 8.0))
     for op, coeff in ((phys.op_eta, params.b), (phys.op_u, params.d)):
         lhs = np.diag(w_phys[1:n]) + coeff * mass_phys[:, 1:n]
+        op = dense_operator(op, n - 1)
         assert np.abs(lhs @ op - g_phys[:, 1:n]).max() < 1e-13 * np.abs(g_phys).max()
+    # the stiffness block holds -|c| M_d^-1 B2
+    stiff = dense_operator(phys.stiff_u, n - 1)
+    third = abs(params.c) * third_phys[:, 1:n]
+    assert np.abs(lhs @ stiff + third).max() < 1e-13 * np.abs(third).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 10])
+@pytest.mark.parametrize("params", [
+    model.SystemParams(b=0.3, c=0.0, d=0.3),
+    model.SystemParams(b=0.3, c=-0.1, d=0.3),
+    model.SystemParams(b=0.2, c=-0.15, d=0.35),
+])
+def test_assembled_system_holds_no_full_operator(n, params):
+    # every operator is stored as two half blocks; only the boundary
+    # columns keep all N-1 rows
+    sys_ = semidiscrete.assemble(jacobi.build_basis(0.0, n), params, IntervalMap(-1.0, 1.0))
+    m, half = n - 1, n // 2
+    arrays = {k: v for k, v in vars(sys_).items()
+              if isinstance(v, np.ndarray) and v.dtype.kind == "f"}
+    assert "ops" in arrays
+    for name, a in arrays.items():
+        assert not (a.ndim >= 2 and a.shape[-2:] == (m, m) and m > 1), name
+    for op in (sys_.op_eta, sys_.op_u, sys_.stiff_u):
+        assert op is None or op.shape == (2, half, half)
+    assert (sys_.op_u is sys_.op_eta) == (params.b == params.d)
+    assert (sys_.stiff_u is None) == (params.c == 0.0)
+    assert sys_.edge_eta.shape == (m, 4) and sys_.edge_u.shape == (m, 6)
 
 
 def test_gamma_vanishes_for_homogeneous_data(setup_mu):
@@ -392,12 +443,24 @@ def _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t):
 
 
 @pytest.mark.parametrize(
-    "case", ["table4-bore", "table6-tent", "table3-bneqd", "table2-traces", "table1-c"]
+    "case", ["table4-bore", "table6-tent", "table3-bneqd", "table2-traces", "table1-c",
+             "mu-0.5-N64", "mu-0.5-N33", "mu+0.5-N64", "mu+0.5-N33",
+             "bneqd-c-N10", "bneqd-c-N9"]
 )
 def test_field_matches_direct_solve_of_assembled_blocks(case):
-    # the precomputed solution operators against a direct solve of the
-    # unsolved blocks; at N=1024 the mass matrix on [-1, 1] has cond ~1.6e7
-    if case == "table4-bore":
+    # the folded solution operators against a direct solve of the unsolved
+    # blocks; at N=1024 the mass matrix on [-1, 1] has cond ~1.6e7.  The
+    # mu != 0 and small-N cases take b != d, c != 0 and inhomogeneous
+    # boundary data, at an even and an odd N (odd N - 1 has a centre node)
+    mu = 0.0
+    if case.startswith(("mu", "bneqd")):
+        mu = float(case[2:6]) if case.startswith("mu") else 0.0
+        n = int(case.rsplit("N", 1)[1])
+        params, imap = model.SystemParams(b=0.2, c=-0.15, d=0.35), IntervalMap(-3.0, 5.0)
+        eta0 = lambda x: 0.3 * np.sin(0.7 * x) + 0.1
+        u0 = lambda x: 0.2 * np.cos(0.5 * x)
+        bdata, t = BoundaryData.constant(eta0(-3.0), eta0(5.0), u0(-3.0), u0(5.0)), 0.0
+    elif case == "table4-bore":
         n, params, imap = 1024, model.params_from_theta(2 / 3), IntervalMap(-14.0, 50.0)
         eta0, u0, bdata = model.bore_data(0.25, 0.7)
         t = 0.0
@@ -414,7 +477,7 @@ def test_field_matches_direct_solve_of_assembled_blocks(case):
         params, t = sol.params, 0.7
         bdata = BoundaryData.from_exact(sol, imap.left, imap.right)
         eta0, u0 = (lambda x: sol.eta(x, t)), (lambda x: sol.u(x, t))
-    basis = jacobi.build_basis(0.0, n)
+    basis = jacobi.build_basis(mu, n)
     rel = _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t)
     print(f"{case}: N={n} max relative difference {rel:.2e}")
     assert rel <= 1e-9
