@@ -23,7 +23,7 @@ from .model import (
     solitary_bona_smith,
     traveling_bbm,
 )
-from .semidiscrete import AssembledSystem, State, assemble, initial_state, rhs_eval
+from .semidiscrete import AssembledSystem, assemble, initial_state, rhs_eval
 from .timestep import (
     GAMMA_ORDER3,
     IntegrationPlan,
@@ -47,7 +47,6 @@ __all__ = [
     "NormSpec",
     "QuadratureRule",
     "SdirkScheme",
-    "State",
     "SystemParams",
     "assemble",
     "bore_data",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .jacobi import JacobiBasis, glj_rule, nodal_eval
 from .model import ExactSolution, IntervalMap
-from .semidiscrete import State
 
 _MIN_GRID_DEGREE = 64
 
@@ -55,12 +54,6 @@ class NodalSolution:
     eta: np.ndarray   # N+1 nodal values including endpoints
     u: np.ndarray
     t: float
-
-    @staticmethod
-    def from_state(basis: JacobiBasis, imap: IntervalMap, state: State) -> "NodalSolution":
-        return NodalSolution(
-            basis=basis, imap=imap, eta=state.eta_full(), u=state.u_full(), t=state.t
-        )
 
 
 def _reference_points(imap: IntervalMap, points) -> np.ndarray:

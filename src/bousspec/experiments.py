@@ -20,7 +20,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -110,7 +110,11 @@ DATA_PRESETS = (
 
 @dataclass
 class Problem:
-    """Resolved experiment data: coefficients, initial data, BCs, exact solution."""
+    """Resolved experiment data: coefficients, initial data, BCs, exact solution.
+
+    ``boundary_mismatch`` is the largest gap between the t = 0 boundary
+    values and the initial data at the endpoints, computed from the rest.
+    """
 
     params: model.SystemParams
     imap: IntervalMap
@@ -118,6 +122,12 @@ class Problem:
     u_init: object
     bdata: BoundaryData
     exact: model.ExactSolution | None = None
+    boundary_mismatch: float = field(init=False)
+
+    def __post_init__(self):
+        self.boundary_mismatch = self.bdata.compatibility_mismatch(
+            self.eta_init, self.u_init, self.imap.left, self.imap.right
+        )
 
 
 def _resolve_problem(cfg: ExperimentConfig) -> Problem:
@@ -155,14 +165,14 @@ def _resolve_problem(cfg: ExperimentConfig) -> Problem:
         kind = cfg.initial_data.replace("-", "_")
         eta_init, u_init = model.nonsmooth_data(kind)
         bdata = BoundaryData.homogeneous()
-    mismatch = bdata.compatibility_mismatch(eta_init, u_init, imap.left, imap.right)
-    if mismatch > BORE_COMPAT_TOL:
+    problem = Problem(params, imap, eta_init, u_init, bdata, None)
+    if problem.boundary_mismatch > BORE_COMPAT_TOL:
         warnings.warn(
-            f"initial data and boundary values disagree by {mismatch:.2e} "
+            f"initial data and boundary values disagree by {problem.boundary_mismatch:.2e} "
             "at the endpoints",
             stacklevel=2,
         )
-    return Problem(params, imap, eta_init, u_init, bdata, None)
+    return problem
 
 
 @dataclass
@@ -177,11 +187,12 @@ class Discretization:
     """Basis, initial state and vector field of one problem at one N.
 
     Independent of the time step and the SDIRK member, so one instance
-    serves every (k, gamma) solve of an error table.
+    serves every (k, gamma) solve of an error table; the initial state
+    ``y0`` is read-only for that reason.
     """
 
     basis: JacobiBasis
-    state0: semidiscrete.State
+    y0: np.ndarray
     field: Callable[[float, np.ndarray], np.ndarray]
 
 
@@ -189,10 +200,9 @@ def discretize(problem: Problem, n: int) -> Discretization:
     """Build the basis, assemble the solution operators and the initial state."""
     basis = build_basis(0.0, n)
     sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
-    state0 = semidiscrete.initial_state(
-        basis, problem.imap, problem.eta_init, problem.u_init, problem.bdata
-    )
-    return Discretization(basis, state0, semidiscrete.make_vector_field(sys_, problem.bdata))
+    y0 = semidiscrete.initial_state(basis, problem.imap, problem.eta_init, problem.u_init)
+    y0.flags.writeable = False
+    return Discretization(basis, y0, semidiscrete.make_vector_field(sys_, problem.bdata))
 
 
 def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
@@ -201,14 +211,12 @@ def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
     discretization of ``problem`` at this N (built here when omitted)."""
     if disc is None:
         disc = discretize(problem, n)
-    basis, state0 = disc.basis, disc.state0
     scheme = timestep.SdirkScheme.from_gamma(gamma)
     plan = timestep.IntegrationPlan(k=k, t_end=t_end, snapshot_times=tuple(snapshot_times))
-    tf, y, raw_snaps, stats = timestep.integrate(disc.field, state0.vector, scheme, plan)
+    tf, y, raw_snaps, stats = timestep.integrate(disc.field, disc.y0, scheme, plan)
     sols = [
-        analysis.NodalSolution.from_state(
-            basis, problem.imap,
-            state0.with_vector(ys, ts, semidiscrete.BoundaryValues.at_time(problem.bdata, ts)),
+        analysis.NodalSolution(
+            disc.basis, problem.imap, *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts
         )
         for ts, ys in [(tf, y)] + raw_snaps
     ]
@@ -242,7 +250,7 @@ def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
         errors = [analysis.error_vs_exact(sol, problem.exact, cfg.t_end, spec) for sol in sols]
         columns[gamma] = analysis.rate_table(k_values, errors, label=f"gamma={gamma:.10g}")
     return {"k_values": list(k_values), "columns": columns, "norm": spec.label,
-            "solves": solves}
+            "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
 
 
 def run_ratio_table(cfg: ExperimentConfig) -> dict:
@@ -266,7 +274,8 @@ def run_ratio_table(cfg: ExperimentConfig) -> dict:
                 [sols[n], sols[2 * n], sols[4 * n]], spec
             )
         rows.append(row)
-    return {"rows": rows, "norms": [s.label for s in specs], "solves": solves}
+    return {"rows": rows, "norms": [s.label for s in specs], "solves": solves,
+            "boundary_mismatch": problem.boundary_mismatch}
 
 
 def run_snapshot(cfg: ExperimentConfig) -> dict:
@@ -275,7 +284,8 @@ def run_snapshot(cfg: ExperimentConfig) -> dict:
     k, gamma = cfg.step_for(n), cfg.gammas[0]
     times = cfg.snapshot_times or (cfg.t_end,)
     run = solve_once(problem, n, k, gamma, cfg.t_end, snapshot_times=times)
-    return {"run": run, "problem": problem, "solves": [_solve_record(n, k, gamma, run.stats)]}
+    return {"run": run, "problem": problem, "solves": [_solve_record(n, k, gamma, run.stats)],
+            "boundary_mismatch": problem.boundary_mismatch}
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +553,11 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
 
 
 def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
-                   solves=()) -> str:
+                   boundary_mismatch: float, solves=()) -> str:
     """Run metadata; lives outside the CSVs so those stay byte-reproducible.
 
-    Records the numpy version (its BLAS does every product and solve).  Each
+    Records the numpy version (its BLAS does every product and solve) and the
+    boundary compatibility mismatch of the problem (``Problem``).  Each
     entry of ``solves`` (see ``_solve_record``) becomes one ``solve = {...}``
     line with the integration statistics of that solve.
     """
@@ -556,6 +567,7 @@ def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
         fh.write(f"version = {__version__}\n")
         fh.write(f"numpy = {np.__version__}\n")
         fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
+        fh.write(f"boundary_mismatch = {boundary_mismatch!r}\n")
         for key, value in sorted(vars(cfg).items()):
             fh.write(f"{key} = {value!r}\n")
         for record in solves:
@@ -577,5 +589,6 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     else:
         result = run_snapshot(cfg)
         written = write_snapshots(result, outdir, cfg)
-    write_metadata(outdir, cfg, time.time() - started, result["solves"])
+    write_metadata(outdir, cfg, time.time() - started, result["boundary_mismatch"],
+                   result["solves"])
     return written

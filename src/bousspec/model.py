@@ -96,64 +96,41 @@ class IntervalMap:
 class BoundaryData:
     """Dirichlet data eta, u at both endpoints with analytic time derivatives.
 
-    ``steady`` marks data that does not change in time; the constructors of
-    such data (``homogeneous``, ``constant``) set it, so the vector field can
-    solve the boundary contribution once instead of once per time.
+    ``at(t)`` returns a (4, 2) array: rows eta, u, eta_t, u_t, columns the
+    left and right endpoint.  ``steady`` marks data that does not change in
+    time; the constructors of such data (``homogeneous``, ``constant``) set
+    it, so the vector field can solve the boundary contribution once instead
+    of once per time.
     """
 
-    eta_left: Callable[[float], float]
-    eta_right: Callable[[float], float]
-    u_left: Callable[[float], float]
-    u_right: Callable[[float], float]
-    deta_left: Callable[[float], float]
-    deta_right: Callable[[float], float]
-    du_left: Callable[[float], float]
-    du_right: Callable[[float], float]
+    at: Callable[[float], np.ndarray]
     steady: bool = False
 
     @staticmethod
     def homogeneous() -> "BoundaryData":
-        zero = lambda t: 0.0
-        return BoundaryData(*(zero,) * 8, steady=True)
+        return BoundaryData.constant(0.0, 0.0, 0.0, 0.0)
 
     @staticmethod
     def constant(eta_left: float, eta_right: float, u_left: float, u_right: float):
-        zero = lambda t: 0.0
-        return BoundaryData(
-            eta_left=lambda t: eta_left,
-            eta_right=lambda t: eta_right,
-            u_left=lambda t: u_left,
-            u_right=lambda t: u_right,
-            deta_left=zero,
-            deta_right=zero,
-            du_left=zero,
-            du_right=zero,
-            steady=True,
-        )
+        values = np.array([[eta_left, eta_right], [u_left, u_right], [0.0, 0.0], [0.0, 0.0]])
+        values.flags.writeable = False
+        return BoundaryData(at=lambda t: values, steady=True)
 
     @staticmethod
     def from_exact(sol: "ExactSolution", left: float, right: float):
         """Trace an exact solution at the endpoints (traveling form: d/dt = -c_s d/dx)."""
         cs = sol.speed
-        return BoundaryData(
-            eta_left=lambda t: float(sol.eta(left, t)),
-            eta_right=lambda t: float(sol.eta(right, t)),
-            u_left=lambda t: float(sol.u(left, t)),
-            u_right=lambda t: float(sol.u(right, t)),
-            deta_left=lambda t: float(-cs * sol.eta(left, t, 1)),
-            deta_right=lambda t: float(-cs * sol.eta(right, t, 1)),
-            du_left=lambda t: float(-cs * sol.u(left, t, 1)),
-            du_right=lambda t: float(-cs * sol.u(right, t, 1)),
-        )
+        ends = np.array([left, right], dtype=float)
+        return BoundaryData(at=lambda t: np.array([
+            sol.eta(ends, t), sol.u(ends, t),
+            -cs * sol.eta(ends, t, 1), -cs * sol.u(ends, t, 1),
+        ]))
 
     def compatibility_mismatch(self, eta0, u0, left: float, right: float) -> float:
         """Largest gap between t=0 boundary values and the initial data."""
-        return max(
-            abs(self.eta_left(0.0) - float(eta0(left))),
-            abs(self.eta_right(0.0) - float(eta0(right))),
-            abs(self.u_left(0.0) - float(u0(left))),
-            abs(self.u_right(0.0) - float(u0(right))),
-        )
+        ends = np.array([left, right], dtype=float)
+        initial = np.array([eta0(ends), u0(ends)], dtype=float)
+        return float(np.abs(self.at(0.0)[:2] - initial).max())
 
 
 def _sech2_derivs(lam: float, xi, order: int):

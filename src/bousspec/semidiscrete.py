@@ -56,57 +56,6 @@ from .model import BoundaryData, IntervalMap, SystemParams
 
 
 @dataclass(frozen=True)
-class BoundaryValues:
-    """Snapshot of the Dirichlet data and its time derivatives at one time."""
-
-    eta_left: float = 0.0
-    eta_right: float = 0.0
-    u_left: float = 0.0
-    u_right: float = 0.0
-    deta_left: float = 0.0
-    deta_right: float = 0.0
-    du_left: float = 0.0
-    du_right: float = 0.0
-
-    @staticmethod
-    def at_time(data: BoundaryData, t: float) -> "BoundaryValues":
-        return BoundaryValues(
-            eta_left=float(data.eta_left(t)),
-            eta_right=float(data.eta_right(t)),
-            u_left=float(data.u_left(t)),
-            u_right=float(data.u_right(t)),
-            deta_left=float(data.deta_left(t)),
-            deta_right=float(data.deta_right(t)),
-            du_left=float(data.du_left(t)),
-            du_right=float(data.du_right(t)),
-        )
-
-
-@dataclass(frozen=True)
-class State:
-    """Interior nodal coefficients at time t plus the boundary snapshot."""
-
-    eta: np.ndarray
-    u: np.ndarray
-    t: float
-    bc: BoundaryValues
-
-    def with_vector(self, y: np.ndarray, t: float, bc: BoundaryValues) -> "State":
-        m = self.eta.size
-        return State(eta=y[:m], u=y[m:], t=t, bc=bc)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.eta, self.u])
-
-    def eta_full(self) -> np.ndarray:
-        return np.concatenate([[self.bc.eta_left], self.eta, [self.bc.eta_right]])
-
-    def u_full(self) -> np.ndarray:
-        return np.concatenate([[self.bc.u_left], self.u, [self.bc.u_right]])
-
-
-@dataclass(frozen=True)
 class AssembledSystem:
     """Solution operators of the coefficient ODE system, formed once.
 
@@ -293,22 +242,18 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     )
 
 
-def boundary_rhs(sys: AssembledSystem, bc: BoundaryValues) -> np.ndarray:
+def boundary_rhs(sys: AssembledSystem, edges: np.ndarray) -> np.ndarray:
     """Solved boundary-data contribution to (eta', u') at one time.
 
-    Collects, per equation: the mixed-derivative mass columns against the
-    boundary time derivatives, the gradient-test columns against the edge
-    fluxes u + eta*u and eta + u^2/2, and the weak third-derivative columns
-    against eta (u equation only).
+    ``edges`` is ``BoundaryData.at(t)``: rows eta, u, eta_t, u_t, columns
+    left and right.  Collects, per equation: the mixed-derivative mass
+    columns against the boundary time derivatives, the gradient-test columns
+    against the edge fluxes u + eta*u and eta + u^2/2, and the weak
+    third-derivative columns against eta (u equation only).
     """
-    eta_l, eta_r, u_l, u_r = bc.eta_left, bc.eta_right, bc.u_left, bc.u_right
-    edge_eta = np.array(
-        [bc.deta_left, bc.deta_right, u_l + eta_l * u_l, u_r + eta_r * u_r]
-    )
-    edge_u = np.array(
-        [bc.du_left, bc.du_right, eta_l + 0.5 * u_l * u_l, eta_r + 0.5 * u_r * u_r,
-         eta_l, eta_r]
-    )
+    eta, u, deta, du = edges
+    edge_eta = np.concatenate([deta, u + eta * u])
+    edge_u = np.concatenate([du, eta + 0.5 * u * u, eta])
     return np.concatenate([sys.edge_eta @ edge_eta, sys.edge_u @ edge_u])
 
 
@@ -351,18 +296,22 @@ def rhs_eval(sys: AssembledSystem, t: float, y: np.ndarray,
     return dy
 
 
-def initial_state(basis: JacobiBasis, imap: IntervalMap, eta_init, u_init,
-                  bdata: BoundaryData) -> State:
-    """Collocate the initial data at the mapped quadrature nodes."""
+def initial_state(basis: JacobiBasis, imap: IntervalMap, eta_init, u_init) -> np.ndarray:
+    """Collocate the initial data at the mapped interior quadrature nodes,
+    stacked as y = (eta_1..eta_{N-1}, u_1..u_{N-1})."""
     x = imap.to_physical(basis.nodes)
     eta = np.asarray(eta_init(x), dtype=float)
     u = np.asarray(u_init(x), dtype=float)
-    return State(
-        eta=eta[1:-1].copy(),
-        u=u[1:-1].copy(),
-        t=0.0,
-        bc=BoundaryValues.at_time(bdata, 0.0),
-    )
+    return np.concatenate([eta[1:-1], u[1:-1]])
+
+
+def nodal_values(y: np.ndarray, edges: np.ndarray):
+    """(eta, u) on all N+1 nodes from the stacked interior vector y and the
+    boundary values ``edges`` (``BoundaryData.at(t)``; rows eta, u first)."""
+    full = np.empty((2, y.size // 2 + 2))
+    full[:, 1:-1] = y.reshape(2, -1)
+    full[:, [0, -1]] = edges[:2]
+    return full[0], full[1]
 
 
 def make_vector_field(sys: AssembledSystem, bdata: BoundaryData):
@@ -372,7 +321,7 @@ def make_vector_field(sys: AssembledSystem, bdata: BoundaryData):
     distinct t (the fixed-point iterations of a stage share their time).
     """
     if bdata.steady:
-        boundary = boundary_rhs(sys, BoundaryValues.at_time(bdata, 0.0))
+        boundary = boundary_rhs(sys, bdata.at(0.0))
 
         def field(t: float, y: np.ndarray) -> np.ndarray:
             return rhs_eval(sys, t, y, boundary)
@@ -383,7 +332,7 @@ def make_vector_field(sys: AssembledSystem, bdata: BoundaryData):
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         if cached[0] != t:
-            cached[1] = boundary_rhs(sys, BoundaryValues.at_time(bdata, t))
+            cached[1] = boundary_rhs(sys, bdata.at(t))
             cached[0] = t
         return rhs_eval(sys, t, y, cached[1])
 

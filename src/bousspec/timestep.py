@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 GAMMA_ORDER3 = (3.0 + math.sqrt(3.0)) / 6.0
+STAGE_TOL = 1e-12        # max-norm change that ends a stage iteration
+MAX_STAGE_ITERS = 100    # iterations before a stage solve is abandoned
 
 
 class StageDivergenceError(RuntimeError):
@@ -29,8 +31,6 @@ class StageDivergenceError(RuntimeError):
 class SdirkScheme:
     gamma: float
     order: int
-    stage_tol: float = 1e-12
-    max_stage_iters: int = 100
 
     @staticmethod
     def midpoint() -> "SdirkScheme":
@@ -93,17 +93,17 @@ class IntegrationStats:
     rhs_evals: int = 0
 
 
-def _stage_solve(f, t_stage, base, coeff_k, y_guess, scheme, step_index, stats):
+def _stage_solve(f, t_stage, base, coeff_k, y_guess, step_index, stats):
     """Solve y = base + coeff_k * f(t_stage, y) by fixed-point iteration."""
     y = y_guess
     prev = math.inf
     growth = 0
-    for it in range(1, scheme.max_stage_iters + 1):
+    for it in range(1, MAX_STAGE_ITERS + 1):
         y_next = base + coeff_k * f(t_stage, y)
         stats.rhs_evals += 1
         diff = float(np.abs(y_next - y).max())
         y = y_next
-        if diff <= scheme.stage_tol:
+        if diff <= STAGE_TOL:
             stats.max_stage_iters = max(stats.max_stage_iters, it)
             return y
         growth = growth + 1 if diff > prev else 0
@@ -114,7 +114,7 @@ def _stage_solve(f, t_stage, base, coeff_k, y_guess, scheme, step_index, stats):
             )
         prev = diff
     raise StageDivergenceError(
-        f"stage iteration exceeded {scheme.max_stage_iters} iterations at "
+        f"stage iteration exceeded {MAX_STAGE_ITERS} iterations at "
         f"step {step_index}; reduce the time step"
     )
 
@@ -143,7 +143,7 @@ def _step(f, t: float, y: np.ndarray, k: float, scheme: SdirkScheme,
     else:
         pf1, pf2 = prev
         guess1 = y + gk * (pf1 + (pf2 - pf1) / (1.0 - 2.0 * g))
-    y1 = _stage_solve(f, t + gk, y, gk, guess1, scheme, step_index, stats)
+    y1 = _stage_solve(f, t + gk, y, gk, guess1, step_index, stats)
     f1 = (y1 - y) / gk
     base2 = y + (1.0 - 2.0 * g) * k * f1
     if prev is None:
@@ -151,7 +151,7 @@ def _step(f, t: float, y: np.ndarray, k: float, scheme: SdirkScheme,
     else:
         slope2 = f1 + (2.0 * g - 1.0) / (2.0 * g) * (prev[1] - f1)
     y2 = _stage_solve(f, t + (1.0 - g) * k, base2, gk, base2 + gk * slope2,
-                      scheme, step_index, stats)
+                      step_index, stats)
     f2 = (y2 - base2) / gk
     return y + 0.5 * k * (f1 + f2), f1, f2
 

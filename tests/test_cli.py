@@ -122,6 +122,30 @@ def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves):
         assert 1 <= rec["max_stage_iters"] <= rec["rhs_evals"]
 
 
+@pytest.mark.parametrize("text, window", [
+    # the smoothed step's tanh tail on [-14, 50]: the window of
+    # test_bore_data_shape_and_compatibility
+    ("include-preset = bore\nn = 16\nk = 0.1\nt-end = 0.2\nsnapshot-times = 0.2\n",
+     (1e-10, 1e-8)),
+    # exact endpoint traces agree with the closed-form initial data
+    ("include-preset = table2\nn = 32\nk-list = 0.5 0.25\n", None),
+])
+def test_cli_run_records_boundary_mismatch(tmp_path, text, window):
+    cfg_file = tmp_path / "quick.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    prefix = "boundary_mismatch = "
+    lines = [line for line in (out / "run.meta").read_text().splitlines()
+             if line.startswith(prefix)]
+    assert len(lines) == 1
+    value = float(lines[0][len(prefix):])
+    if window is None:
+        assert value == 0.0
+    else:
+        assert window[0] < value <= window[1]
+
+
 NO_SCIPY_RUN = """
 import sys
 from bousspec import cli

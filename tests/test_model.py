@@ -134,7 +134,8 @@ def test_bore_data_shape_and_compatibility():
     eta0, u0, bdata = model.bore_data(0.25, 0.7)
     assert eta0(-40.0) == pytest.approx(0.25, abs=1e-12)
     assert eta0(40.0) == pytest.approx(0.0, abs=1e-12)
-    assert bdata.eta_left(3.0) == 0.25 and bdata.deta_left(3.0) == 0.0
+    edges = bdata.at(3.0)
+    assert edges.shape == (4, 2) and edges[0, 0] == 0.25 and edges[2, 0] == 0.0
     # tanh tail mismatch on [-14, 50]: below the accepted 1e-8, above 1e-10
     gap = bdata.compatibility_mismatch(eta0, u0, -14.0, 50.0)
     assert 1e-10 < gap <= 1e-8
@@ -165,6 +166,22 @@ def test_boundary_data_from_exact_time_derivatives():
     sol = model.solitary_bona_smith(9 / 11)
     bdata = model.BoundaryData.from_exact(sol, -5.0, 5.0)
     h = 1e-6
-    for fn, dfn in ((bdata.eta_left, bdata.deta_left), (bdata.u_right, bdata.du_right)):
-        fd = (fn(1.0 + h) - fn(1.0 - h)) / (2 * h)
-        assert dfn(1.0) == pytest.approx(fd, rel=1e-8, abs=1e-12)
+    # (value row, derivative row, end): eta on the left, u on the right
+    for row, drow, end in ((0, 2, 0), (1, 3, 1)):
+        fd = (bdata.at(1.0 + h)[row, end] - bdata.at(1.0 - h)[row, end]) / (2 * h)
+        assert bdata.at(1.0)[drow, end] == pytest.approx(fd, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("sol", [model.solitary_bona_smith(9 / 11, x0=1.5),
+                                 model.traveling_bbm(2.0, 1.0)])
+def test_boundary_data_from_exact_matches_closed_forms(sol):
+    # rows eta, u, eta_t, u_t; columns the left and right ends
+    left, right = -5.0, 7.0
+    bdata = model.BoundaryData.from_exact(sol, left, right)
+    for t in (0.0, 0.3, 2.0):
+        edges = bdata.at(t)
+        assert edges.shape == (4, 2)
+        for j, x in enumerate((left, right)):
+            expected = [sol.eta(x, t), sol.u(x, t),
+                        -sol.speed * sol.eta(x, t, 1), -sol.speed * sol.u(x, t, 1)]
+            assert edges[:, j] == pytest.approx(expected, rel=1e-14, abs=0.0)

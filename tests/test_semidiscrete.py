@@ -3,7 +3,8 @@ import pytest
 
 from bousspec import jacobi, model, semidiscrete, timestep
 from bousspec.model import BoundaryData, IntervalMap
-from bousspec.semidiscrete import BoundaryValues, State
+
+ZERO_EDGES = np.zeros((4, 2))   # homogeneous data at one time, as BoundaryData.at
 
 
 def full_blocks(basis, params, imap):
@@ -44,14 +45,11 @@ def dense_operator(folded, m):
     return a
 
 
-def constant(v):
-    return lambda t: v
-
-
-def eval_state(sys_, st):
-    """(eta', u') of a State through the solved boundary vector and rhs_eval."""
-    dy = semidiscrete.rhs_eval(sys_, st.t, st.vector, semidiscrete.boundary_rhs(sys_, st.bc))
-    m = st.eta.size
+def eval_field(sys_, t, y, edges):
+    """(eta', u') at the stacked interior vector y and the boundary values
+    ``edges``, through the solved boundary vector and rhs_eval."""
+    dy = semidiscrete.rhs_eval(sys_, t, y, semidiscrete.boundary_rhs(sys_, edges))
+    m = y.size // 2
     return dy[:m], dy[m:]
 
 
@@ -189,11 +187,8 @@ def test_assembled_system_holds_no_full_operator(n, params):
 def test_gamma_vanishes_for_homogeneous_data(setup_mu):
     basis, params, imap = setup_mu
     sys_ = semidiscrete.assemble(basis, params, imap)
-    st = State(
-        eta=np.zeros(basis.n - 1), u=np.zeros(basis.n - 1), t=0.0, bc=BoundaryValues()
-    )
-    assert np.all(semidiscrete.boundary_rhs(sys_, st.bc) == 0.0)
-    deta, du = eval_state(sys_, st)
+    assert np.all(semidiscrete.boundary_rhs(sys_, ZERO_EDGES) == 0.0)
+    deta, du = eval_field(sys_, 0.0, np.zeros(2 * (basis.n - 1)), ZERO_EDGES)
     assert np.abs(deta).max() == 0.0 and np.abs(du).max() == 0.0
 
 
@@ -205,16 +200,14 @@ def test_gamma_against_dense_elimination_oracle(setup_mu, rng):
     sys_ = semidiscrete.assemble(basis, params, imap)
     w, g, mass, third, kd1 = full_blocks(basis, params, imap)
 
-    bc = BoundaryValues(*rng.uniform(-1.0, 1.0, size=8))
+    edges = rng.uniform(-1.0, 1.0, size=8).reshape(4, 2)
     eta = rng.uniform(-0.5, 0.5, size=n - 1)
     u = rng.uniform(-0.5, 0.5, size=n - 1)
-    st = State(eta=eta, u=u, t=0.0, bc=bc)
+    y = np.concatenate([eta, u])
 
-    eta_full = st.eta_full()
-    u_full = st.u_full()
+    eta_full, u_full = semidiscrete.nodal_values(y, edges)
     bcols = [0, n]
-    deta_b = np.array([bc.deta_left, bc.deta_right])
-    du_b = np.array([bc.du_left, bc.du_right])
+    deta_b, du_b = edges[2], edges[3]
 
     # eta equation: (W + b M) etadot_full + (K D1) u_full - G (eta u)_full = 0
     rhs1 = (
@@ -237,14 +230,14 @@ def test_gamma_against_dense_elimination_oracle(setup_mu, rng):
 
     lhs_eta = np.diag(w[1:n]) + params.b * mass[:, 1:n]
     lhs_u = np.diag(w[1:n]) + params.d * mass[:, 1:n]
-    solved = semidiscrete.boundary_rhs(sys_, bc)
+    solved = semidiscrete.boundary_rhs(sys_, edges)
     g1, g2 = lhs_eta @ solved[: n - 1], lhs_u @ solved[n - 1 :]
     scale = max(np.abs(gamma1_ref).max(), np.abs(gamma2_ref).max(), 1.0)
     assert np.abs(g1 - gamma1_ref).max() < 1e-12 * scale
     assert np.abs(g2 - gamma2_ref).max() < 1e-12 * scale
 
     # and rhs_eval solves the eliminated interior system
-    deta, du = eval_state(sys_, st)
+    deta, du = eval_field(sys_, 0.0, y, edges)
     assert np.abs(lhs_eta @ deta - rhs1).max() < 1e-11 * scale
     assert np.abs(lhs_u @ du - rhs2).max() < 1e-11 * scale
 
@@ -257,10 +250,8 @@ def test_semidiscrete_residual_spectral_decay():
         basis = jacobi.build_basis(0.0, n)
         sys_ = semidiscrete.assemble(basis, sol.params, imap)
         x = imap.to_physical(basis.nodes)
-        st = State(
-            eta=sol.eta(x, 0.0)[1:-1], u=sol.u(x, 0.0)[1:-1], t=0.0, bc=BoundaryValues()
-        )
-        deta, du = eval_state(sys_, st)
+        y = np.concatenate([sol.eta(x, 0.0)[1:-1], sol.u(x, 0.0)[1:-1]])
+        deta, du = eval_field(sys_, 0.0, y, ZERO_EDGES)
         cs = sol.speed
         err = max(
             np.abs(deta + cs * sol.eta(x, 0.0, 1)[1:-1]).max(),
@@ -282,13 +273,8 @@ def test_manufactured_inhomogeneous_boundaries():
     sys_ = semidiscrete.assemble(basis, sol.params, imap)
     x = imap.to_physical(basis.nodes)
     for t in (0.0, 0.5):
-        st = State(
-            eta=sol.eta(x, t)[1:-1],
-            u=sol.u(x, t)[1:-1],
-            t=t,
-            bc=BoundaryValues.at_time(bdata, t),
-        )
-        deta, du = eval_state(sys_, st)
+        y = np.concatenate([sol.eta(x, t)[1:-1], sol.u(x, t)[1:-1]])
+        deta, du = eval_field(sys_, t, y, bdata.at(t))
         cs = sol.speed
         err = max(
             np.abs(deta + cs * sol.eta(x, t, 1)[1:-1]).max(),
@@ -300,23 +286,47 @@ def test_manufactured_inhomogeneous_boundaries():
 def test_initial_state_interpolates():
     basis = jacobi.build_basis(0.0, 12)
     imap = IntervalMap(-2.0, 6.0)
-    bdata = BoundaryData.constant(1.0, 1.0, 0.25, 0.25)
-    st = semidiscrete.initial_state(
-        basis, imap, lambda x: np.ones_like(x), lambda x: 0.25 * np.ones_like(x), bdata
+    m = basis.n - 1
+    y = semidiscrete.initial_state(
+        basis, imap, lambda x: np.ones_like(x), lambda x: 0.25 * np.ones_like(x)
     )
-    assert np.all(st.eta == 1.0) and np.all(st.u == 0.25)
+    assert y.shape == (2 * m,) and np.all(y[:m] == 1.0) and np.all(y[m:] == 0.25)
     # polynomial data of degree <= n is reproduced exactly at the nodes
     poly = lambda x: 0.5 * x**3 - x + 2.0
-    st = semidiscrete.initial_state(basis, imap, poly, poly, bdata)
+    y = semidiscrete.initial_state(basis, imap, poly, poly)
     x = imap.to_physical(basis.nodes)[1:-1]
-    assert np.abs(st.eta - poly(x)).max() < 1e-12
+    assert np.abs(y[:m] - poly(x)).max() < 1e-12
     # tent data: the node nearest zero carries 1 - |x_node|
     imap01 = IntervalMap(-1.0, 1.0)
     eta0, u0 = model.nonsmooth_data("tent")
-    st = semidiscrete.initial_state(basis, imap01, eta0, u0, BoundaryData.homogeneous())
+    y = semidiscrete.initial_state(basis, imap01, eta0, u0)
     x_int = basis.nodes[1:-1]
     j = int(np.argmin(np.abs(x_int)))
-    assert st.eta[j] == 1.0 - abs(x_int[j])
+    assert y[j] == 1.0 - abs(x_int[j])
+
+
+@pytest.mark.parametrize("case", ["bore", "tent"])
+def test_nodal_values_round_trip(case):
+    # the interior comes back from y and the endpoints from the Dirichlet
+    # data, which for the bore differ from the initial data by its tanh tail
+    if case == "bore":
+        imap = IntervalMap(-14.0, 50.0)
+        eta0, u0, bdata = model.bore_data(0.25, 0.7)
+    else:
+        imap = IntervalMap(-1.0, 1.0)
+        eta0, u0 = model.nonsmooth_data("tent")
+        bdata = BoundaryData.homogeneous()
+    basis = jacobi.build_basis(0.0, 33)
+    x = imap.to_physical(basis.nodes)
+    edges = bdata.at(0.0)
+    eta, u = semidiscrete.nodal_values(semidiscrete.initial_state(basis, imap, eta0, u0), edges)
+    gap = bdata.compatibility_mismatch(eta0, u0, imap.left, imap.right)
+    assert (gap > 0.0) == (case == "bore")
+    for got, data, ends in ((eta, eta0(x), edges[0]), (u, u0(x), edges[1])):
+        assert got.shape == (basis.n + 1,)
+        assert np.array_equal(got[1:-1], data[1:-1])
+        assert np.array_equal(got[[0, -1]], ends)
+        assert np.abs(got - data).max() <= gap
 
 
 def test_assembled_once_reuse_instrumentation(monkeypatch):
@@ -334,10 +344,10 @@ def test_assembled_once_reuse_instrumentation(monkeypatch):
     monkeypatch.setattr(semidiscrete, "assemble", counting_assemble)
     sys_ = semidiscrete.assemble(basis, params, imap)
     eta0, u0 = model.nonsmooth_data("tent")
-    st0 = semidiscrete.initial_state(basis, imap, lambda x: 0.1 * eta0(x / 8), lambda x: u0(x), bdata)
+    y0 = semidiscrete.initial_state(basis, imap, lambda x: 0.1 * eta0(x / 8), lambda x: u0(x))
     field = semidiscrete.make_vector_field(sys_, bdata)
     timestep.integrate(
-        field, st0.vector, timestep.SdirkScheme.order3(),
+        field, y0, timestep.SdirkScheme.order3(),
         timestep.IntegrationPlan(k=0.05, t_end=1.0),
     )
     assert len(calls) == 1
@@ -347,13 +357,12 @@ def test_nonfinite_state_aborts():
     basis = jacobi.build_basis(0.0, 8)
     imap = IntervalMap(-1.0, 1.0)
     sys_ = semidiscrete.assemble(basis, model.params_from_theta(2 / 3), imap)
-    bad = np.full(basis.n - 1, np.nan)
-    st = State(eta=bad, u=bad, t=0.0, bc=BoundaryValues())
+    bad = np.full(2 * (basis.n - 1), np.nan)
     with pytest.raises(FloatingPointError):
-        eval_state(sys_, st)
+        eval_field(sys_, 0.0, bad, ZERO_EDGES)
     field = semidiscrete.make_vector_field(sys_, BoundaryData.homogeneous())
     with pytest.raises(FloatingPointError):
-        field(0.0, st.vector)
+        field(0.0, bad)
 
 
 def test_small_amplitude_energy_stays_bounded():
@@ -367,17 +376,16 @@ def test_small_amplitude_energy_stays_bounded():
     sys_ = semidiscrete.assemble(basis, params, imap)
     bdata = BoundaryData.homogeneous()
     amp = 1e-3
-    st0 = semidiscrete.initial_state(
+    y0 = semidiscrete.initial_state(
         basis, imap,
         lambda x: amp * np.sin(np.pi * x), lambda x: amp * np.sin(2 * np.pi * x),
-        bdata,
     )
     field = semidiscrete.make_vector_field(sys_, bdata)
     n = basis.n
     w, _, mass, _, _ = full_blocks(basis, params, imap)
     m_b = np.diag(w[1:n]) + params.b * mass[:, 1:n]
     energy = lambda y: float(y[: n - 1] @ m_b @ y[: n - 1] + y[n - 1 :] @ m_b @ y[n - 1 :])
-    y = st0.vector.copy()
+    y = y0.copy()
     e0 = energy(y)
     for step in range(10):
         y = timestep.sdirk_step(field, 0.1 * step, y, 0.1, timestep.SdirkScheme.midpoint())
@@ -406,17 +414,17 @@ def test_boundary_traces_evaluated_once_per_stage_time():
     bdata = BoundaryData.from_exact(sol, -8.0, 8.0)
     basis = jacobi.build_basis(0.0, 32)
     sys_ = semidiscrete.assemble(basis, sol.params, imap)
-    st0 = semidiscrete.initial_state(
-        basis, imap, lambda x: sol.eta(x, 0.0), lambda x: sol.u(x, 0.0), bdata
+    y = semidiscrete.initial_state(
+        basis, imap, lambda x: sol.eta(x, 0.0), lambda x: sol.u(x, 0.0)
     )
     field = semidiscrete.make_vector_field(sys_, bdata)
-    y, stats = st0.vector, timestep.IntegrationStats()
+    stats = timestep.IntegrationStats()
     for step in range(4):
         del calls[:]
         y = timestep.sdirk_step(
             field, 0.05 * step, y, 0.05, timestep.SdirkScheme.order3(), stats=stats
         )
-        assert len(calls) <= 2 * 8 and len(set(calls)) == 2
+        assert len(calls) <= 2 * 4 and len(set(calls)) == 2
     assert stats.rhs_evals > 2 * 4 * 2     # the stages did iterate
 
 
@@ -427,19 +435,19 @@ def _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t):
     sys_ = semidiscrete.assemble(basis, params, imap)
     field = semidiscrete.make_vector_field(sys_, bdata)
     x = imap.to_physical(basis.nodes)
-    bc = BoundaryValues.at_time(bdata, t)
-    st = State(eta=eta0(x)[1:-1], u=u0(x)[1:-1], t=t, bc=bc)
+    edges = bdata.at(t)
+    y = np.concatenate([eta0(x)[1:-1], u0(x)[1:-1]])
     w, g, mass, third, kd1 = full_blocks(basis, params, imap)
-    eta_full, u_full = st.eta_full(), st.u_full()
-    rhs1 = (-params.b * mass[:, [0, n]] @ [bc.deta_left, bc.deta_right]
+    eta_full, u_full = semidiscrete.nodal_values(y, edges)
+    rhs1 = (-params.b * mass[:, [0, n]] @ edges[2]
             - kd1 @ u_full + g @ (eta_full * u_full))
-    rhs2 = (-params.d * mass[:, [0, n]] @ [bc.du_left, bc.du_right]
+    rhs2 = (-params.d * mass[:, [0, n]] @ edges[3]
             - (kd1 + abs(params.c) * third) @ eta_full + g @ (0.5 * u_full * u_full))
     ref = np.concatenate([
         np.linalg.solve(np.diag(w[1:n]) + params.b * mass[:, 1:n], rhs1),
         np.linalg.solve(np.diag(w[1:n]) + params.d * mass[:, 1:n], rhs2),
     ])
-    return np.abs(field(t, st.vector) - ref).max() / np.abs(ref).max()
+    return np.abs(field(t, y) - ref).max() / np.abs(ref).max()
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,17 @@ def test_stage_divergence_detection():
         timestep.sdirk_step(stiff, 0.0, np.array([1.0]), 0.1, SdirkScheme.midpoint())
 
 
+def test_stage_iteration_cap():
+    # contracts by 0.9 per iteration: the change never grows, but it is still
+    # about 3e-6 after the last allowed iteration
+    stats = timestep.IntegrationStats()
+    cap = f"exceeded {timestep.MAX_STAGE_ITERS} iterations"
+    with pytest.raises(timestep.StageDivergenceError, match=cap):
+        timestep._stage_solve(lambda t, v: 0.9 * v, 0.0, np.zeros(1), 1.0,
+                              np.array([1.0]), 0, stats)
+    assert stats.rhs_evals == timestep.MAX_STAGE_ITERS
+
+
 # --- stage predictor ----------------------------------------------------------
 
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -207,24 +218,23 @@ def truncated_solitary():
     bdata = model.BoundaryData.from_exact(sol, -5.0, 5.0)
     basis = build_basis(0.0, 64)
     sys_ = semidiscrete.assemble(basis, sol.params, imap)
-    state0 = semidiscrete.initial_state(
-        basis, imap, lambda x: sol.eta(x, 0.0), lambda x: sol.u(x, 0.0), bdata
+    y0 = semidiscrete.initial_state(
+        basis, imap, lambda x: sol.eta(x, 0.0), lambda x: sol.u(x, 0.0)
     )
     field = semidiscrete.make_vector_field(sys_, bdata)
-    return sol, imap, basis, bdata, state0, field
+    return sol, imap, basis, bdata, y0, field
 
 
 def _run_with_mode(fixture, k, mode):
-    sol, imap, basis, bdata, state0, field = fixture
+    sol, imap, basis, bdata, y0, field = fixture
     scheme = SdirkScheme.order3()
-    y = state0.vector.copy()
+    y = y0.copy()
     n = round(1.0 / k)
     for step in range(n):
         tn = step * k
         f = field if mode == "stage" else (lambda t, v, tn=tn: field(tn, v))
         y = timestep.sdirk_step(f, tn, y, k, scheme)
-    bc = semidiscrete.BoundaryValues.at_time(bdata, 1.0)
-    ns = analysis.NodalSolution.from_state(basis, imap, state0.with_vector(y, 1.0, bc))
+    ns = analysis.NodalSolution(basis, imap, *semidiscrete.nodal_values(y, bdata.at(1.0)), 1.0)
     return analysis.error_vs_exact(ns, sol, 1.0, analysis.NormSpec(1, 1))
 
 
