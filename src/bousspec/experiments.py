@@ -211,16 +211,26 @@ def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
     discretization of ``problem`` at this N (built here when omitted)."""
     if disc is None:
         disc = discretize(problem, n)
-    scheme = timestep.SdirkScheme.from_gamma(gamma)
     plan = timestep.IntegrationPlan(k=k, t_end=t_end, snapshot_times=tuple(snapshot_times))
-    tf, y, raw_snaps, stats = timestep.integrate(disc.field, disc.y0, scheme, plan)
-    sols = [
-        analysis.NodalSolution(
-            disc.basis, problem.imap, *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts
-        )
-        for ts, ys in [(tf, y)] + raw_snaps
-    ]
-    return RunResult(solution=sols[0], snapshots=sols[1:], stats=stats)
+    return _integrate(problem, disc, [(gamma, plan)])[0]
+
+
+def _integrate(problem: Problem, disc: Discretization, runs) -> list[RunResult]:
+    """Integrate the (gamma, plan) ``runs`` of one discretization in lockstep
+    and wrap each, in order."""
+    results, _ = timestep.integrate(
+        disc.field, disc.y0, [(timestep.SdirkScheme.from_gamma(g), plan) for g, plan in runs]
+    )
+    wrapped = []
+    for tf, y, raw_snaps, stats in results:
+        sols = [
+            analysis.NodalSolution(
+                disc.basis, problem.imap, *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts
+            )
+            for ts, ys in [(tf, y)] + raw_snaps
+        ]
+        wrapped.append(RunResult(solution=sols[0], snapshots=sols[1:], stats=stats))
+    return wrapped
 
 
 def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationStats) -> dict:
@@ -229,18 +239,22 @@ def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationSta
 
 
 def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
-    """Errors and observed rates over a time-step sweep, one column per gamma."""
+    """Errors and observed rates over a time-step sweep, one column per gamma;
+    every (gamma, k) run is integrated in one lockstep batch."""
     problem = _resolve_problem(cfg)
     if problem.exact is None:
         raise ConfigError("error_table mode needs a closed-form solution preset")
     spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
     n = cfg.n_values[0]
     disc = discretize(problem, n)
+    runs = iter(_integrate(problem, disc, [
+        (gamma, timestep.IntegrationPlan(k=k, t_end=cfg.t_end))
+        for gamma in cfg.gammas for k in k_values
+    ]))
     finals, solves = {}, []
     for gamma in cfg.gammas:
         finals[gamma] = []
-        for k in k_values:
-            run = solve_once(problem, n, k, gamma, cfg.t_end, disc=disc)
+        for k, run in zip(k_values, runs):
             finals[gamma].append(run.solution)
             solves.append(_solve_record(n, k, gamma, run.stats))
     # the norms peak in memory; the solution operators are not needed for them

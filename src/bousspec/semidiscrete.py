@@ -24,9 +24,9 @@ u' psi_i w exactly, so the advection rows satisfy (K D1)[1:N, :] = -G
     (W + d B) u'   = G (eta + u.u/2) - |c| B2 eta - d B[:, (0, N)] u'_edge.
 
 The mass matrices are constant, so assembly solves them once against G
-and |c| B2, and a vector-field evaluation is matrix-vector products only;
-boundary data contributes one solved vector per distinct time
-(``boundary_rhs``).
+and |c| B2, and a vector-field evaluation is matrix products only, on a
+block of states (one row per run of a lockstep integration); boundary data
+contributes one solved vector per distinct time (``boundary_rhs``).
 
 The nodes are mirrored (x_{N-j} = -x_j), so with J the flip of the m = N-1
 interior values, W and B commute with J while G and B2 change sign under
@@ -45,6 +45,7 @@ factored once and solved against the folded G (and |c| B2), and the full
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -65,7 +66,8 @@ class AssembledSystem:
     even fold of a vector to the top half of the odd part of the result and
     slice 1 takes the odd fold to the top half of the even part, both
     transposed for ``fold @ slice``.  The three operators are views into
-    ``ops``, the stack ``rhs_eval`` applies in one batched product; with
+    ``ops``, the stack ``rhs_eval`` applies in one batched product to the
+    folds of a whole block of states; with
     b == d both equations share one operator object (``op_u is op_eta``).
     Immutable; reuse across the whole time integration.
     """
@@ -78,21 +80,47 @@ class AssembledSystem:
     # rows [:half] act on a flux fold, rows [half:] (width = 2 half when
     # c != 0) on the eta fold, zero for the eta equation
     ops: np.ndarray
-    fold_shape: tuple               # the folded inputs, (2, 2, width) or (2, 2, 1, width)
+    fold_shape: tuple               # the folded inputs, (2, -1, width) or (2, 2, -1, width)
     op_eta: np.ndarray              # M_b^-1 G, acts on the flux u + eta*u
     op_u: np.ndarray                # M_d^-1 G, acts on the flux eta + u*u/2
     stiff_u: np.ndarray | None      # -|c| M_d^-1 B2, acts on eta; None when c == 0
-    # y.take(gather) is (eta, u) x (top, mirror halves); scatter takes the
-    # unfolded (top, mirror) x (eta, u) x half back to the order of y
+    # for one state y: y.take(gather) is (eta, u) x (top, mirror halves);
+    # scatter, (1, 2(N-1)), takes the unfolded (top, mirror) x (eta, u) x
+    # half back to the order of y (``block_indices`` extends both to a block)
     gather: np.ndarray
     scatter: np.ndarray
     # solved boundary columns (left, right of each block), (N-1) rows:
     edge_eta: np.ndarray            # M_b^-1 [-b B | G], acts on (eta', u + eta*u)
     edge_u: np.ndarray              # M_d^-1 [-d B | G | -|c| B2], acts on (u', eta + u*u/2, eta)
+    _blocks: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.basis.n
+
+    def block_indices(self, rows: int):
+        """(gather, scatter) of a block of ``rows`` stacked states: those of
+        one state for one row, made once per height for more.
+
+        The gather reads the flattened block (and the zero after it, when
+        c != 0) as (eta, u) x (top, mirror) x rows x width, the layout one
+        state has with a single row, so the folds of all rows line up with
+        (eta, u) x rows as the rows of one product per parity; the scatter
+        takes the unfolded (top, mirror) x (eta, u) x rows x half to a
+        (rows, 2(N-1)) block.
+        """
+        if rows == 1:
+            return self.gather, self.scatter
+        found = self._blocks.get(rows)
+        if found is None:
+            size, half = 2 * (self.n - 1), self.half
+            one = self.gather.reshape(2, 2, 1, -1)
+            gather = np.where(one == size, rows * size,
+                              one + size * np.arange(rows)[:, None]).reshape(2, -1)
+            side, eq, j = self.scatter // (2 * half), self.scatter // half % 2, self.scatter % half
+            scatter = (2 * side + eq) * rows * half + j + half * np.arange(rows)[:, None]
+            found = self._blocks[rows] = (gather, scatter)
+        return found
 
 
 def _physical_blocks(basis: JacobiBasis, imap: IntervalMap):
@@ -200,14 +228,14 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     rhs_u = np.hstack([-p.d * mass_edge, grad_edge, -absc * third_edge])
     if p.b == p.d:
         ops = np.zeros((2, width, half))
-        fold_shape = (2, 2, width)
+        fold_shape = (2, -1, width)
         edge_u = solve_folded(p.d, ops, rhs_u)
         edge_eta = edge_u[:, :4]
         op_eta = op_u = ops[:, :half]
         u_ops = ops
     else:
         ops = np.zeros((2, 2, width, half))
-        fold_shape = (2, 2, 1, width)
+        fold_shape = (2, 2, -1, width)
         edge_u = solve_folded(p.d, ops[:, 1], rhs_u)
         edge_eta = solve_folded(p.b, ops[:, 0, :half], np.hstack([-p.b * mass_edge, grad_edge]))
         op_eta, op_u = ops[:, 0, :half], ops[:, 1, :half]
@@ -224,7 +252,7 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     gather = np.array([np.r_[eta_top, eta_mirror], np.r_[u_top, u_mirror]])
     # a centre node (odd m) is read back from its top copy
     scatter = np.concatenate([top, 2 * half + top[:pairs][::-1]])
-    scatter = np.concatenate([scatter, half + scatter])
+    scatter = np.concatenate([scatter, half + scatter])[None]
     return AssembledSystem(
         basis=basis,
         params=params,
@@ -265,33 +293,37 @@ _UNFOLD = np.array([[1.0, 1.0], [-1.0, 1.0]])
 _ZERO = np.zeros(1)
 
 
-def rhs_eval(sys: AssembledSystem, t: float, y: np.ndarray,
+def rhs_eval(sys: AssembledSystem, t: np.ndarray, y: np.ndarray,
              boundary: np.ndarray) -> np.ndarray:
-    """Semidiscrete vector field (eta'(t), u'(t)) on the stacked interior
-    vector y, given the solved boundary contribution at t.
+    """Semidiscrete vector field (eta'(t), u'(t)) on a block: row r of y is a
+    stacked interior vector at time t[r, 0], and ``boundary`` holds the
+    solved boundary contribution of each row (or one row for all).
 
-    y is gathered into the top halves of eta and u and their mirror images,
-    the fluxes are formed there (each half followed by eta, for the
+    The block is gathered into the top halves of eta and u and their mirror
+    images, the fluxes are formed there (each half followed by eta, for the
     stiffness block, when c != 0) and folded to top + mirror and
-    top - mirror; the folded operators map the folds to the top halves of
-    the odd and even parts of the field, which unfold to even + odd and
-    even - odd and scatter back.
+    top - mirror; the folded operators map the folds of all rows to the top
+    halves of the odd and even parts of the field in one product per parity
+    (per parity and equation when b != d), which unfold to even + odd and
+    even - odd and scatter back.  A block of one row takes the same array
+    operations as one state.
     """
-    half = sys.half
+    gather, scatter = sys.block_indices(len(y))
     if sys.stiff_u is not None:
-        y = np.concatenate((y, _ZERO))          # u = 0 in the slots that carry eta
-    sides = y.take(sys.gather)                  # (eta, u) x (top, mirror) halves
+        y = np.concatenate((y, _ZERO), axis=None)      # u = 0 in the slots that carry eta
+    sides = y.take(gather)                      # (eta, u) x (top, mirror) x rows halves
     flux = sides * _FLUX_SCALE
     flux *= sides[1]
     flux += sides[::-1]                         # u + eta*u, eta + u*u/2
     folds = (_FOLD @ flux.reshape(2, 2, -1)).transpose(1, 0, 2)    # (even, odd) x (eta, u)
-    parts = (folds.reshape(sys.fold_shape) @ sys.ops).reshape(2, 2 * half)
-    dy = (_UNFOLD @ parts).take(sys.scatter)
+    parts = (folds.reshape(sys.fold_shape) @ sys.ops).reshape(2, -1)
+    dy = (_UNFOLD @ parts).take(scatter)
     dy += boundary
     # the sum of squares is finite unless an entry is not (or it overflows)
-    if not math.isfinite(dy @ dy) and not np.isfinite(dy).all():
+    if not math.isfinite(np.vdot(dy, dy)) and not np.isfinite(dy).all():
+        bad = ~np.isfinite(dy).all(axis=1)
         raise FloatingPointError(
-            f"semidiscrete vector field produced non-finite values at t={t}"
+            f"semidiscrete vector field produced non-finite values at t={t[bad, 0].tolist()}"
         )
     return dy
 
@@ -315,25 +347,33 @@ def nodal_values(y: np.ndarray, edges: np.ndarray):
 
 
 def make_vector_field(sys: AssembledSystem, bdata: BoundaryData):
-    """Wrap the assembled system as F(t, y) on the stacked interior vector.
+    """Wrap the assembled system as the block field F(t, y): y a (rows,
+    2(N-1)) block of stacked interior vectors, t the (rows, 1) column of
+    their times.
 
-    Steady boundary data is solved once here; time-dependent data once per
-    distinct t (the fixed-point iterations of a stage share their time).
+    Steady boundary data is solved once here.  Time-dependent data is solved
+    once per distinct time of a call; a time the previous call also had
+    keeps its solved vector, so the fixed-point iterations of a stage, which
+    share their time, solve each row's stage time once.
     """
     if bdata.steady:
-        boundary = boundary_rhs(sys, bdata.at(0.0))
+        # one row: adding a same-shape row to a one-row block is the fast path
+        boundary = boundary_rhs(sys, bdata.at(0.0))[None]
 
-        def field(t: float, y: np.ndarray) -> np.ndarray:
+        def field(t: np.ndarray, y: np.ndarray) -> np.ndarray:
             return rhs_eval(sys, t, y, boundary)
 
         return field
 
-    cached = [None, None]   # last time, its boundary contribution
+    cached = [[], None, {}]     # last times, their boundary rows, time -> solved vector
 
-    def field(t: float, y: np.ndarray) -> np.ndarray:
-        if cached[0] != t:
-            cached[1] = boundary_rhs(sys, bdata.at(t))
-            cached[0] = t
+    def field(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        times = t.ravel().tolist()
+        if times != cached[0]:
+            known = cached[2]
+            solved = {s: known[s] if s in known else boundary_rhs(sys, bdata.at(s))
+                      for s in dict.fromkeys(times)}
+            cached[:] = times, np.array([solved[s] for s in times]), solved
         return rhs_eval(sys, t, y, cached[1])
 
     return field

@@ -349,8 +349,8 @@ def test_criterion_10c_consistency_orders():
     for scheme in (SdirkScheme.midpoint(), SdirkScheme.order3()):
         errs = []
         for k in (0.02, 0.01, 0.005):
-            _, y, _, _ = timestep.integrate(
-                lambda t, v: -v, np.array([1.0]), scheme, IntegrationPlan(k=k, t_end=1.0)
+            [(_, y, _, _)], _ = timestep.integrate(
+                lambda t, v: -v, np.array([1.0]), [(scheme, IntegrationPlan(k=k, t_end=1.0))]
             )
             errs.append(abs(y[0] - math.exp(-1.0)))
         measured[scheme.order] = math.log2(errs[1] / errs[2])

@@ -8,7 +8,7 @@ import pytest
 
 from bousspec import cli, experiments
 from bousspec.experiments import ConfigError, PRESETS, parse_config
-from bousspec.timestep import GAMMA_ORDER3
+from bousspec.timestep import GAMMA_ORDER3, STAGE_TOL
 
 
 QUICK_RATIO = """
@@ -120,6 +120,7 @@ def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves):
         assert rec["steps"] == round(t_end / rec["k"])
         assert 2 * rec["steps"] <= rec["rhs_evals"]
         assert 1 <= rec["max_stage_iters"] <= rec["rhs_evals"]
+        assert 0.0 <= rec["max_stage_residual"] <= STAGE_TOL
 
 
 @pytest.mark.parametrize("text, window", [
@@ -191,6 +192,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad.write_text("mode = ratio_table\nn = 16\nk = 0.1\n")
     assert cli.main(["compare", str(bad)]) == cli.EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_cli_stage_divergence_names_the_run_and_exits_3(tmp_path, capsys):
+    # the error table integrates its four runs together; the order-3 member
+    # at k = 2 diverges in its first step and the error names that run
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("include-preset = table2\nn = 32\nk-list = 2.0 0.25\n")
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"at step 0 of the run gamma={GAMMA_ORDER3:.10g}, k=2;" in err
 
 
 def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):

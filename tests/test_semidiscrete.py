@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,8 @@ def dense_operator(folded, m):
 def eval_field(sys_, t, y, edges):
     """(eta', u') at the stacked interior vector y and the boundary values
     ``edges``, through the solved boundary vector and rhs_eval."""
-    dy = semidiscrete.rhs_eval(sys_, t, y, semidiscrete.boundary_rhs(sys_, edges))
+    dy = semidiscrete.rhs_eval(sys_, np.full((1, 1), t), y[None],
+                               semidiscrete.boundary_rhs(sys_, edges))[0]
     m = y.size // 2
     return dy[:m], dy[m:]
 
@@ -347,8 +350,7 @@ def test_assembled_once_reuse_instrumentation(monkeypatch):
     y0 = semidiscrete.initial_state(basis, imap, lambda x: 0.1 * eta0(x / 8), lambda x: u0(x))
     field = semidiscrete.make_vector_field(sys_, bdata)
     timestep.integrate(
-        field, y0, timestep.SdirkScheme.order3(),
-        timestep.IntegrationPlan(k=0.05, t_end=1.0),
+        field, y0, [(timestep.SdirkScheme.order3(), timestep.IntegrationPlan(k=0.05, t_end=1.0))]
     )
     assert len(calls) == 1
 
@@ -362,7 +364,7 @@ def test_nonfinite_state_aborts():
         eval_field(sys_, 0.0, bad, ZERO_EDGES)
     field = semidiscrete.make_vector_field(sys_, BoundaryData.homogeneous())
     with pytest.raises(FloatingPointError):
-        field(0.0, bad)
+        field(np.zeros((1, 1)), bad[None])
 
 
 def test_small_amplitude_energy_stays_bounded():
@@ -402,7 +404,9 @@ def test_steady_data_is_marked_by_its_constructors():
 
 def test_boundary_traces_evaluated_once_per_stage_time():
     # every fixed-point iteration of a stage shares its time, so the traced
-    # data is evaluated (and solved) once per distinct stage time
+    # data is evaluated (and solved) once per distinct stage time of a row,
+    # for one run and for a table2-style batch (both SDIRK members at one k)
+    # whose rows sit at different stage times in one field call
     sol = model.solitary_bona_smith(9 / 11)
     calls = []
     for name in ("eta", "u"):
@@ -417,15 +421,20 @@ def test_boundary_traces_evaluated_once_per_stage_time():
     y = semidiscrete.initial_state(
         basis, imap, lambda x: sol.eta(x, 0.0), lambda x: sol.u(x, 0.0)
     )
-    field = semidiscrete.make_vector_field(sys_, bdata)
-    stats = timestep.IntegrationStats()
-    for step in range(4):
+    k = 0.05
+    plan = timestep.IntegrationPlan(k=k, t_end=4 * k)
+    for schemes in ([timestep.SdirkScheme.order3()],
+                    [timestep.SdirkScheme.midpoint(), timestep.SdirkScheme.order3()]):
+        field = semidiscrete.make_vector_field(sys_, bdata)
         del calls[:]
-        y = timestep.sdirk_step(
-            field, 0.05 * step, y, 0.05, timestep.SdirkScheme.order3(), stats=stats
-        )
-        assert len(calls) <= 2 * 4 and len(set(calls)) == 2
-    assert stats.rhs_evals > 2 * 4 * 2     # the stages did iterate
+        _, stats = timestep.integrate(field, y, [(s, plan) for s in schemes])
+        # the midpoint member's two stages share one abscissa
+        stage_times = {step * k + a * k for s in schemes for step in range(4)
+                       for a in (s.gamma, 1.0 - s.gamma)}
+        assert set(calls) == stage_times
+        assert max(collections.Counter(calls).values()) <= 4
+        assert stats.steps == 4 * len(schemes)
+        assert stats.rhs_evals > 2 * 2 * stats.steps     # the stages did iterate
 
 
 def _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t):
@@ -447,7 +456,7 @@ def _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t):
         np.linalg.solve(np.diag(w[1:n]) + params.b * mass[:, 1:n], rhs1),
         np.linalg.solve(np.diag(w[1:n]) + params.d * mass[:, 1:n], rhs2),
     ])
-    return np.abs(field(t, y) - ref).max() / np.abs(ref).max()
+    return np.abs(field(np.full((1, 1), t), y[None])[0] - ref).max() / np.abs(ref).max()
 
 
 @pytest.mark.parametrize(

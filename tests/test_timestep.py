@@ -41,16 +41,16 @@ def test_plan_validation():
 
 def test_integrate_zero_time():
     y0 = np.array([2.0])
-    tf, y, snaps, stats = timestep.integrate(
-        lambda t, v: -v, y0, SdirkScheme.midpoint(), IntegrationPlan(k=0.1, t_end=0.0)
+    [(tf, y, snaps, stats)], _ = timestep.integrate(
+        lambda t, v: -v, y0, [(SdirkScheme.midpoint(), IntegrationPlan(k=0.1, t_end=0.0))]
     )
     assert tf == 0.0 and np.array_equal(y, y0) and stats.steps == 0
 
 
 def test_snapshots_at_step_boundaries():
     plan = IntegrationPlan(k=0.1, t_end=1.0, snapshot_times=(0.0, 0.5, 1.0))
-    _, _, snaps, _ = timestep.integrate(
-        lambda t, v: -v, np.array([1.0]), SdirkScheme.midpoint(), plan
+    [(_, _, snaps, _)], _ = timestep.integrate(
+        lambda t, v: -v, np.array([1.0]), [(SdirkScheme.midpoint(), plan)]
     )
     times = [t for t, _ in snaps]
     assert times == pytest.approx([0.0, 0.5, 1.0])
@@ -72,8 +72,8 @@ def test_step_doubling_consistency_midpoint():
 def test_scalar_convergence_order(scheme):
     errs = []
     for k in (0.02, 0.01, 0.005):
-        _, y, _, _ = timestep.integrate(
-            lambda t, v: -v, np.array([1.0]), scheme, IntegrationPlan(k=k, t_end=1.0)
+        [(_, y, _, _)], _ = timestep.integrate(
+            lambda t, v: -v, np.array([1.0]), [(scheme, IntegrationPlan(k=k, t_end=1.0))]
         )
         errs.append(abs(y[0] - math.exp(-1.0)))
     rate = math.log2(errs[1] / errs[2])
@@ -88,14 +88,20 @@ def test_stage_divergence_detection():
 
 
 def test_stage_iteration_cap():
-    # contracts by 0.9 per iteration: the change never grows, but it is still
-    # about 3e-6 after the last allowed iteration
-    stats = timestep.IntegrationStats()
-    cap = f"exceeded {timestep.MAX_STAGE_ITERS} iterations"
+    # the first stage Y = 1 + (k / 2) 1.8 Y with k = 1 contracts by 0.9 per
+    # iteration: the change never grows, but it is still about 3e-5 after
+    # the last allowed iteration
+    calls = []
+
+    def f(t, v):
+        calls.append(t)
+        return 1.8 * v
+
+    cap = f"exceeded {timestep.MAX_STAGE_ITERS} iterations at step 0"
     with pytest.raises(timestep.StageDivergenceError, match=cap):
-        timestep._stage_solve(lambda t, v: 0.9 * v, 0.0, np.zeros(1), 1.0,
-                              np.array([1.0]), 0, stats)
-    assert stats.rhs_evals == timestep.MAX_STAGE_ITERS
+        timestep.integrate(f, np.array([1.0]),
+                           [(SdirkScheme.midpoint(), IntegrationPlan(k=1.0, t_end=1.0))])
+    assert len(calls) == timestep.MAX_STAGE_ITERS
 
 
 # --- stage predictor ----------------------------------------------------------
@@ -107,13 +113,13 @@ _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 @pytest.mark.parametrize("lam, f, y0", [
     (-1.0, lambda t, v: -v, np.array([1.0])),
     # (x, y) as z = x + iy: the rotation is z' = i z, eigenvalues +-i
-    (1j, lambda t, v: _ROTATION @ v, np.array([1.0, 0.0])),
+    (1j, lambda t, v: v @ _ROTATION.T, np.array([1.0, 0.0])),
 ])
 def test_integrate_matches_stability_function_power(scheme, lam, f, y0):
     # predicted starting values change only where the stage iterations
     # begin; the converged steps still multiply by R(k lam)
     k, n = 0.1, 10
-    _, y, _, stats = timestep.integrate(f, y0, scheme, IntegrationPlan(k=k, t_end=n * k))
+    [(_, y, _, stats)], _ = timestep.integrate(f, y0, [(scheme, IntegrationPlan(k=k, t_end=n * k))])
     z = timestep.stability_function(scheme, k * lam) ** n
     want = np.array([z.real, z.imag]) if y0.size == 2 else np.array([z.real])
     assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
@@ -125,7 +131,7 @@ def test_first_integrate_step_is_sdirk_step(scheme):
     f = lambda t, v: -v + np.cos(t) * v * v
     y0 = np.array([0.3, -0.2, 0.5])
     plan = IntegrationPlan(k=0.05, t_end=0.1, snapshot_times=(0.05,))
-    _, _, snaps, _ = timestep.integrate(f, y0, scheme, plan)
+    [(_, _, snaps, _)], _ = timestep.integrate(f, y0, [(scheme, plan)])
     assert np.array_equal(snaps[0][1], timestep.sdirk_step(f, 0.0, y0, 0.05, scheme))
 
 
@@ -136,6 +142,70 @@ def test_predictor_evaluation_count_table5():
     problem = experiments._resolve_problem(cfg)
     run = experiments.solve_once(problem, 128, cfg.step_for(128), cfg.gammas[0], cfg.t_end)
     assert run.stats.rhs_evals / run.stats.steps <= 6.5
+
+
+# --- lockstep runs -------------------------------------------------------------
+
+# different gamma and k, snapshots (one at t = 0) and a plan of zero steps
+_LOCKSTEP_RUNS = [
+    (SdirkScheme.midpoint(), IntegrationPlan(k=0.1, t_end=0.5, snapshot_times=(0.0, 0.2))),
+    (SdirkScheme.order3(), IntegrationPlan(k=0.05, t_end=0.5, snapshot_times=(0.25, 0.5))),
+    (SdirkScheme.order3(), IntegrationPlan(k=0.125, t_end=0.0, snapshot_times=(0.0,))),
+    (SdirkScheme.from_gamma(0.3), IntegrationPlan(k=0.125, t_end=0.25)),
+]
+
+
+def _assert_lockstep_matches_alone(f, y0, runs, atol):
+    results, total = timestep.integrate(f, y0, runs)
+    assert len(results) == len(runs)
+    for (scheme, plan), (t, y, snaps, stats) in zip(runs, results):
+        [(t1, y1, snaps1, stats1)], _ = timestep.integrate(f, y0, [(scheme, plan)])
+        assert t == t1 and stats.steps == stats1.steps == plan.n_steps
+        assert (stats.rhs_evals, stats.max_stage_iters) == (stats1.rhs_evals, stats1.max_stage_iters)
+        assert stats.max_stage_residual == pytest.approx(stats1.max_stage_residual, rel=0, abs=atol)
+        assert [s for s, _ in snaps] == [s for s, _ in snaps1]
+        for a, b in [(y, y1)] + [(v, v1) for (_, v), (_, v1) in zip(snaps, snaps1)]:
+            if atol == 0.0:
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= atol
+    assert total.steps == sum(r[3].steps for r in results)
+    assert total.rhs_evals == sum(r[3].rhs_evals for r in results)
+    assert total.max_stage_iters == max(r[3].max_stage_iters for r in results)
+    assert 0.0 < total.max_stage_residual <= timestep.STAGE_TOL
+
+
+@pytest.mark.parametrize("f, y0", [
+    (lambda t, v: -v, np.array([1.0, -0.5])),
+    (lambda t, v: -v + np.cos(t) * v * v, np.array([0.3, -0.2, 0.5])),
+])
+def test_lockstep_runs_match_runs_alone_bit_for_bit(f, y0):
+    # an elementwise field computes each row as it would alone
+    _assert_lockstep_matches_alone(f, y0, _LOCKSTEP_RUNS, 0.0)
+
+
+@pytest.mark.parametrize("preset", ["table1", "table2", "table3"])
+def test_lockstep_runs_match_runs_alone_gni(preset):
+    # the folded products take all rows at once, so they may round
+    # differently from a product of one row: c != 0 (table1, table3),
+    # time-dependent boundary traces (table2) and b != d (table3)
+    problem = experiments._resolve_problem(experiments.PRESETS[preset])
+    disc = experiments.discretize(problem, 33)
+    _assert_lockstep_matches_alone(disc.field, disc.y0, _LOCKSTEP_RUNS, 1e-13)
+
+
+def test_stage_divergence_names_the_run():
+    # y' = -10 y: the first stage contracts by 10 gamma k, 0.25 at k = 0.05
+    # and 2.5 at k = 0.5, where it diverges in the first step
+    f = lambda t, v: -10.0 * v
+    small, large = (IntegrationPlan(k=k, t_end=1.0) for k in (0.05, 0.5))
+    runs = [(SdirkScheme.midpoint(), small), (SdirkScheme.midpoint(), large)]
+    with pytest.raises(timestep.StageDivergenceError,
+                       match=r"diverging .* at step 0 of the run gamma=0.5, k=0.5;") as info:
+        timestep.integrate(f, np.array([1.0]), runs)
+    assert (info.value.gamma, info.value.k, info.value.step) == (0.5, 0.5, 0)
+    [(_, y, _, stats)], _ = timestep.integrate(f, np.array([1.0]), runs[:1])
+    assert stats.steps == 20 and 0.0 < y[0] < 1.0
 
 
 # --- stability function and dispersion --------------------------------------
@@ -232,7 +302,7 @@ def _run_with_mode(fixture, k, mode):
     n = round(1.0 / k)
     for step in range(n):
         tn = step * k
-        f = field if mode == "stage" else (lambda t, v, tn=tn: field(tn, v))
+        f = field if mode == "stage" else (lambda t, v, tn=tn: field(np.full_like(t, tn), v))
         y = timestep.sdirk_step(f, tn, y, k, scheme)
     ns = analysis.NodalSolution(basis, imap, *semidiscrete.nodal_values(y, bdata.at(1.0)), 1.0)
     return analysis.error_vs_exact(ns, sol, 1.0, analysis.NormSpec(1, 1))
