@@ -85,16 +85,13 @@ def _cmd_diagnose(args) -> int:
 
 
 def _diagnose_solution(args) -> model.ExactSolution:
-    preset = args.preset or "bs-solitary"
-    if preset == "bs-solitary":
-        theta2 = experiments._parse_fraction(args.theta2 or "9/11")
-        return model.solitary_bona_smith(theta2)
-    if preset == "bbm-traveling":
-        return model.traveling_bbm(args.rho, args.cs)
-    if preset == "bneqd-solitary":
-        theta2 = experiments._parse_fraction(args.theta2 or "7/9")
-        return model.solitary_b_neq_d(args.amplitude, theta2)
-    raise ConfigError(f"no closed form for preset {preset!r}")
+    """The closed form of the config that the diagnose flags spell."""
+    theta2 = args.theta2 or ("9/11" if args.preset == "bs-solitary" else None)
+    flags = [("--preset", "initial-data", args.preset), ("--theta2", "theta2", theta2),
+             ("--amplitude", "amplitude", args.amplitude), ("--rho", "rho", args.rho),
+             ("--cs", "c-s", args.cs)]
+    cfg = experiments.config_from_items([f for f in flags if f[2] is not None])
+    return experiments.closed_form(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,11 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--matrices", action="store_true",
                         help="also dump d1/d2/psi matrices")
     p_diag.add_argument("--gamma", type=experiments._parse_gamma, default=0.5)
-    p_diag.add_argument("--preset", help="closed-form family to validate")
-    p_diag.add_argument("--theta2", help="theta^2, fractions allowed (9/11)")
-    p_diag.add_argument("--amplitude", type=float, default=1.0)
-    p_diag.add_argument("--rho", type=float, default=2.0)
-    p_diag.add_argument("--cs", type=float, default=1.0)
+    p_diag.add_argument("--preset", default="bs-solitary", help="closed-form family to validate")
+    p_diag.add_argument("--theta2", help="theta^2, fractions allowed (default 9/11 for bs-solitary)")
+    p_diag.add_argument("--amplitude", default="1.0")
+    p_diag.add_argument("--rho", default="2.0")
+    p_diag.add_argument("--cs", default="1.0")
     p_diag.set_defaults(func=_cmd_diagnose)
     return parser
 
@@ -135,9 +132,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # SingularMatrixError is a ValueError, so it must be caught first
-    except (StageDivergenceError, QuadratureError, SingularMatrixError,
-            FloatingPointError, ZeroDivisionError) as exc:
+    # SingularMatrixError is a ValueError, so it must be caught first;
+    # ArithmeticError covers overflow and division by zero
+    except (StageDivergenceError, QuadratureError, SingularMatrixError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

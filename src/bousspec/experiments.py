@@ -10,8 +10,10 @@ or one of the named presets.  Three run styles cover the whole suite:
 
 All norms are the Euclidean product combination sqrt(|eta|^2 + |u|^2) of
 the per-component quadrature Sobolev norms, which is what the reference
-tables use.  Time steps may be given absolutely (``k``) or as a multiple
-of the mesh width h = (right - left)/N (``k_per_h``).
+tables use.  Error tables sweep the time steps ``k_values``; the other runs
+take one step, absolute (``k``) or a multiple of the mesh width
+h = (right - left)/N (``k_per_h``).  ``CONFIG_KEYS`` maps the config keys to
+fields, and ``ExperimentConfig.validate`` checks every value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -30,6 +32,18 @@ from .jacobi import JacobiBasis, build_basis
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
+# A basis holds dense (N+1)^2 matrices and assembly factors several of them
+# (0.13 GB each at N = 4096); the largest preset N is 1024.
+N_MAX = 4096
+# the two-stage SDIRK family is stable on the imaginary axis only for gamma >= 1/4
+GAMMA_MIN = 0.25
+_K_SWEEP = (0.125, 0.0625, 0.03125)
+
+DATA_PRESETS = ("bs-solitary", "bbm-traveling", "bneqd-solitary",  # the closed forms
+                "bore", "piecewise-quadratic", "tent")
+_CLOSED_FORMS = DATA_PRESETS[:3]
+_CHOICES = {"mode": ("error_table", "ratio_table", "snapshot"),
+            "boundary": ("auto", "homogeneous", "exact"), "initial_data": DATA_PRESETS}
 
 
 class ConfigError(ValueError):
@@ -46,10 +60,9 @@ class ExperimentConfig:
     b_neq_d: bool = False
     interval: tuple = (-1.0, 1.0)
     n_values: tuple = (16,)
-    k: float | None = None
+    k: float | None = None             # ratio and snapshot runs: one of k, k_per_h
     k_per_h: float | None = None
-    k_values: tuple | None = None      # error_table sweep; defaults to the
-                                       # halving chain 0.125, 0.0625, 0.03125
+    k_values: tuple = _K_SWEEP         # error tables sweep these and only these
     gammas: tuple = (0.5, timestep.GAMMA_ORDER3)
     t_end: float = 1.0
     initial_data: str = "bs-solitary"  # data preset name
@@ -66,46 +79,55 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validate(self) -> "ExperimentConfig":
-        if self.mode not in ("error_table", "ratio_table", "snapshot"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if not self.n_values or any(n < 2 for n in self.n_values):
-            raise ConfigError("n values must all be >= 2")
-        if self.mode == "ratio_table":
-            for a, b in zip(self.n_values, self.n_values[1:]):
-                if b != 2 * a:
-                    raise ConfigError("ratio_table needs a doubling chain of N")
-            if len(self.n_values) < 3:
-                raise ConfigError("ratio_table needs at least three N values")
-        if (self.k is None) == (self.k_per_h is None):
-            raise ConfigError("give exactly one of k or k_per_h")
-        if self.k_values is not None and any(k <= 0 for k in self.k_values):
-            raise ConfigError("k-list entries must be positive")
-        if self.boundary not in ("auto", "homogeneous", "exact"):
-            raise ConfigError(f"unknown boundary mode {self.boundary!r}")
+        """Check every value, so a bad config fails before anything is built."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ConfigError(f"{f.name} must be finite, got {x!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"expected one of {', '.join(allowed)}")
+        if not self.n_values or any(not 2 <= n <= N_MAX for n in self.n_values):
+            raise ConfigError(f"n values must lie in [2, {N_MAX}]")
+        if self.mode == "ratio_table" and (len(self.n_values) < 3 or any(
+                b != 2 * a for a, b in zip(self.n_values, self.n_values[1:]))):
+            raise ConfigError("ratio_table needs a doubling chain of at least three N values")
+        if self.mode == "error_table":
+            if self.k is not None or self.k_per_h is not None:
+                raise ConfigError("error tables sweep k-list; give k-list instead of k or k-per-h")
+            if len(self.k_values) < 2:
+                raise ConfigError("k-list needs at least two entries")
+            if self.initial_data not in _CLOSED_FORMS:
+                raise ConfigError(f"error tables need closed-form data, got {self.initial_data!r}")
+        else:
+            if (self.k is None) == (self.k_per_h is None):
+                raise ConfigError("give exactly one of k or k_per_h")
+            if self.k_values != _K_SWEEP:
+                raise ConfigError("k-list applies to error tables only")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
-        if self.initial_data not in DATA_PRESETS:
-            raise ConfigError(f"unknown initial data preset {self.initial_data!r}")
-        for g in self.gammas:
-            if g <= 0.0:
-                raise ConfigError("gamma values must be positive")
+        if not (self.interval[0] < self.interval[1]
+                and math.isfinite(self.interval[1] - self.interval[0])):
+            raise ConfigError(f"need left < right with a finite width, got {self.interval}")
+        if self.theta2 is None and self.initial_data not in ("bbm-traveling", "bneqd-solitary"):
+            raise ConfigError(f"{self.initial_data!r} needs theta2")
+        if not self.gammas or min(self.gammas) < GAMMA_MIN:
+            raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
+        steps = self.k_values if self.mode == "error_table" else map(self.step_for, self.n_values)
+        for k in steps:
+            try:
+                timestep.IntegrationPlan(k, self.t_end, self.snapshot_times).n_steps
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         return self
 
     def step_for(self, n: int) -> float:
-        if self.k is not None:
-            return self.k
-        width = self.interval[1] - self.interval[0]
-        return self.k_per_h * width / n
-
-
-DATA_PRESETS = (
-    "bs-solitary",
-    "bbm-traveling",
-    "bneqd-solitary",
-    "bore",
-    "piecewise-quadratic",
-    "tent",
-)
+        """The time step at N: k, k_per_h * h, or an error table's first k."""
+        if self.k_per_h is not None:
+            return self.k_per_h * (self.interval[1] - self.interval[0]) / n
+        return self.k_values[0] if self.k is None else self.k
 
 
 @dataclass
@@ -130,31 +152,27 @@ class Problem:
         )
 
 
+def closed_form(cfg: ExperimentConfig) -> model.ExactSolution | None:
+    """The closed-form solution of ``cfg``'s initial data, or None if it has none."""
+    if cfg.initial_data == "bs-solitary":
+        return model.solitary_bona_smith(cfg.theta2, cfg.x0)
+    if cfg.initial_data == "bbm-traveling":
+        return model.traveling_bbm(cfg.rho, cfg.c_s, cfg.x0)
+    if cfg.initial_data == "bneqd-solitary":
+        theta2 = cfg.theta2 if cfg.theta2 is not None else 7.0 / 9.0
+        return model.solitary_b_neq_d(cfg.amplitude, theta2, cfg.x0)
+    return None
+
+
 def _resolve_problem(cfg: ExperimentConfig) -> Problem:
     imap = IntervalMap(*cfg.interval)
-    exact = None
-    if cfg.initial_data == "bs-solitary":
-        if cfg.theta2 is None:
-            raise ConfigError("'bs-solitary' needs theta2")
-        exact = model.solitary_bona_smith(cfg.theta2, cfg.x0)
-    elif cfg.initial_data == "bbm-traveling":
-        exact = model.traveling_bbm(cfg.rho, cfg.c_s, cfg.x0)
-    elif cfg.initial_data == "bneqd-solitary":
-        theta2 = cfg.theta2 if cfg.theta2 is not None else 7.0 / 9.0
-        exact = model.solitary_b_neq_d(cfg.amplitude, theta2, cfg.x0)
-
+    exact = closed_form(cfg)
     if exact is not None:
-        params = exact.params
-        eta_init = lambda x: exact.eta(x, 0.0)
-        u_init = lambda x: exact.u(x, 0.0)
-        if cfg.boundary == "homogeneous":
-            bdata = BoundaryData.homogeneous()
-        else:  # exact endpoint traces (auto)
-            bdata = BoundaryData.from_exact(exact, imap.left, imap.right)
-        return Problem(params, imap, eta_init, u_init, bdata, exact)
+        bdata = (BoundaryData.homogeneous() if cfg.boundary == "homogeneous"
+                 else BoundaryData.from_exact(exact, imap.left, imap.right))  # auto: exact traces
+        return Problem(exact.params, imap, lambda x: exact.eta(x, 0.0),
+                       lambda x: exact.u(x, 0.0), bdata, exact)
 
-    if cfg.theta2 is None:
-        raise ConfigError(f"{cfg.initial_data!r} needs theta2")
     params = (
         model.params_b_neq_d(cfg.theta2) if cfg.b_neq_d
         else model.params_from_theta(cfg.theta2)
@@ -238,23 +256,21 @@ def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationSta
     return {"n": n, "k": k, "gamma": gamma, **asdict(stats)}
 
 
-def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
-    """Errors and observed rates over a time-step sweep, one column per gamma;
-    every (gamma, k) run is integrated in one lockstep batch."""
+def run_error_table(cfg: ExperimentConfig) -> dict:
+    """Errors and observed rates over the time steps ``cfg.k_values``, one
+    column per gamma; every (gamma, k) run is integrated in one lockstep batch."""
     problem = _resolve_problem(cfg)
-    if problem.exact is None:
-        raise ConfigError("error_table mode needs a closed-form solution preset")
     spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
     n = cfg.n_values[0]
     disc = discretize(problem, n)
     runs = iter(_integrate(problem, disc, [
         (gamma, timestep.IntegrationPlan(k=k, t_end=cfg.t_end))
-        for gamma in cfg.gammas for k in k_values
+        for gamma in cfg.gammas for k in cfg.k_values
     ]))
     finals, solves = {}, []
     for gamma in cfg.gammas:
         finals[gamma] = []
-        for k, run in zip(k_values, runs):
+        for k, run in zip(cfg.k_values, runs):
             finals[gamma].append(run.solution)
             solves.append(_solve_record(n, k, gamma, run.stats))
     # the norms peak in memory; the solution operators are not needed for them
@@ -262,8 +278,8 @@ def run_error_table(cfg: ExperimentConfig, k_values) -> dict:
     columns = {}
     for gamma, sols in finals.items():
         errors = [analysis.error_vs_exact(sol, problem.exact, cfg.t_end, spec) for sol in sols]
-        columns[gamma] = analysis.rate_table(k_values, errors, label=f"gamma={gamma:.10g}")
-    return {"k_values": list(k_values), "columns": columns, "norm": spec.label,
+        columns[gamma] = analysis.rate_table(cfg.k_values, errors, label=f"gamma={gamma:.10g}")
+    return {"k_values": list(cfg.k_values), "columns": columns, "norm": spec.label,
             "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
 
 
@@ -305,24 +321,22 @@ def run_snapshot(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # presets for the reference experiment suite
 
-_K_SWEEP = (0.125, 0.0625, 0.03125)
-
 PRESETS: dict[str, ExperimentConfig] = {
     "table1": ExperimentConfig(
         name="table1", mode="error_table", theta2=9.0 / 11.0,
-        interval=(-32.0, 32.0), n_values=(512,), k=0.125, t_end=2.0,
+        interval=(-32.0, 32.0), n_values=(512,), t_end=2.0,
         initial_data="bs-solitary", boundary="homogeneous",
         eta_order=2, u_order=1,
     ),
     "table2": ExperimentConfig(
         name="table2", mode="error_table", interval=(-16.0, 16.0),
-        n_values=(256,), k=0.125, t_end=2.0, rho=2.0, c_s=1.0,
+        n_values=(256,), t_end=2.0, rho=2.0, c_s=1.0,
         initial_data="bbm-traveling", boundary="exact",
         eta_order=2, u_order=2,
     ),
     "table3": ExperimentConfig(
         name="table3", mode="error_table", interval=(-32.0, 32.0),
-        n_values=(512,), k=0.125, t_end=2.0, amplitude=1.0, theta2=7.0 / 9.0,
+        n_values=(512,), t_end=2.0, amplitude=1.0, theta2=7.0 / 9.0,
         initial_data="bneqd-solitary", boundary="homogeneous",
         eta_order=2, u_order=2,
     ),
@@ -360,15 +374,55 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
-_TRUE_KEYS = {"1", "true", "yes", "on"}
 _GAMMA_ALIASES = {"midpoint": 0.5, "order2": 0.5, "order3": timestep.GAMMA_ORDER3}
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _parse_gamma(token: str) -> float:
     token = token.strip().lower()
-    if token in _GAMMA_ALIASES:
-        return _GAMMA_ALIASES[token]
-    return float(token)
+    return _GAMMA_ALIASES[token] if token in _GAMMA_ALIASES else float(token)
+
+
+def _parse_fraction(value: str) -> float:
+    num, slash, den = value.partition("/")
+    return float(num) / float(den) if slash else float(num)
+
+
+def _parse_norm(value: str):
+    names = {"l2": 0, "h1": 1, "h2": 2}
+    parts = value.lower().replace("x", " ").split()
+    if len(parts) != 2 or any(p not in names for p in parts):
+        raise ValueError(f"norm must look like 'H2xH1', got {value!r}")
+    return names[parts[0]], names[parts[1]]
+
+
+# key -> (converter, field, ...): a key that sets several fields has a
+# converter that returns one value per field; ``left``/``right`` set the
+# ends of ``interval``.  ``validate`` checks the values.
+CONFIG_KEYS: dict[str, tuple] = {
+    "mode": (str, "mode"),
+    "theta2": (_parse_fraction, "theta2"),
+    "b-neq-d": (lambda v: _BOOLEANS[v.lower()], "b_neq_d"),
+    "left": (float, "left"),
+    "right": (float, "right"),
+    "n": (lambda v: tuple(map(int, v.split())), "n_values"),
+    "k": (lambda v: (float(v), None), "k", "k_per_h"),
+    "k-per-h": (lambda v: (None, float(v)), "k", "k_per_h"),
+    "k-list": (lambda v: tuple(map(float, v.split())), "k_values"),
+    "gamma": (lambda v: tuple(_parse_gamma(g) for g in v.split()), "gammas"),
+    "t-end": (float, "t_end"),
+    "initial-data": (str, "initial_data"),
+    "boundary": (str, "boundary"),
+    "norm": (_parse_norm, "eta_order", "u_order"),
+    "amplitude": (float, "amplitude"),
+    "kappa": (float, "kappa"),
+    "rho": (float, "rho"),
+    "c-s": (float, "c_s"),
+    "x0": (float, "x0"),
+    "snapshot-times": (lambda v: tuple(map(float, v.split())), "snapshot_times"),
+    "output-dir": (str, "output_dir"),
+}
 
 
 def parse_config(text: str, name: str = "run") -> ExperimentConfig:
@@ -376,9 +430,9 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
 
     Lines are ``key = value`` with ``#`` comments; lists are whitespace
     separated.  ``include-preset`` starts from a named preset, later keys
-    override.  Unknown keys are errors, with the offending line reported.
+    override.  Unknown keys and bad values are errors naming the line.
     """
-    cfg = ExperimentConfig(name=name)
+    items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -386,78 +440,30 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip().lower().replace("_", "-")
-        value = value.strip()
+        items.append((f"line {lineno}", key.strip().lower().replace("_", "-"), value.strip()))
+    return config_from_items(items, name)
+
+
+def config_from_items(items, name: str = "run") -> ExperimentConfig:
+    """Build and validate a config from (where, key, value) string triples,
+    read through ``CONFIG_KEYS``; ``where`` labels errors."""
+    base, updates = ExperimentConfig(name=name), {}
+    for where, key, value in items:
+        if key == "include-preset":
+            if value not in PRESETS:
+                raise ConfigError(f"{where}: unknown preset {value!r}")
+            base, updates = replace(PRESETS[value], name=name), {}
+            continue
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        convert, *names = CONFIG_KEYS[key]
         try:
-            if key == "include-preset":
-                if value not in PRESETS:
-                    raise ConfigError(f"line {lineno}: unknown preset {value!r}")
-                cfg = replace(PRESETS[value], name=name)
-            elif key == "mode":
-                cfg = replace(cfg, mode=value)
-            elif key == "theta2":
-                cfg = replace(cfg, theta2=_parse_fraction(value))
-            elif key == "b-neq-d":
-                cfg = replace(cfg, b_neq_d=value.lower() in _TRUE_KEYS)
-            elif key == "left":
-                cfg = replace(cfg, interval=(float(value), cfg.interval[1]))
-            elif key == "right":
-                cfg = replace(cfg, interval=(cfg.interval[0], float(value)))
-            elif key == "n":
-                cfg = replace(cfg, n_values=tuple(int(v) for v in value.split()))
-            elif key == "k":
-                cfg = replace(cfg, k=float(value), k_per_h=None)
-            elif key == "k-list":
-                cfg = replace(cfg, k_values=tuple(float(v) for v in value.split()))
-            elif key == "k-per-h":
-                cfg = replace(cfg, k_per_h=float(value), k=None)
-            elif key == "gamma":
-                cfg = replace(cfg, gammas=tuple(_parse_gamma(v) for v in value.split()))
-            elif key == "t-end":
-                cfg = replace(cfg, t_end=float(value))
-            elif key == "initial-data":
-                cfg = replace(cfg, initial_data=value)
-            elif key == "boundary":
-                cfg = replace(cfg, boundary=value)
-            elif key == "norm":
-                eta_order, u_order = _parse_norm(value)
-                cfg = replace(cfg, eta_order=eta_order, u_order=u_order)
-            elif key == "amplitude":
-                cfg = replace(cfg, amplitude=float(value))
-            elif key == "kappa":
-                cfg = replace(cfg, kappa=float(value))
-            elif key == "rho":
-                cfg = replace(cfg, rho=float(value))
-            elif key == "c-s":
-                cfg = replace(cfg, c_s=float(value))
-            elif key == "x0":
-                cfg = replace(cfg, x0=float(value))
-            elif key == "snapshot-times":
-                cfg = replace(cfg, snapshot_times=tuple(float(v) for v in value.split()))
-            elif key == "output-dir":
-                cfg = replace(cfg, output_dir=value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return cfg.validate()
-
-
-def _parse_fraction(value: str) -> float:
-    if "/" in value:
-        num, _, den = value.partition("/")
-        return float(num) / float(den)
-    return float(value)
-
-
-def _parse_norm(value: str):
-    names = {"l2": 0, "h1": 1, "h2": 2}
-    parts = value.lower().replace("x", " ").split()
-    if len(parts) != 2 or any(p not in names for p in parts):
-        raise ConfigError(f"norm must look like 'H2xH1', got {value!r}")
-    return names[parts[0]], names[parts[1]]
+            values = convert(value)
+        except (ValueError, KeyError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        updates.update(zip(names, values if len(names) > 1 else (values,)))
+    interval = (updates.pop("left", base.interval[0]), updates.pop("right", base.interval[1]))
+    return replace(base, interval=interval, **updates).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -473,29 +479,26 @@ def output_root(override: str | None = None) -> str:
     return os.environ.get("BOUSSPEC_OUTPUT_ROOT", "results")
 
 
+def _write_csv(path: str, header: list, rows) -> str:
+    """Write the header and rows of cells as comma-separated lines."""
+    with open(path, "w") as fh:
+        for cells in [header, *rows]:
+            fh.write(",".join(cells) + "\n")
+    return path
+
+
 def write_error_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
-    written = []
-    gammas = list(result["columns"])
-    path = os.path.join(outdir, "errors.csv")
-    with open(path, "w") as fh:
-        header = ["k"] + [f"error_gamma_{g:.10g}" for g in gammas]
-        fh.write(",".join(header) + "\n")
-        for i, k in enumerate(result["k_values"]):
-            row = [_fmt(k)] + [_fmt(result["columns"][g].errors[i]) for g in gammas]
-            fh.write(",".join(row) + "\n")
-    written.append(path)
-    path = os.path.join(outdir, "rates.csv")
-    with open(path, "w") as fh:
-        header = ["k"] + [f"rate_gamma_{g:.10g}" for g in gammas]
-        fh.write(",".join(header) + "\n")
-        for i in range(1, len(result["k_values"])):
-            row = [_fmt(result["k_values"][i])]
-            for g in gammas:
-                rate = result["columns"][g].rates[i - 1]
-                row.append("" if rate is None else f"{rate:.4f}")
-            fh.write(",".join(row) + "\n")
-    written.append(path)
+    ks, columns = result["k_values"], result["columns"]
+    gammas = list(columns)
+    written = [_write_csv(
+        os.path.join(outdir, "errors.csv"), ["k"] + [f"error_gamma_{g:.10g}" for g in gammas],
+        ([_fmt(k)] + [_fmt(columns[g].errors[i]) for g in gammas] for i, k in enumerate(ks)),
+    ), _write_csv(
+        os.path.join(outdir, "rates.csv"), ["k"] + [f"rate_gamma_{g:.10g}" for g in gammas],
+        ([_fmt(k)] + ["" if columns[g].rates[i] is None else f"{columns[g].rates[i]:.4f}"
+                      for g in gammas] for i, k in enumerate(ks[1:])),
+    )]
     path = os.path.join(outdir, "table.md")
     with open(path, "w") as fh:
         fh.write(f"# {cfg.name}: {result['norm']} errors at T={cfg.t_end:g}\n\n")
@@ -518,19 +521,14 @@ def write_error_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[
 
 def write_ratio_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
-    written = []
-    path = os.path.join(outdir, "ratios.csv")
-    with open(path, "w") as fh:
-        header = ["n"]
-        for label in result["norms"]:
-            header += [f"E_{label}", f"log2_E_{label}"]
-        fh.write(",".join(header) + "\n")
-        for row in result["rows"]:
-            cells = [str(row["n"])]
-            for label in result["norms"]:
-                cells += [_fmt(row[label]), f"{math.log2(row[label]):.6f}"]
-            fh.write(",".join(cells) + "\n")
-    written.append(path)
+    norms = result["norms"]
+    written = [_write_csv(
+        os.path.join(outdir, "ratios.csv"),
+        ["n"] + [cell for label in norms for cell in (f"E_{label}", f"log2_E_{label}")],
+        ([str(row["n"])] + [cell for label in norms
+                            for cell in (_fmt(row[label]), f"{math.log2(row[label]):.6f}")]
+         for row in result["rows"]),
+    )]
     path = os.path.join(outdir, "table.md")
     with open(path, "w") as fh:
         fh.write(f"# {cfg.name}: refinement quotients at T={cfg.t_end:g}\n\n")
@@ -557,12 +555,8 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
         pts = np.linspace(snap.imap.left, snap.imap.right, 4 * snap.basis.n + 1)
         eta = analysis.eval_solution(snap, pts, "eta", 0)
         u = analysis.eval_solution(snap, pts, "u", 0)
-        path = os.path.join(outdir, "snapshots", f"t{snap.t:.6g}.csv")
-        with open(path, "w") as fh:
-            fh.write("x,eta,u\n")
-            for row in zip(pts, eta, u):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        written.append(path)
+        written.append(_write_csv(os.path.join(outdir, "snapshots", f"t{snap.t:.6g}.csv"),
+                                  ["x", "eta", "u"], ([_fmt(v) for v in row] for row in zip(pts, eta, u))))
     return written
 
 
@@ -595,7 +589,7 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     outdir = outdir or cfg.output_dir or os.path.join(output_root(), cfg.name)
     started = time.time()
     if cfg.mode == "error_table":
-        result = run_error_table(cfg, cfg.k_values or _K_SWEEP)
+        result = run_error_table(cfg)
         written = write_error_table(result, outdir, cfg)
     elif cfg.mode == "ratio_table":
         result = run_ratio_table(cfg)

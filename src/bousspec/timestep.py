@@ -88,8 +88,8 @@ class IntegrationPlan:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.k}")
         if self.t_end < 0.0:
             raise ValueError("final time must be nonnegative")
         for s in self.snapshot_times:
@@ -98,7 +98,10 @@ class IntegrationPlan:
 
     @property
     def n_steps(self) -> int:
-        n = round(self.t_end / self.k)
+        ratio = self.t_end / self.k
+        if not math.isfinite(ratio):
+            raise ValueError(f"t_end / k = {ratio} is not finite")
+        n = round(ratio)
         if abs(n * self.k - self.t_end) > 1e-8 * max(1.0, self.t_end):
             raise ValueError(
                 f"time step {self.k} does not divide t_end {self.t_end}"

@@ -1,10 +1,17 @@
 import ast
+import csv
+import glob
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bousspec import cli, experiments
 from bousspec.experiments import ConfigError, PRESETS, parse_config
@@ -28,6 +35,11 @@ def test_presets_cover_documented_names():
     readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
     for name in list(PRESETS) + list(experiments.DATA_PRESETS):
         assert name in readme, f"preset {name} missing from README"
+    # the README's "Keys:" list: bullets "- `key`, `key`: meaning"
+    keys_block = readme.split("\nKeys:\n", 1)[1].split("\n\n", 1)[0]
+    documented = {key for line in keys_block.splitlines() if line.startswith("- `")
+                  for key in re.findall(r"`([^`]+)`", line.split(":", 1)[0])}
+    assert documented == set(experiments.CONFIG_KEYS) | {"include-preset"}
 
 
 def test_parse_config_overrides_preset():
@@ -39,7 +51,7 @@ def test_parse_config_overrides_preset():
 
 def test_parse_config_fraction_and_gamma_aliases():
     cfg = parse_config(
-        "mode = error_table\ntheta2 = 9/11\nk = 0.125\ngamma = midpoint order3\n"
+        "mode = error_table\ntheta2 = 9/11\ngamma = midpoint order3\n"
         "t-end = 2.0\nn = 64\ninitial-data = bs-solitary\nnorm = H2xH1\n"
     )
     assert cfg.theta2 == pytest.approx(9 / 11)
@@ -58,6 +70,23 @@ def test_parse_config_fraction_and_gamma_aliases():
         ("mode = ratio_table\nn = 16 32 48\nk = 0.1", "doubling chain"),
         ("mode = snapshot\nn = 16\ninitial-data = tent\ntheta2 = 2/3", "exactly one"),
         ("norm = H3xH1", "norm must look like"),
+        # every malformed value fails at parse time, before any basis is built
+        (QUICK_RATIO + "t-end = inf", "t_end must be finite"),
+        (QUICK_RATIO + "t-end = 1e308", "t_end / k = inf is not finite"),
+        ("include-preset = bore\nn = 1000000000000", r"n values must lie in \[2, 4096\]"),
+        (QUICK_RATIO + "k = inf", "k must be finite"),
+        (QUICK_RATIO + "gamma = 1e-9", "gamma values must be >= 0.25"),
+        (QUICK_RATIO + "b-neq-d = maybe", "bad value for 'b-neq-d'"),
+        (QUICK_RATIO + "theta2 = 1/0", "bad value for 'theta2': float division by zero"),
+        (QUICK_RATIO + "gamma = nan", "gammas must be finite"),
+        ("include-preset = table1\nx0 = nan", "x0 must be finite"),
+        ("include-preset = table2\nc-s = nan", "c_s must be finite"),
+        ("include-preset = table2\nrho = inf", "rho must be finite"),
+        ("include-preset = bore\namplitude = nan", "amplitude must be finite"),
+        ("include-preset = bore\nkappa = nan", "kappa must be finite"),
+        (QUICK_RATIO + "left = -inf", "interval must be finite"),
+        ("include-preset = table2\nk-list = 0.5", "k-list needs at least two entries"),
+        ("include-preset = table2\nk = 0.01", "give k-list instead of k"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -65,10 +94,20 @@ def test_parse_config_rejects(text, fragment):
         parse_config(text)
 
 
+@pytest.mark.parametrize("text", [QUICK_RATIO + "t-end = inf", "include-preset = bore\nn = 1000000000000"])
+def test_cli_malformed_config_exits_2_without_traceback(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_step_for_mesh_multiple():
     cfg = PRESETS["table5"]
     assert cfg.step_for(16) == pytest.approx(0.1 * (2.0 / 16))
-    assert PRESETS["table1"].step_for(512) == 0.125
+    assert PRESETS["table4"].step_for(1024) == 6.25e-4
 
 
 def test_cli_run_writes_artifacts(tmp_path):
@@ -204,6 +243,14 @@ def test_cli_stage_divergence_names_the_run_and_exits_3(tmp_path, capsys):
     assert f"at step 0 of the run gamma={GAMMA_ORDER3:.10g}, k=2;" in err
 
 
+def test_cli_overflowing_closed_form_exits_3(tmp_path, capsys):
+    # rho = 1e308 passes validation but the traveling wave's amplitude overflows
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("include-preset = table2\nn = 32\nrho = 1e308\n")
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
+    assert "Numerical result out of range" in capsys.readouterr().err
+
+
 def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
     from bousspec import semidiscrete
 
@@ -249,3 +296,63 @@ def test_output_root_env_override(monkeypatch):
     monkeypatch.setenv("BOUSSPEC_OUTPUT_ROOT", "/tmp/elsewhere")
     assert experiments.output_root() == "/tmp/elsewhere"
     assert experiments.output_root("explicit") == "explicit"
+
+
+EDGES = ("nan", "inf", "-inf", "0", "-1", "1e308")
+# valid values per key; every generated config sets n (N <= 32) and t-end
+FUZZ_VALUES = {
+    "include-preset": ("table1", "table2", "table3", "table5", "table6", "bore"),
+    "mode": ("error_table", "ratio_table", "snapshot"),
+    "theta2": ("2/3", "9/11", "7/9"),
+    "b-neq-d": ("true", "no"),
+    "left": ("-1", "-16"),
+    "right": ("1", "16"),
+    "n": ("16", "32", "8 16 32"),
+    "k": ("0.05", "0.25"),
+    "k-per-h": ("0.1",),
+    "k-list": ("0.5 0.25", "0.25 0.125"),
+    "gamma": ("0.5", "order3", "midpoint order3"),
+    "t-end": ("0.5", "1"),
+    "initial-data": experiments.DATA_PRESETS,
+    "boundary": ("auto", "homogeneous", "exact"),
+    "norm": ("L2xL2", "H1xH1", "H2xH1"),
+    "amplitude": ("0.25", "1"),
+    "kappa": ("0.7",),
+    "rho": ("2",),
+    "c-s": ("1",),
+    "x0": ("0", "0.5"),
+    "snapshot-times": ("0.5", "0.25 0.5"),
+    "output-dir": ("elsewhere",),
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    def value(key):  # an edge one time in five
+        edge = draw(st.sampled_from(range(5))) == 4
+        return draw(st.sampled_from(EDGES if edge else FUZZ_VALUES[key]))
+
+    optional = sorted(set(FUZZ_VALUES) - {"include-preset", "n", "t-end"})
+    keys = draw(st.lists(st.sampled_from(optional), unique=True, max_size=4))
+    lines = [f"{key} = {value(key)}" for key in ["include-preset"] + keys + ["n", "t-end"]]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(fuzzed_configs())
+def test_cli_run_fuzzed_configs_exit_cleanly(text):
+    # exit 0, 2 or 3 with no escaping exception, and exit 0 only with finite CSV cells
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        rc = cli.main(["run", cfg, "--output", out])
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+        if rc == cli.EXIT_OK:
+            paths = glob.glob(os.path.join(out, "**", "*.csv"), recursive=True)
+            assert paths
+            for path in paths:
+                with open(path) as fh:
+                    cells = [cell for row in list(csv.reader(fh))[1:] for cell in row if cell]
+                assert all(math.isfinite(float(cell)) for cell in cells), (text, path)

@@ -36,6 +36,10 @@ def test_plan_validation():
         IntegrationPlan(k=0.1, t_end=1.0, snapshot_times=(2.0,))
     with pytest.raises(ValueError):
         IntegrationPlan(k=0.3, t_end=1.0).n_steps
+    with pytest.raises(ValueError, match="positive and finite"):
+        IntegrationPlan(k=math.inf, t_end=1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        IntegrationPlan(k=0.125, t_end=1e308).n_steps
     assert IntegrationPlan(k=0.1, t_end=1.0).n_steps == 10
 
 
