@@ -171,13 +171,19 @@ class ConvergenceRecord:
 def rate_table(parameters, errors, label: str = "") -> ConvergenceRecord:
     """Observed rates log2(e_i / e_{i+1}) between consecutive halvings.
 
-    A rate is only recorded where the parameter actually halves (or doubles);
-    other consecutive pairs get a None placeholder.
+    The parameters are the time steps k.  A rate is only recorded where the
+    parameter actually halves (or doubles); other consecutive pairs get a
+    None placeholder.  An error of exactly 0 has no ratio or rate, and
+    raises ``ZeroDivisionError`` naming ``label`` and its k.
     """
     parameters = [float(p) for p in parameters]
     errors = [float(e) for e in errors]
     if len(parameters) != len(errors) or len(errors) < 2:
         raise ValueError("need matching parameter/error lists with >= 2 entries")
+    for k, e in zip(parameters, errors):
+        if e == 0.0:
+            raise ZeroDivisionError(f"{label}: the error at k={k:.10g} is exactly 0, so the "
+                                    "table has no ratio or rate there (do the data vanish?)")
     ratios, rates = [], []
     for i in range(len(errors) - 1):
         ratios.append(errors[i] / errors[i + 1])

@@ -91,6 +91,8 @@ class ExperimentConfig:
                                   f"expected one of {', '.join(allowed)}")
         if not self.n_values or any(not 2 <= n <= N_MAX for n in self.n_values):
             raise ConfigError(f"n values must lie in [2, {N_MAX}]")
+        if self.mode != "ratio_table" and len(self.n_values) > 1:
+            raise ConfigError(f"{self.mode} runs use one N; got n = {self.n_values}")
         if self.mode == "ratio_table" and (len(self.n_values) < 3 or any(
                 b != 2 * a for a, b in zip(self.n_values, self.n_values[1:]))):
             raise ConfigError("ratio_table needs a doubling chain of at least three N values")

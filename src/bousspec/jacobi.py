@@ -61,12 +61,14 @@ def _sym_jacobi_pair(a: float, n: int, x):
     """(J_n, J_{n-1}) of parameter (a, a) at x, n >= 1, by the three-term
     recurrence in the standard normalization."""
     x = np.asarray(x, dtype=float)
-    prev, cur = np.ones_like(x), (a + 1.0) * x
-    for k in range(2, n + 1):
-        s = 2.0 * k + 2.0 * a
-        c1 = 2.0 * k * (k + 2.0 * a) * (s - 2.0)
-        c2 = (s - 1.0) * s * (s - 2.0)
-        c3 = 2.0 * (k + a - 1.0) ** 2 * s
+    # the coefficients in j = k - 2 and a + 1, so none cancels as a -> -1
+    ap1 = a + 1.0
+    prev, cur = np.ones_like(x), ap1 * x
+    for j in range(n - 1):
+        s = 2.0 * (j + 1.0 + ap1)
+        c1 = 2.0 * (j + 2.0) * (j + 2.0 * ap1) * (2.0 * (j + ap1))
+        c2 = (2.0 * j + 1.0 + 2.0 * ap1) * s * (2.0 * (j + ap1))
+        c3 = 2.0 * (j + ap1) ** 2 * s
         prev, cur = cur, (c2 * x * cur - c3 * prev) / c1
     return cur, prev
 
@@ -117,77 +119,39 @@ def jacobi_deriv(mu: float, n: int, x, order: int = 1):
     return out if out.shape else float(out)
 
 
-def _bisect(fn, lo, hi, iters: int = 200) -> np.ndarray:
-    """Plain bisection on bracketed sign changes of fn, all brackets at once.
-
-    A bracket stops once it is narrower than 4e-16 or fn vanishes at its
-    midpoint; the result is that bracket's midpoint.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    flo = fn(lo)
-    if np.any(flo * fn(hi) > 0.0):
-        raise QuadratureError("bisection fallback called without a sign change")
-    hi = np.where(flo == 0.0, lo, hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        done = (fm == 0.0) | (hi - lo < 4e-16)
-        if np.all(done):
-            break
-        # finished brackets collapse onto their midpoint and stay there
-        left = (flo * fm < 0.0) & ~done
-        hi = np.where(left | done, mid, hi)
-        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
-    return 0.5 * (lo + hi)
-
-
 def glj_nodes(mu: float, n: int) -> np.ndarray:
     """Gauss-Lobatto-Jacobi nodes: -1, 1 and the n-1 interior zeros of J_n'.
 
-    Newton iteration from Chebyshev-Gauss-Lobatto guesses cos(pi j / n),
-    with a bisection fallback if Newton stalls: all n-1 sign changes are
-    bracketed on a fine grid and bisected together as one vector.
+    Newton iteration from the leading asymptotic term for the zeros of
+    J_{n-1}^(a,a), a = mu + 1 (the initial guess of Hale & Townsend, SIAM J.
+    Sci. Comput. 35 (2013) A652-A674); for mu = -1/2 the guesses are the
+    Chebyshev-Lobatto nodes cos(pi j / n) themselves.  A run that hits the
+    iteration cap or ends on nodes that are not strictly increasing raises.
     The returned array is strictly increasing and exactly antisymmetric.
     """
     mu = validate_mu(mu)
     if n < 2:
         raise ValueError("need degree n >= 2")
 
-    def g(x):
-        return jacobi_deriv(mu, n, x, 1)
-
-    def gp(x):
-        return jacobi_deriv(mu, n, x, 2)
-
-    # Newton on z = J_{n-1}^(a,a), a = mu + 1 (J_n' up to a constant), with
-    # z' from the same recurrence pass: (1 - x^2) z' = -(n-1) x z + (n-1+a) z_prev
+    # Newton on z = J_{n-1}^(a,a) (J_n' up to a constant), with z' from the
+    # same recurrence pass: (1 - x^2) z' = -(n-1) x z + (n-1+a) z_prev
     a = mu + 1.0
-    x = np.cos(np.pi * np.arange(n - 1, 0, -1) / n)
-    converged = False
+    x = np.cos((np.arange(n - 1, 0, -1) + 0.5 * a - 0.25) * np.pi / (n - 0.5 + a))
     for _ in range(_NODE_MAX_ITERS):
         z, z_prev = _sym_jacobi_pair(a, n - 1, x)
-        # an iterate clipped to +-1 makes this 0/0: Newton has stalled
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = (1.0 - x * x) * z / (-(n - 1) * x * z + (n - 1 + a) * z_prev)
+        dx = (1.0 - x * x) * z / (-(n - 1) * x * z + (n - 1 + a) * z_prev)
         x -= dx
-        np.clip(x, -1.0, 1.0, out=x)
         if np.max(np.abs(dx)) < _NODE_TOL:
-            converged = True
             break
-    if not converged or np.any(np.diff(x) <= 0.0):
-        # Newton stalled or roots collided; rebracket from a fine sampling.
-        # A sample where g is exactly zero (the Chebyshev-Lobatto nodes lie
-        # on this grid) is a root: its bracket starts there.
-        grid = np.cos(np.pi * np.arange(8 * n, -1, -1) / (8 * n))
-        sign = np.sign(g(grid))
-        idx = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0))[0]
-        if idx.size != n - 1:
-            raise QuadratureError(f"node search failed for mu={mu}, n={n}")
-        x = _bisect(g, grid[idx], grid[idx + 1])
+    else:
+        raise QuadratureError(
+            f"node search hit the {_NODE_MAX_ITERS}-step cap for mu={mu}, n={n}")
+    if np.any(np.diff(x) <= 0.0):
+        raise QuadratureError(f"node search gave unordered nodes for mu={mu}, n={n}")
 
     x = 0.5 * (x - x[::-1])  # even weight: enforce exact antisymmetry
-    resid = np.abs(g(x))
-    scale = np.maximum(1.0, np.abs(gp(x)))
+    resid = np.abs(jacobi_deriv(mu, n, x, 1))
+    scale = np.maximum(1.0, np.abs(jacobi_deriv(mu, n, x, 2)))
     if np.any(resid > 1e-13 * scale):
         raise QuadratureError(f"node residual too large for mu={mu}, n={n}")
     return np.concatenate(([-1.0], x, [1.0]))
@@ -199,7 +163,9 @@ def glj_weights(mu: float, nodes: np.ndarray) -> np.ndarray:
     Closed form for alpha = beta = mu (Shen, Tang & Wang, *Spectral Methods*,
     Springer 2011, ch. 3): w_j = C / J_N(x_j)^2 at the interior nodes and
     (mu + 1) C / J_N(+-1)^2 at the ends, with C fixed by sum_j w_j = m0.
-    The recurrence gives J_N(-x) = (-1)^N J_N(x) bit for bit, so on mirrored
+    J_N(+-1)^2 = (prod_k (k + mu)/k)^2 is taken in closed form: there the
+    recurrence cancels, with a relative error of about eps/(1 + mu).  The
+    recurrence gives J_N(-x) = (-1)^N J_N(x) bit for bit, so on mirrored
     nodes the weights are exactly mirror-symmetric.  Verified
     post-construction against the monomial moment oracle up to degree
     2N-1; failure signals bad nodes.
@@ -207,7 +173,9 @@ def glj_weights(mu: float, nodes: np.ndarray) -> np.ndarray:
     mu = validate_mu(mu)
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size - 1
-    w = 1.0 / _sym_jacobi(mu, n, nodes) ** 2
+    jn = _sym_jacobi(mu, n, nodes)
+    jn[[0, n]] = math.prod((k + mu) / k for k in range(1, n + 1))
+    w = 1.0 / jn ** 2
     w[[0, n]] *= mu + 1.0
     w *= weight_moment(mu, 0) / w.sum()
 

@@ -24,17 +24,14 @@ RESIDUAL_GATE = 1e-8   # max-norm residual allowed for a shipped closed form
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Coefficients (a, b, c, d) of the system; a is always zero here."""
+    """Coefficients b, c, d of the system (a = 0 throughout)."""
 
     b: float
     c: float
     d: float
-    a: float = 0.0
     theta2: float | None = None
 
     def __post_init__(self):
-        if self.a != 0.0:
-            raise ValueError("only a = 0 systems are supported")
         if self.c > 0.0:
             raise ValueError("c must be <= 0")
         if self.b < 0.0 or self.d < 0.0:
@@ -188,7 +185,6 @@ def pde_residual(sol: ExactSolution, params: SystemParams, grid, t: float):
         + u[1]
         + eta[1] * u[0]
         + eta[0] * u[1]
-        + params.a * u[3]
         + params.b * cs * eta[3]
     )
     r2 = (

@@ -159,7 +159,11 @@ def _folded_blocks(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
     w, d1, d2, psi = _physical_blocks(basis, imap)
     interior = slice(1, n)
     edge = [0, n]
-    gfull = (d1[:, interior] - psi).T * w[None, :]      # G, (N-1, N+1)
+    # psi's end rows are -mu times D1's, so D1 - Psi has the end rows
+    # (1 + mu) D1, formed directly: the difference cancels as mu -> -1
+    test = d1[:, interior] - psi
+    test[edge] = (1.0 + basis.mu) * d1[edge, interior]
+    gfull = test.T * w[None, :]                         # G, (N-1, N+1)
     top = gfull[:half]
 
     def folded_product(x):

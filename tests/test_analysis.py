@@ -150,6 +150,10 @@ def test_rate_table():
     assert rec.rates == [None]
     with pytest.raises(ValueError):
         analysis.rate_table([1.0], [2.0])
+    # a zero error, first or last, has no ratio or rate
+    for errors in ([0.0, 1.0], [4.0, 0.0]):
+        with pytest.raises(ZeroDivisionError, match="gamma=0.5: the error at k="):
+            analysis.rate_table([0.2, 0.1], errors, label="gamma=0.5")
 
 
 def test_product_norm_is_euclidean():

@@ -87,6 +87,9 @@ def test_parse_config_fraction_and_gamma_aliases():
         (QUICK_RATIO + "left = -inf", "interval must be finite"),
         ("include-preset = table2\nk-list = 0.5", "k-list needs at least two entries"),
         ("include-preset = table2\nk = 0.01", "give k-list instead of k"),
+        # error tables and snapshot runs read one N
+        ("include-preset = table1\nn = 32 64", r"error_table runs use one N; got n = \(32, 64\)"),
+        ("include-preset = bore\nn = 16 32", r"snapshot runs use one N; got n = \(16, 32\)"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -249,6 +252,17 @@ def test_cli_overflowing_closed_form_exits_3(tmp_path, capsys):
     cfg.write_text("include-preset = table2\nn = 32\nrho = 1e308\n")
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
     assert "Numerical result out of range" in capsys.readouterr().err
+
+
+def test_cli_zero_error_names_the_column_and_exits_3(tmp_path, capsys):
+    # the solitary wave centred at 1e5 vanishes on the interval, so both
+    # errors are exactly 0 and the table has no ratio
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("include-preset = table1\nn = 32\nk-list = 0.5 0.25\nx0 = 1e5\n")
+    with np.errstate(over="ignore"):
+        rc = cli.main(["run", str(cfg), "--output", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "gamma=0.5: the error at k=0.5 is exactly 0" in capsys.readouterr().err
 
 
 def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):

@@ -168,6 +168,19 @@ def test_weight_properties(mu, n):
     assert np.array_equal(rule.weights, rule.weights[::-1])
 
 
+@pytest.mark.parametrize("mu", [-1.0 + 1e-7, -0.99999, -0.999])
+@pytest.mark.parametrize("n", [8, 33, 64])
+def test_interior_weights_stay_exact_as_mu_nears_minus_one(mu, n):
+    # (1 - x^2) x^k vanishes at the ends, so these moments check the interior
+    # weights alone, against the exponent mu + 1; the end weights, about
+    # 1/(1 + mu), dominate every moment the oracle in glj_weights checks
+    rule = jacobi.glj_rule(mu, n)
+    x, w = rule.nodes, rule.weights
+    for k in range(0, 2 * n - 2, 2):
+        got = w @ ((1.0 - x * x) * x**k)
+        assert got == pytest.approx(jacobi.weight_moment(mu + 1.0, k), rel=1e-12)
+
+
 @pytest.mark.parametrize("mu", MUS)
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_exactness_on_random_polynomials(mu, n, rng):
@@ -191,88 +204,41 @@ def test_mu_03_interior_nodes_symmetric():
     assert np.abs(nodes + nodes[::-1]).max() <= 1e-13
 
 
-def test_symmetric_guess_bisection_fallback():
-    root = jacobi._bisect(lambda x: jacobi.jacobi_deriv(0.0, 2, x, 1), -0.4, 0.7)
-    assert abs(root) < 1e-14
-    with pytest.raises(jacobi.QuadratureError):
-        jacobi._bisect(lambda x: 1.0, -1.0, 1.0)
-    # all brackets at once: the zeros of J_4' are 0 and +-sqrt(3/7)
-    roots = jacobi._bisect(
-        lambda x: jacobi.jacobi_deriv(0.0, 4, x, 1), [-0.9, -0.3, 0.5], [-0.5, 0.2, 0.9]
-    )
-    assert np.abs(roots - [-math.sqrt(3 / 7), 0.0, math.sqrt(3 / 7)]).max() < 1e-15
-    # a zero at a bracket's lower end is returned as is
-    roots = jacobi._bisect(lambda x: x, [0.0, -0.5], [1.0, 0.25])
-    assert roots[0] == 0.0 and abs(roots[1]) < 1e-15
-
-
-def _scalar_bisect(fn, lo, hi, iters=200):
-    # reference: one bracket at a time, with the arithmetic of the vector version
-    flo = fn(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0 or hi - lo < 4e-16:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-@pytest.mark.parametrize("mu,n", [(0.5, 32), (0.6, 40), (0.25, 17)])
-def test_vector_bisection_matches_scalar_reference(mu, n):
-    g = lambda x: jacobi.jacobi_deriv(mu, n, x, 1)
-    grid = np.cos(np.pi * np.arange(8 * n, -1, -1) / (8 * n))
-    vals = g(grid)
-    idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    assert idx.size == n - 1
-    want = [_scalar_bisect(lambda t: float(g(t)), grid[i], grid[i + 1]) for i in idx]
-    assert np.array_equal(jacobi._bisect(g, grid[idx], grid[idx + 1]), want)
+@pytest.mark.parametrize("n", [17, 64, 128])
+def test_chebyshev_lobatto_nodes_closed_form(n):
+    # for mu = -1/2 the Newton guesses are the nodes cos(pi j / n) themselves
+    nodes = jacobi.glj_nodes(-0.5, n)
+    assert np.abs(nodes - np.cos(np.pi * np.arange(n, -1, -1) / n)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("mu,n", [(0.5, 128), (0.45, 256)])
 def test_bisection_node_search_builds_large_rules(mu, n):
-    # Newton stalls for these (mu, n); the vector bisection fallback must
-    # still give a rule that passes the moment oracle inside glj_rule
+    # Newton from the Chebyshev-Lobatto guesses stalled for these (mu, n);
+    # from the asymptotic guesses it must give a rule that passes the moment
+    # oracle inside glj_rule
     nodes = jacobi.glj_rule(mu, n).nodes
     assert nodes.size == n + 1
     assert np.all(np.diff(nodes) > 0.0)
     assert np.array_equal(nodes, -nodes[::-1])
 
 
-@pytest.mark.parametrize("n", [17, 64, 128])
-def test_bisection_fallback_keeps_roots_on_grid_samples(monkeypatch, n):
-    # with no Newton step the fallback must find all n - 1 roots; for
-    # mu = -1/2 they are cos(pi j / n), samples of its grid where J_n' can
-    # evaluate to exactly 0.0, and for mu = 0, 1/2 they match Newton's nodes
-    newton = {mu: jacobi.glj_nodes(mu, n) for mu in (0.0, 0.5)}
-    monkeypatch.setattr(jacobi, "_NODE_MAX_ITERS", 0)
-    nodes = jacobi.glj_nodes(-0.5, n)
-    assert np.abs(nodes - np.cos(np.pi * np.arange(n, -1, -1) / n)).max() <= 1e-15
-    for mu, ref in newton.items():
-        assert np.abs(jacobi.glj_nodes(mu, n) - ref).max() <= 1e-15
-
-
-@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.25])
-@pytest.mark.parametrize("n", [16, 17, 128, 512])
+@pytest.mark.parametrize("mu", [-0.999, -0.5, 0.0, 0.25, 0.5, 0.6, 0.95, 0.999])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 128, 512, 1024])
 def test_newton_node_search_needs_no_fallback(monkeypatch, mu, n):
-    # the one-pass Newton step converges on its own for these (mu, n), and
-    # quadratically: at most 7 steps from the Chebyshev-Lobatto guesses
-    # (one recurrence pass each, plus two for the residual gate)
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("bisection fallback reached")
-
+    # Newton from the asymptotic guesses converges quadratically: at most 7
+    # steps (one recurrence pass each, plus two for the residual gate)
     passes = []
     pair = jacobi._sym_jacobi_pair
-    monkeypatch.setattr(jacobi, "_bisect", no_fallback)
     monkeypatch.setattr(jacobi, "_sym_jacobi_pair", lambda *a: passes.append(1) or pair(*a))
     nodes = jacobi.glj_nodes(mu, n)
     assert np.all(np.diff(nodes) > 0.0)
     assert len(passes) <= 7 + 2
+
+
+def test_node_search_raises_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(jacobi, "_NODE_MAX_ITERS", 1)
+    with pytest.raises(jacobi.QuadratureError, match="1-step cap"):
+        jacobi.glj_nodes(0.0, 64)
 
 
 # --- nodal basis and matrices ----------------------------------------------
