@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -285,21 +286,137 @@ def run_error_table(cfg: ExperimentConfig) -> dict:
             "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
 
 
-def run_ratio_table(cfg: ExperimentConfig) -> dict:
-    """Refinement quotients E_N along the doubling chain, all requested norms."""
-    problem = _resolve_problem(cfg)
-    gamma = cfg.gammas[0]
+def available_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lpt_shares(weights, processes: int) -> list[list[int]]:
+    """Split item indices over ``processes``: heaviest first, each to the
+    least loaded (LPT), so share 0 holds the heaviest item; each share is
+    in ascending order and none is empty."""
+    loads, shares = [0.0] * processes, [[] for _ in range(processes)]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        p = loads.index(min(loads))
+        shares[p].append(i)
+        loads[p] += weights[i]
+    return [sorted(share) for share in shares if share]
+
+
+def _run_share(fn, items, share) -> dict:
+    """{index: (ok, result or exception)} for the items of ``share`` in
+    order, up to and including the first that raises."""
+    done = {}
+    for i in share:
+        try:
+            done[i] = (True, fn(items[i]))
+        except Exception as exc:
+            done[i] = (False, exc)
+            break
+    return done
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives pickling, else a RuntimeError with its text."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _fork_worker(fn, items, share, inherited) -> tuple[int, int]:
+    """Fork a process that runs ``share`` and writes its ``_run_share``
+    outcome, pickled, to a pipe; return (pid, read end of the pipe).
+    ``inherited`` are earlier workers' read ends, which the worker closes."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (read_fd, *inherited):
+                os.close(fd)
+            done = {i: (ok, value if ok else _portable(value))
+                    for i, (ok, value) in _run_share(fn, items, share).items()}
+            with os.fdopen(write_fd, "wb") as fh:
+                pickle.dump(done, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)   # no atexit handlers, no flush of the parent's buffers
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def fork_map(fn, items, weights, processes: int) -> list:
+    """``[fn(x) for x in items]``, over up to ``processes`` processes.
+
+    The items are split by ``_lpt_shares``; this process runs the share with
+    the heaviest item and forks one worker per other share.  Workers inherit
+    everything built before the call, and send back their results (or
+    exception) pickled.  Every process runs its items in ascending order and
+    stops at its first exception, so the exception of smallest index, which
+    is re-raised here, is the one the serial loop raises.  A worker that dies
+    without a result raises ChildProcessError naming its exit status.  Every
+    worker is reaped before this returns or raises; on any other failure the
+    workers are killed first.
+    """
+    shares = _lpt_shares(weights, max(1, min(processes, len(items))))
+    if len(shares) <= 1:
+        return [fn(x) for x in items]
+    import signal   # here, not at module level: the CLI's import path stays as it was
+
+    workers, reaped = [], set()
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_worker(fn, items, share, [fd for _, fd in workers]))
+        outcome = _run_share(fn, items, shares[0])
+        for pid, fd in workers:
+            payload = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0:
+                how = (f"was killed by signal {signal.Signals(-status).name}" if status < 0
+                       else f"exited with status {status}")
+                raise ChildProcessError(f"worker process {pid} {how} before sending its results")
+            outcome.update(pickle.loads(payload))
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failed = [i for i, (ok, _) in outcome.items() if not ok]
+    if failed:
+        raise outcome[min(failed)][1]
+    return [outcome[i][1] for i in range(len(items))]
+
+
+def refinement_quotients(problem: Problem, n_values, step_for, gamma: float, t_end: float,
+                         specs) -> dict:
+    """Solve ``problem`` at every N of a doubling chain (time step
+    ``step_for(n)``) and form the quotients E_N for every norm in ``specs``.
+
+    The solves are independent, so they run in up to one process per
+    available CPU (``fork_map``, weighted by N).  Every basis is built here
+    first: the workers inherit it and the norms reuse it.
+    """
+    bases = {n: build_basis(0.0, n) for n in n_values}
+
+    def solve(n):
+        run = solve_once(problem, n, step_for(n), gamma, t_end)
+        return run.solution.eta, run.solution.u, run.solution.t, run.stats
+
+    processes = min(available_cpus(), len(n_values))
     sols, solves = {}, []
-    for n in cfg.n_values:
-        k = cfg.step_for(n)
-        run = solve_once(problem, n, k, gamma, cfg.t_end)
-        sols[n] = run.solution
-        solves.append(_solve_record(n, k, gamma, run.stats))
-    specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
-        analysis.NormSpec(*pair) for pair in cfg.extra_norms
-    ]
+    for n, (eta, u, t, stats) in zip(n_values, fork_map(solve, n_values, n_values, processes)):
+        sols[n] = analysis.NodalSolution(bases[n], problem.imap, eta, u, t)
+        solves.append(_solve_record(n, step_for(n), gamma, stats))
     rows = []
-    for n in cfg.n_values[:-2]:
+    for n in n_values[:-2]:
         row = {"n": n}
         for spec in specs:
             row[spec.label] = analysis.convergence_ratio(
@@ -307,7 +424,18 @@ def run_ratio_table(cfg: ExperimentConfig) -> dict:
             )
         rows.append(row)
     return {"rows": rows, "norms": [s.label for s in specs], "solves": solves,
-            "boundary_mismatch": problem.boundary_mismatch}
+            "workers": processes}
+
+
+def run_ratio_table(cfg: ExperimentConfig) -> dict:
+    """Refinement quotients E_N along the doubling chain, all requested norms."""
+    problem = _resolve_problem(cfg)
+    specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
+        analysis.NormSpec(*pair) for pair in cfg.extra_norms
+    ]
+    result = refinement_quotients(problem, cfg.n_values, cfg.step_for, cfg.gammas[0],
+                                  cfg.t_end, specs)
+    return {**result, "boundary_mismatch": problem.boundary_mismatch}
 
 
 def run_snapshot(cfg: ExperimentConfig) -> dict:
@@ -563,13 +691,14 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
 
 
 def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
-                   boundary_mismatch: float, solves=()) -> str:
+                   boundary_mismatch: float, solves=(), workers: int = 1) -> str:
     """Run metadata; lives outside the CSVs so those stay byte-reproducible.
 
-    Records the numpy version (its BLAS does every product and solve) and the
-    boundary compatibility mismatch of the problem (``Problem``).  Each
-    entry of ``solves`` (see ``_solve_record``) becomes one ``solve = {...}``
-    line with the integration statistics of that solve.
+    Records the numpy version (its BLAS does every product and solve), the
+    boundary compatibility mismatch of the problem (``Problem``) and the
+    number of processes that ran the solves.  Each entry of ``solves`` (see
+    ``_solve_record``) becomes one ``solve = {...}`` line with the
+    integration statistics of that solve.
     """
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "run.meta")
@@ -578,6 +707,7 @@ def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
         fh.write(f"numpy = {np.__version__}\n")
         fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
         fh.write(f"boundary_mismatch = {boundary_mismatch!r}\n")
+        fh.write(f"workers = {workers}\n")
         for key, value in sorted(vars(cfg).items()):
             fh.write(f"{key} = {value!r}\n")
         for record in solves:
@@ -600,5 +730,5 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
         result = run_snapshot(cfg)
         written = write_snapshots(result, outdir, cfg)
     write_metadata(outdir, cfg, time.time() - started, result["boundary_mismatch"],
-                   result["solves"])
+                   result["solves"], result.get("workers", 1))
     return written

@@ -33,6 +33,9 @@ class SingularMatrixError(ValueError):
         self.column = column
         super().__init__(f"matrix is singular: zero pivot in column {column}")
 
+    def __reduce__(self):
+        return type(self), (self.column,), vars(self)
+
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)

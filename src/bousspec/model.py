@@ -133,7 +133,8 @@ class BoundaryData:
 def _sech2_derivs(lam: float, xi, order: int):
     """sech^2(lam xi) and its xi-derivatives up to the requested order."""
     z = lam * np.asarray(xi, dtype=float)
-    f = 1.0 / np.cosh(z) ** 2
+    with np.errstate(over="ignore"):   # far from the crest cosh overflows and f is 0
+        f = 1.0 / np.cosh(z) ** 2
     if order == 0:
         return f
     t = np.tanh(z)

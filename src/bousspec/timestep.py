@@ -46,7 +46,12 @@ class StageDivergenceError(RuntimeError):
             f"stage iteration {problem} at step {step} of the run "
             f"gamma={gamma:.10g}, k={k:.10g}; reduce the time step"
         )
-        self.gamma, self.k, self.step = gamma, k, step
+        self.problem, self.gamma, self.k, self.step = problem, gamma, k, step
+
+    def __reduce__(self):
+        # rebuild through __init__ so the copy keeps its message (ratio
+        # tables send a worker's failure back pickled)
+        return type(self), (self.problem, self.gamma, self.k, self.step), vars(self)
 
 
 @dataclass(frozen=True)

@@ -141,15 +141,10 @@ def _ratio_chain(theta2, data_kind, interval, n_list, k_of_n, t_end, specs,
         eta_init, u_init = model.nonsmooth_data(data_kind)
         bdata = BoundaryData.homogeneous()
     problem = experiments.Problem(params, imap, eta_init, u_init, bdata)
-    sols = {
-        n: experiments.solve_once(problem, n, k_of_n(n), timestep.GAMMA_ORDER3, t_end).solution
-        for n in n_list
-    }
-    out = {}
-    for row_n in n_list[:-2]:
-        trio = [sols[row_n], sols[2 * row_n], sols[4 * row_n]]
-        out[row_n] = {s.label: analysis.convergence_ratio(trio, s) for s in specs}
-    return out
+    result = experiments.refinement_quotients(
+        problem, n_list, k_of_n, timestep.GAMMA_ORDER3, t_end, specs
+    )
+    return {row["n"]: row for row in result["rows"]}
 
 
 def test_criterion_4_table5():

@@ -144,18 +144,22 @@ def _meta_solves(path):
     return [ast.literal_eval(line[len(prefix):]) for line in lines if line.startswith(prefix)]
 
 
-@pytest.mark.parametrize("text, t_end, solves", [
-    (QUICK_RATIO, 1.0, [(n, 0.2 / n, GAMMA_ORDER3) for n in (16, 32, 64)]),
+@pytest.mark.parametrize("text, t_end, solves, workers", [
+    (QUICK_RATIO, 1.0, [(n, 0.2 / n, GAMMA_ORDER3) for n in (16, 32, 64)],
+     min(experiments.available_cpus(), 3)),
     ("include-preset = table2\nn = 32\nk-list = 0.5 0.25\n", 2.0,
-     [(32, k, g) for g in (0.5, GAMMA_ORDER3) for k in (0.5, 0.25)]),
+     [(32, k, g) for g in (0.5, GAMMA_ORDER3) for k in (0.5, 0.25)], 1),
 ])
-def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves):
-    # one run.meta line per (N, k, gamma) solve, in solve order
+def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves, workers):
+    # one run.meta line per (N, k, gamma) solve, in solve order, and the
+    # number of processes that ran them: one per CPU, at most one per N
     cfg_file = tmp_path / "quick.cfg"
     cfg_file.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
-    assert f"numpy = {np.__version__}" in (out / "run.meta").read_text().splitlines()
+    meta = (out / "run.meta").read_text().splitlines()
+    assert f"numpy = {np.__version__}" in meta
+    assert [line for line in meta if line.startswith("workers = ")] == [f"workers = {workers}"]
     records = _meta_solves(out / "run.meta")
     assert [(r["n"], r["k"], r["gamma"]) for r in records] == pytest.approx(solves)
     for rec in records:
@@ -212,6 +216,58 @@ def test_run_path_imports_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+SOLVER_RUN = """
+import sys
+from bousspec import cli
+sys.exit(cli.main(["run", sys.argv[1], "--output", sys.argv[2]]))
+"""
+
+
+def _run_solver(cfg_file, out, cpus=None):
+    """``solver run`` in a fresh interpreter, on ``cpus`` (a CPU set) if given."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+    return subprocess.run([sys.executable, "-c", SOLVER_RUN, str(cfg_file), str(out)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=pin)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("preset", ["table5", "table5b"])
+def test_ratio_table_bytes_do_not_depend_on_worker_count(tmp_path, preset):
+    # the default run spreads the N values over one process per CPU; the
+    # same run pinned to one CPU solves them all in process
+    cfg_file = tmp_path / "chain.cfg"
+    cfg_file.write_text(f"include-preset = {preset}\nn = 16 32 64 128\n")
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outs = {}
+    for label, cpus in (("default", None), ("pinned", one_cpu)):
+        done = _run_solver(cfg_file, tmp_path / label, cpus)
+        assert done.returncode == 0, done.stderr
+        meta = (tmp_path / label / "run.meta").read_text().splitlines()
+        outs[label] = ((tmp_path / label / "ratios.csv").read_bytes(),
+                       (tmp_path / label / "table.md").read_bytes(),
+                       [line for line in meta if line.startswith("solve = ")],
+                       [line for line in meta if line.startswith("workers = ")])
+    assert outs["pinned"][3] == ["workers = 1"]
+    assert outs["default"][3] == [f"workers = {min(len(os.sched_getaffinity(0)), 4)}"]
+    assert outs["default"][:3] == outs["pinned"][:3]
+    assert len(outs["default"][2]) == 4
+
+
+def test_cli_ratio_divergence_reports_the_serial_first_failure(tmp_path, capsys):
+    # k = 8h diverges at N = 16 (k = 1), which a worker solves while this
+    # process solves N = 64; the message is the one a serial run gives
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("include-preset = table5\nn = 16 32 64\nk-per-h = 8\n")
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"at step 0 of the run gamma={GAMMA_ORDER3:.10g}, k=1; reduce the time step" in err
+    with pytest.raises(ChildProcessError):   # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_snapshot_run(tmp_path):
     cfg_file = tmp_path / "snap.cfg"
     cfg_file.write_text(
@@ -254,15 +310,16 @@ def test_cli_overflowing_closed_form_exits_3(tmp_path, capsys):
     assert "Numerical result out of range" in capsys.readouterr().err
 
 
-def test_cli_zero_error_names_the_column_and_exits_3(tmp_path, capsys):
+def test_cli_zero_error_names_the_column_and_exits_3(tmp_path):
     # the solitary wave centred at 1e5 vanishes on the interval, so both
-    # errors are exactly 0 and the table has no ratio
+    # errors are exactly 0 and the table has no ratio; cosh overflows there,
+    # where sech^2 is exactly 0, and the user sees only the exit-3 message
     cfg = tmp_path / "far.cfg"
     cfg.write_text("include-preset = table1\nn = 32\nk-list = 0.5 0.25\nx0 = 1e5\n")
-    with np.errstate(over="ignore"):
-        rc = cli.main(["run", str(cfg), "--output", str(tmp_path / "out")])
-    assert rc == cli.EXIT_NUMERICAL
-    assert "gamma=0.5: the error at k=0.5 is exactly 0" in capsys.readouterr().err
+    done = _run_solver(cfg, tmp_path / "out")
+    assert done.returncode == cli.EXIT_NUMERICAL
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.startswith("numerical failure: gamma=0.5: the error at k=0.5 is exactly 0")
 
 
 def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
