@@ -287,12 +287,12 @@ def run_error_table(cfg: ExperimentConfig) -> dict:
 
 
 def available_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
+    """The CPUs this process may run on, where the OS reports its affinity
+    (Linux); 1 elsewhere, so that only such hosts fork.  On macOS a fork
+    after numpy has loaded its BLAS is not safe."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return 1
 
 
 def _lpt_shares(weights, processes: int) -> list[list[int]]:
@@ -352,23 +352,21 @@ def _fork_worker(fn, items, share, inherited) -> tuple[int, int]:
 
 
 def fork_map(fn, items, weights, processes: int) -> list:
-    """``[fn(x) for x in items]``, over up to ``processes`` processes.
+    """``[fn(x) for x in items]``, over ``processes`` (at least 1) processes;
+    fewer only if there are fewer items of positive weight.
 
     The items are split by ``_lpt_shares``; this process runs the share with
-    the heaviest item and forks one worker per other share.  Workers inherit
-    everything built before the call, and send back their results (or
-    exception) pickled.  Every process runs its items in ascending order and
-    stops at its first exception, so the exception of smallest index, which
-    is re-raised here, is the one the serial loop raises.  A worker that dies
-    without a result raises ChildProcessError naming its exit status.  Every
-    worker is reaped before this returns or raises; on any other failure the
-    workers are killed first.
+    the heaviest item and forks one worker per other share, so with one
+    share everything runs here.  Workers inherit everything built before
+    the call, and send back their results (or exception) pickled.  Every
+    process runs its items in ascending order and stops at its first
+    exception, so the exception of smallest index, which is re-raised here,
+    is the one the serial loop raises.  A worker that dies without a result
+    raises ChildProcessError naming its exit status.  Every worker is reaped
+    before this returns or raises; on any other failure the workers are
+    killed first.
     """
-    shares = _lpt_shares(weights, max(1, min(processes, len(items))))
-    if len(shares) <= 1:
-        return [fn(x) for x in items]
-    import signal   # here, not at module level: the CLI's import path stays as it was
-
+    shares = _lpt_shares(weights, processes) or [[]]
     workers, reaped = [], set()
     try:
         for share in shares[1:]:
@@ -379,6 +377,7 @@ def fork_map(fn, items, weights, processes: int) -> list:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
             if status != 0:
+                import signal   # lazily, like the kill below: the CLI's import path stays as it was
                 how = (f"was killed by signal {signal.Signals(-status).name}" if status < 0
                        else f"exited with status {status}")
                 raise ChildProcessError(f"worker process {pid} {how} before sending its results")
@@ -387,6 +386,7 @@ def fork_map(fn, items, weights, processes: int) -> list:
         for pid, fd in workers:
             os.close(fd)
             if pid not in reaped:
+                import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     failed = [i for i, (ok, _) in outcome.items() if not ok]
@@ -410,7 +410,7 @@ def refinement_quotients(problem: Problem, n_values, step_for, gamma: float, t_e
         run = solve_once(problem, n, step_for(n), gamma, t_end)
         return run.solution.eta, run.solution.u, run.solution.t, run.stats
 
-    processes = min(available_cpus(), len(n_values))
+    processes = min(available_cpus(), len(n_values))   # every N > 0: fork_map uses them all
     sols, solves = {}, []
     for n, (eta, u, t, stats) in zip(n_values, fork_map(solve, n_values, n_values, processes)):
         sols[n] = analysis.NodalSolution(bases[n], problem.imap, eta, u, t)
@@ -691,7 +691,7 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
 
 
 def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
-                   boundary_mismatch: float, solves=(), workers: int = 1) -> str:
+                   boundary_mismatch: float, solves=(), *, workers: int) -> str:
     """Run metadata; lives outside the CSVs so those stay byte-reproducible.
 
     Records the numpy version (its BLAS does every product and solve), the
@@ -730,5 +730,5 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
         result = run_snapshot(cfg)
         written = write_snapshots(result, outdir, cfg)
     write_metadata(outdir, cfg, time.time() - started, result["boundary_mismatch"],
-                   result["solves"], result.get("workers", 1))
+                   result["solves"], workers=result.get("workers", 1))
     return written

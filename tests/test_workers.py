@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bousspec.experiments import ConfigError, _lpt_shares, fork_map
+from bousspec.experiments import ConfigError, _lpt_shares, available_cpus, fork_map
 from bousspec.jacobi import QuadratureError
 from bousspec.linalg import SingularMatrixError
 from bousspec.timestep import StageDivergenceError
@@ -51,6 +51,15 @@ def test_fork_map_returns_results_in_item_order(processes):
     assert [square for square, _ in results] == [x * x for x in items]
     assert len({pid for _, pid in results}) == min(processes, len(items))
     assert results[-1][1] == os.getpid()   # this process solves the heaviest item
+
+
+def test_fork_map_of_no_items_is_empty():
+    assert fork_map(abs, [], [], 2) == []
+
+
+def test_only_hosts_that_report_cpu_affinity_fork(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert available_cpus() == 1
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
