@@ -96,15 +96,14 @@ def _sample(sol: NodalSolution, pts, spec: NormSpec) -> np.ndarray:
     Columns are eta, eta', ... up to ``spec.eta_order``, then u, u', ... up to
     ``spec.u_order``; one interpolation matrix serves all of them.
     """
-    basis, s = sol.basis, sol.imap.scale
+    d1, s = sol.basis.d1, sol.imap.scale
     cols = []
     for v, order in ((sol.eta, spec.eta_order), (sol.u, spec.u_order)):
         cols.append(v)
-        if order >= 1:
-            cols.append(basis.d1 @ v / s)
-        if order >= 2:
-            cols.append(basis.d2 @ v / s**2)
-    return nodal_eval(basis, np.column_stack(cols), _reference_points(sol.imap, pts))
+        for k in range(1, order + 1):
+            v = d1 @ v                      # nodal values of the k-th derivative
+            cols.append(v / s**k)
+    return nodal_eval(sol.basis, np.column_stack(cols), _reference_points(sol.imap, pts))
 
 
 def _diff_norm(sa, sb, w) -> float:

@@ -33,8 +33,9 @@ from .jacobi import JacobiBasis, build_basis
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
-# A basis holds dense (N+1)^2 matrices and assembly factors several of them
-# (0.13 GB each at N = 4096); the largest preset N is 1024.
+# A basis keeps one dense (N+1)^2 matrix, d1 (0.13 GB at N = 4096), and
+# assembly peaks at about four more: a one-step N = 4096 bore run peaked at
+# 0.48 GB of RSS.  The largest preset N is 1024.
 N_MAX = 4096
 # the two-stage SDIRK family is stable on the imaginary axis only for gamma >= 1/4
 GAMMA_MIN = 0.25

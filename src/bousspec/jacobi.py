@@ -4,9 +4,10 @@ Everything here lives on the reference interval [-1, 1] with the even weight
 w(x) = (1 - x^2)^mu, -1 < mu < 1 (mu = 0: Legendre, mu = -1/2: Chebyshev).
 The quadrature nodes are -1, 1 and the zeros of the derivative of the
 degree-N Jacobi polynomial; the rule is exact on polynomials of degree
-<= 2N - 1 against w.  A ``JacobiBasis`` bundles that rule with the Lagrange
-(nodal) differentiation matrices and the auxiliary matrix produced by
-differentiating the weight inside weak forms.
+<= 2N - 1 against w.  A ``JacobiBasis`` bundles that rule with its
+barycentric weights and the Lagrange (nodal) differentiation matrix; the
+second-derivative matrix and the auxiliary matrix produced by
+differentiating the weight inside weak forms are formed on request.
 
 Normalization of the polynomials is the standard one (J_n(1) = C(n+mu, n));
 none of the nodal quantities depend on it because they only involve ratios
@@ -39,6 +40,15 @@ def validate_mu(mu: float) -> float:
     return mu
 
 
+def _moment(e: float, k: int) -> float:
+    """Integral of x^k (1-x^2)^e over [-1, 1] for e > -1: zero for odd k,
+    else the Beta value B(k/2 + 1/2, e + 1), via log-Gamma."""
+    if k % 2 == 1:
+        return 0.0
+    m = k // 2
+    return math.exp(math.lgamma(m + 0.5) + math.lgamma(e + 1.0) - math.lgamma(m + e + 1.5))
+
+
 def weight_moment(mu: float, k: int) -> float:
     """Exact value of the k-th monomial moment of the weight.
 
@@ -49,12 +59,7 @@ def weight_moment(mu: float, k: int) -> float:
     k = int(k)
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    if k % 2 == 1:
-        return 0.0
-    m = k // 2
-    return math.exp(
-        math.lgamma(m + 0.5) + math.lgamma(mu + 1.0) - math.lgamma(m + mu + 1.5)
-    )
+    return _moment(mu, k)
 
 
 def _sym_jacobi_pair(a: float, n: int, x):
@@ -157,6 +162,34 @@ def glj_nodes(mu: float, n: int) -> np.ndarray:
     return np.concatenate(([-1.0], x, [1.0]))
 
 
+def _moment_error(mu: float, nodes: np.ndarray, weights: np.ndarray) -> float:
+    """Largest relative moment error of a Lobatto rule for the weight exponent mu.
+
+    Two families: sum_j w_j x_j^k against the weight's moments for k <= 2N-1,
+    and the interior moments sum_j w_j (1 - x_j^2) x_j^k against those of the
+    exponent mu + 1 for k <= 2N-3.  The end weights, about 1/(2(1 + mu))
+    each, carry every moment of the first family as mu -> -1, so it cannot
+    see an interior error below about (1 + mu) times the gate; (1 - x^2)
+    vanishes at the ends, so the second family sees the interior weights
+    alone.  An odd moment (zero) is measured against the even one below it.
+    The even moments come from m_{2j+2} = m_{2j} (j + 1/2) / (j + e + 3/2).
+    """
+    n = nodes.size - 1
+    both = np.stack([weights, weights * (1.0 - nodes * nodes)])
+    sums = np.empty((2 * n, 2))
+    p = np.ones_like(nodes)
+    for k in range(2 * n):
+        sums[k] = both @ p
+        p *= nodes
+    j = np.arange(n - 1)
+    worst = 0.0
+    for col, e, top in ((0, mu, 2 * n), (1, mu + 1.0, 2 * n - 2)):
+        even = _moment(e, 0) * np.cumprod(np.r_[1.0, (j + 0.5) / (j + e + 1.5)])[:top // 2]
+        worst = max(worst, np.max(np.abs(sums[0:top:2, col] - even) / even),
+                    np.max(np.abs(sums[1:top:2, col]) / even))
+    return float(worst)
+
+
 def glj_weights(mu: float, nodes: np.ndarray) -> np.ndarray:
     """Weights making the Lobatto rule exact on P_{2N-1} against w.
 
@@ -167,8 +200,10 @@ def glj_weights(mu: float, nodes: np.ndarray) -> np.ndarray:
     recurrence cancels, with a relative error of about eps/(1 + mu).  The
     recurrence gives J_N(-x) = (-1)^N J_N(x) bit for bit, so on mirrored
     nodes the weights are exactly mirror-symmetric.  Verified
-    post-construction against the monomial moment oracle up to degree
-    2N-1; failure signals bad nodes.
+    post-construction against the monomial moment oracle (``_moment_error``);
+    failure signals bad nodes.  The barycentric weights, and with them the
+    differentiation matrix, are built from these weights, so the gate
+    guards them too.
     """
     mu = validate_mu(mu)
     nodes = np.asarray(nodes, dtype=float)
@@ -181,14 +216,8 @@ def glj_weights(mu: float, nodes: np.ndarray) -> np.ndarray:
 
     if np.any(w <= 0.0):
         raise QuadratureError(f"nonpositive quadrature weight for mu={mu}, n={n}")
-    p = np.ones_like(nodes)
-    worst = 0.0
-    for k in range(2 * n):
-        m = weight_moment(mu, k)
-        scale = m if k % 2 == 0 else weight_moment(mu, k - 1)
-        worst = max(worst, abs(w @ p - m) / scale)
-        p *= nodes
-    if worst > _WEIGHT_VERIFY_TOL:
+    worst = _moment_error(mu, nodes, w)
+    if not worst <= _WEIGHT_VERIFY_TOL:
         raise QuadratureError(
             f"weight verification failed for mu={mu}, n={n}: rel err {worst:.3e}"
         )
@@ -221,28 +250,38 @@ def glj_rule(mu: float, n: int) -> QuadratureRule:
     return QuadratureRule(mu=float(mu), nodes=nodes, weights=weights)
 
 
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    # factors scaled by 2 (inverse capacity of [-1,1]) so products stay in range
-    diff = 2.0 * (nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(diff, 1.0)
-    return 1.0 / np.prod(diff, axis=1)
+def bary_weights(rule: QuadratureRule) -> np.ndarray:
+    """Barycentric weights of the Lobatto nodes from the rule, in O(N).
+
+    1 / prod_{k != j} (x_j - x_k) is proportional to (-1)^j sqrt(w_j) at
+    the interior nodes and to (-1)^j sqrt((1 + mu) w_j) at the ends (Wang,
+    Huybrechs & Vandewalle, Math. Comp. 83 (2014) 2893-2914): both are
+    ratios of the node polynomial's derivative, which the Jacobi equation
+    turns into J_N(x_j), against the weights' C / J_N(x_j)^2.  A common
+    factor cancels in every use, and unlike the product these stay in range
+    for every N.
+    """
+    lam = np.sqrt(rule.weights)
+    lam[1::2] *= -1.0
+    lam[[0, -1]] *= math.sqrt(1.0 + rule.mu)
+    return lam
 
 
-def diff_matrices(nodes: np.ndarray, bary: np.ndarray | None = None):
-    """Nodal differentiation matrices (d1[i, j] = psi_j'(x_i), d2 = d1 @ d1).
+def diff_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """Nodal differentiation matrix d1[i, j] = psi_j'(x_i).
 
-    Barycentric form with the negative-sum diagonal, so d1 annihilates
-    constants exactly; the product form for d2 is exact on polynomials.
+    Barycentric form (b_j / b_i) / (x_i - x_j), built in one array, with the
+    negative-sum diagonal, so d1 annihilates constants exactly.  Products
+    of it are exact on polynomials: d1 @ d1 is the second-derivative matrix.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if bary is None:
-        bary = _bary_weights(nodes)
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    d1 = (bary[None, :] / bary[:, None]) / diff
+    d1 = np.subtract.outer(nodes, nodes)
+    np.fill_diagonal(d1, 1.0)
+    d1 *= bary[:, None]
+    np.divide(bary, d1, out=d1)
     np.fill_diagonal(d1, 0.0)
     np.fill_diagonal(d1, -d1.sum(axis=1))
-    return d1, d1 @ d1
+    return d1
 
 
 def aux_matrix(mu: float, nodes: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -271,8 +310,10 @@ class JacobiBasis:
     """Degree-N nodal basis on the Gauss-Lobatto-Jacobi points.
 
     The nodes are mirrored exactly (x_{N-j} == -x_j; ``build_basis`` checks).
-    Immutable after construction (arrays are read-only), so instances can be
-    shared freely across threads and cached.
+    Holds the rule, the barycentric weights and d1, immutable after
+    construction (arrays are read-only), so instances can be shared freely
+    across threads and cached.  ``d2`` and ``psi`` are formed anew on each
+    access; no solve reads them.
     """
 
     mu: float
@@ -280,8 +321,6 @@ class JacobiBasis:
     rule: QuadratureRule
     bary: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
-    psi: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -291,18 +330,27 @@ class JacobiBasis:
     def weights(self) -> np.ndarray:
         return self.rule.weights
 
+    @property
+    def d2(self) -> np.ndarray:
+        """Second-derivative matrix d1 @ d1."""
+        return self.d1 @ self.d1
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The auxiliary matrix (``aux_matrix``)."""
+        return aux_matrix(self.mu, self.nodes, self.d1)
+
 
 def _build_basis(mu: float, n: int) -> JacobiBasis:
     rule = glj_rule(mu, n)
     # the parity-folded assembly (semidiscrete) relies on x_{N-j} == -x_j
     if not np.array_equal(rule.nodes[::-1], -rule.nodes):
         raise QuadratureError(f"nodes for mu={mu}, n={n} are not mirrored exactly")
-    bary = _bary_weights(rule.nodes)
-    d1, d2 = diff_matrices(rule.nodes, bary)
-    psi = aux_matrix(mu, rule.nodes, d1)
-    for a in (bary, d1, d2, psi):
+    bary = bary_weights(rule)
+    d1 = diff_matrix(rule.nodes, bary)
+    for a in (bary, d1):
         a.setflags(write=False)
-    return JacobiBasis(mu=float(mu), n=n, rule=rule, bary=bary, d1=d1, d2=d2, psi=psi)
+    return JacobiBasis(mu=float(mu), n=n, rule=rule, bary=bary, d1=d1)
 
 
 build_basis = lru_cache(maxsize=32)(_build_basis)
@@ -313,26 +361,32 @@ def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
 
     ``values`` is a vector or an (N+1) x k block of nodal values.  Barycentric
     interpolation in matrix form (Berrut & Trefethen, SIAM Rev. 46 (2004)):
-    E[i, j] = (b_j / (x_i - x_j)) / sum_l b_l / (x_i - x_l), with an exact
-    unit row for any point within 1e-12 of a node.  A derivative is E applied
-    to the nodal derivative values d1 @ values or d2 @ values, which define
-    the derivative polynomial exactly.
+    E[i, j] = (b_j / (x_i - x_j)) / sum_l b_l / (x_i - x_l), built for at
+    most N+1 points at a time, with the exact nodal value for any point
+    within 1e-12 of a node (the nearest node, found by bisection).  A
+    derivative is E applied to the nodal derivative values d1 @ values or
+    d1 @ (d1 @ values), which define the derivative polynomial exactly.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1 or 2")
     values = np.asarray(values, dtype=float)
-    if deriv:
-        values = (basis.d1, basis.d2)[deriv - 1] @ values
+    for _ in range(deriv):
+        values = basis.d1 @ values
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
+    pts = np.atleast_1d(x)
+    nodes = basis.nodes
 
-    e = np.atleast_1d(x)[:, None] - basis.nodes[None, :]
-    hit = np.abs(e) < _HIT_TOL
-    e[hit] = 1.0
-    np.divide(basis.bary, e, out=e)
-    rows = hit.any(axis=1)
-    e[rows] = hit[rows]
-    e /= e.sum(axis=1, keepdims=True)
-
-    res = e @ values
-    return res[0] if scalar else res
+    above = np.searchsorted(nodes, pts).clip(1, basis.n)
+    near = above - (pts - nodes[above - 1] < nodes[above] - pts)
+    hit = np.abs(pts - nodes[near]) < _HIT_TOL
+    res = np.empty(pts.shape + values.shape[1:])
+    for start in range(0, pts.size, nodes.size):
+        rows = slice(start, start + nodes.size)
+        e = np.subtract.outer(pts[rows], nodes)
+        on_node = hit[rows]
+        e[on_node, near[rows][on_node]] = 1.0          # no 0/0; the row is replaced below
+        np.divide(basis.bary, e, out=e)
+        e /= e.sum(axis=1, keepdims=True)
+        res[rows] = e @ values
+    res[hit] = values[near[hit]]
+    return res[0] if x.ndim == 0 else res

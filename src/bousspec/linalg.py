@@ -10,7 +10,8 @@ inverse of its ``_LEAF`` x ``_LEAF`` triangle.  The pivot sequence is the
 one LAPACK ``getrf`` picks (first largest magnitude in the column).
 
 This module pins the contracts the rest of the package relies on: explicit
-shape checks, an exact-singularity error carrying the failing column, and a
+shape checks, ``FloatingPointError`` for non-finite entries, an
+exact-singularity error carrying the failing column, and a
 permutation vector with its sign for determinant bookkeeping.
 """
 
@@ -42,7 +43,8 @@ def _as_matrix(a) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        # an overflow upstream, not a bad argument: the caller's numerical failure
+        raise FloatingPointError("matrix has non-finite entries")
     return a
 
 

@@ -123,15 +123,6 @@ class AssembledSystem:
         return found
 
 
-def _physical_blocks(basis: JacobiBasis, imap: IntervalMap):
-    s = imap.scale
-    w = s * basis.weights
-    d1 = basis.d1 / s
-    d2 = basis.d2 / (s * s)
-    psi = basis.psi / s
-    return w, d1, d2, psi
-
-
 def _fold_columns(x: np.ndarray, half: int):
     """(X U_e, X U_o) for an r x m block X, with U_e (U_o) the m x half
     (m x (m - half)) map from the top half of an even (odd) vector to the
@@ -150,32 +141,42 @@ def _folded_blocks(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
 
     Returns the interior weights, the top half rows of the column folds of
     B, G and (when ``stiff``) B2, and the edge columns B[:, (0, N)],
-    G[:, (0, N)] and B2[:, (0, N)].  B and B2 are folded through D1 and D2
-    (G (D U) = (G D) U, a quarter of the flops), and no full block outlives
-    this call.
+    G[:, (0, N)] and B2[:, (0, N)].  Everything is formed in reference
+    scaling, where G is the same (the weights scale by s, D1 and Psi by
+    1/s), and the half-size results are scaled: B by 1/s and B2 by 1/s^2.
+    The top rows of B2 = B D1 are those of B = G D1 times D1, so D2 is
+    never formed, and the edge columns of B2 are G (D1 D1[:, (0, N)]).  No
+    full block outlives this call.
     """
-    n = basis.n
+    n, mu = basis.n, basis.mu
     half = n // 2
-    w, d1, d2, psi = _physical_blocks(basis, imap)
+    s = imap.scale
+    w, d1 = basis.weights, basis.d1
     interior = slice(1, n)
     edge = [0, n]
-    # psi's end rows are -mu times D1's, so D1 - Psi has the end rows
+    # G = (D1[:, 1:N] - Psi)^T K: Psi is diagonal on the interior rows, and
+    # its end rows are -mu times D1's, so D1 - Psi has the end rows
     # (1 + mu) D1, formed directly: the difference cancels as mu -> -1
-    test = d1[:, interior] - psi
-    test[edge] = (1.0 + basis.mu) * d1[edge, interior]
-    gfull = test.T * w[None, :]                         # G, (N-1, N+1)
-    top = gfull[:half]
+    g = d1[:, interior].T * w
+    g[:, edge] = ((1.0 + mu) * d1[edge, interior]).T * w[edge]
+    j, xj = np.arange(1, n), basis.nodes[interior]
+    g[j - 1, j] = (d1[j, j] - 2.0 * xj * mu / (1.0 - xj * xj)) * w[interior]
 
-    def folded_product(x):
-        x_even, x_odd = _fold_columns(x[:, interior], half)
-        return top @ x_even, top @ x_odd
+    def folded(x, scale):
+        even, odd = _fold_columns(x[:, interior], half)
+        even /= scale
+        odd /= scale
+        return even, odd
 
+    top = g[:half]
+    b_top = top @ d1                                    # B[:half], reference scaling
+    d1_edge = d1[:, edge]
     return (
-        w[interior],
-        folded_product(d1),
+        s * w[interior],
+        folded(b_top, s),
         _fold_columns(top[:, interior], half),
-        folded_product(d2) if stiff else None,
-        (gfull @ d1[:, edge], gfull[:, edge], gfull @ d2[:, edge]),
+        folded(b_top @ d1, s * s) if stiff else None,
+        ((g @ d1_edge) / s, g[:, edge], (g @ (d1 @ d1_edge)) / (s * s)),
     )
 
 
@@ -200,28 +201,30 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
         """Fold M^-1 G (and -|c| M^-1 B2 when ``out`` has room) into ``out``
         for the mass matrix M = W + coeff B, from its even and odd half
         blocks; return the dense M^-1 edge_rhs."""
-        even = coeff * mass[0]                          # (M U_e)[:half]
-        even[np.diag_indices(half)] += w[:half]
-        odd = coeff * mass[1][:pairs]                   # (M U_o)[:pairs]
-        odd[np.diag_indices(pairs)] += w[:pairs]
-        # images of even folds are odd (rows [:pairs]) and of odd folds even
-        # (rows [:half]); a fold counts each mirror pair twice, hence the 1/2
         blocks = out.shape[1] // half
         sources = (grad, third)[:blocks]
         scales = (0.5, -0.5 * absc)[:blocks]
         mirror = edge_rhs[::-1]
-        rhs_odd = np.hstack([c * b[0][:pairs] for c, b in zip(scales, sources)]
-                            + [0.5 * (edge_rhs[:pairs] - mirror[:pairs])])
-        rhs_even = np.hstack([c * b[1] for c, b in zip(scales, sources)]
-                             + [0.5 * (edge_rhs[:half] + mirror[:half])])
-        x_odd = linalg.lu_solve(linalg.lu_factor(odd), rhs_odd)
-        x_even = linalg.lu_solve(linalg.lu_factor(even), rhs_even)
-        for k in range(blocks):
-            rows = slice(k * half, (k + 1) * half)
-            out[0, rows, :pairs] = x_odd[:, rows].T
-            out[1, k * half:k * half + pairs] = x_even[:, k * pairs:(k + 1) * pairs].T
-        edge_odd = x_odd[:, blocks * half:]
-        edge_even = x_even[:, blocks * pairs:]
+
+        def solve_half(f: int, size: int, width: int, sign: float) -> np.ndarray:
+            # images of even folds (f = 0, width half) are odd, rows [:pairs],
+            # and of odd folds (f = 1, width pairs) even, rows [:half]; the
+            # block is (M U_o)[:pairs] or (M U_e)[:half].  A fold counts each
+            # mirror pair twice, hence the 1/2.  Returns the edge columns.
+            block = coeff * mass[1 - f][:size]
+            block[np.diag_indices(size)] += w[:size]
+            rhs = np.empty((size, blocks * width + edge_rhs.shape[1]))
+            for k, (c, b) in enumerate(zip(scales, sources)):
+                np.multiply(c, b[f][:size], out=rhs[:, k * width:(k + 1) * width])
+            rhs[:, blocks * width:] = 0.5 * (edge_rhs[:size] + sign * mirror[:size])
+            x = linalg.lu_solve(linalg.lu_factor(block), rhs)
+            for k in range(blocks):
+                out[f, k * half:k * half + width, :size] = x[:, k * width:(k + 1) * width].T
+            return x[:, blocks * width:].copy()
+
+        # one half block at a time, so one set of its temporaries is alive
+        edge_odd = solve_half(0, pairs, half, -1.0)
+        edge_even = solve_half(1, half, pairs, 1.0)
         solved = np.empty_like(edge_rhs)
         solved[:half] = edge_even
         solved[:pairs] += edge_odd

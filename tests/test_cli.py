@@ -284,6 +284,20 @@ def test_cli_snapshot_run(tmp_path):
     assert abs(data[0, 1] - 0.25) < 1e-6  # left boundary pinned to eta0
 
 
+def test_cli_snapshot_run_at_n_2048(tmp_path):
+    # one step of the bore at N = 2048: the barycentric product overflowed
+    # there and the run exited 2 with "matrix has non-finite entries"
+    cfg_file = tmp_path / "wide.cfg"
+    cfg_file.write_text("include-preset = bore\nn = 2048\nt-end = 0.001\nk = 0.001\n"
+                        "snapshot-times = 0.001\n")
+    done = _run_solver(cfg_file, tmp_path / "out")
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    data = np.loadtxt(tmp_path / "out" / "snapshots" / "t0.001.csv", delimiter=",", skiprows=1)
+    assert data.shape == (4 * 2048 + 1, 3)
+    assert np.all(np.isfinite(data))
+    assert abs(data[0, 1] - 0.25) < 1e-6
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "does-not-exist"]) == cli.EXIT_CONFIG
     bad = tmp_path / "bad.cfg"
@@ -327,12 +341,14 @@ def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
 
     cfg = tmp_path / "small.cfg"
     cfg.write_text("include-preset = table5\nn = 8 16 32\n")
-    physical = semidiscrete._physical_blocks
-    # zero quadrature weights make the mass matrix exactly singular
-    monkeypatch.setattr(
-        semidiscrete, "_physical_blocks",
-        lambda basis, imap: (0.0 * physical(basis, imap)[0],) + physical(basis, imap)[1:],
-    )
+    folded = semidiscrete._folded_blocks
+
+    def singular(*args):
+        # zero weights and second-derivative folds: the mass matrix is exactly 0
+        w, mass, *rest = folded(*args)
+        return (0.0 * w, tuple(0.0 * f for f in mass), *rest)
+
+    monkeypatch.setattr(semidiscrete, "_folded_blocks", singular)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
     assert "singular" in capsys.readouterr().err
 

@@ -181,6 +181,21 @@ def test_interior_weights_stay_exact_as_mu_nears_minus_one(mu, n):
         assert got == pytest.approx(jacobi.weight_moment(mu + 1.0, k), rel=1e-12)
 
 
+@pytest.mark.parametrize("j", [8, 12, 16])
+def test_moment_gate_sees_an_interior_weight_error_as_mu_nears_minus_one(j):
+    # a 1e-6 relative error on one interior weight hides below the gate in
+    # the full moments, which the end weights carry, but not in the interior ones
+    mu, n = -0.999, 33
+    rule = jacobi.glj_rule(mu, n)
+    assert jacobi._moment_error(mu, rule.nodes, rule.weights) < 1e-13
+    w = rule.weights.copy()
+    w[j] *= 1.0 + 1e-6
+    full = max(abs(w @ rule.nodes**k - jacobi.weight_moment(mu, k))
+               / jacobi.weight_moment(mu, k - k % 2) for k in range(2 * n))
+    assert full < jacobi._WEIGHT_VERIFY_TOL
+    assert jacobi._moment_error(mu, rule.nodes, w) > 10 * jacobi._WEIGHT_VERIFY_TOL
+
+
 @pytest.mark.parametrize("mu", MUS)
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_exactness_on_random_polynomials(mu, n, rng):
@@ -297,6 +312,40 @@ def test_d1_exactness_and_d2_product(mu, n):
     assert np.abs(basis.d2 - basis.d1 @ basis.d1).max() <= 1e-10 * np.abs(basis.d2).max()
 
 
+def _product_bary(nodes):
+    """1 / prod_{k != j} 2 (x_j - x_k): in range only up to about N = 1097."""
+    diff = 2.0 * np.subtract.outer(nodes, nodes)
+    np.fill_diagonal(diff, 1.0)
+    return 1.0 / np.prod(diff, axis=1)
+
+
+@pytest.mark.parametrize("mu", [-0.999, -0.5, 0.0, 0.5, 0.95])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 128, 511, 1024])
+def test_bary_weights_from_the_rule_match_the_product_form(mu, n):
+    rule = jacobi.glj_rule(mu, n)
+    ratio = _product_bary(rule.nodes) / jacobi.bary_weights(rule)
+    assert np.abs(ratio / ratio[0] - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5])
+def test_d1_stays_finite_and_exact_at_n_2048(mu):
+    # the product form of the barycentric weights overflows from N = 1098 on
+    n = 2048
+    basis = jacobi.build_basis.__wrapped__(mu, n)     # uncached: 34 MB per d1
+    x = basis.nodes
+    assert np.all(np.isfinite(basis.d1))
+    assert np.abs(basis.d1 @ x**3 - 3.0 * x**2).max() < 1e-13 * n**2
+
+
+def test_basis_stores_no_second_derivative_or_aux_matrix():
+    # d2 and psi are formed on access, for diagnostics and tests only
+    from dataclasses import fields
+    assert [f.name for f in fields(jacobi.JacobiBasis)] == ["mu", "n", "rule", "bary", "d1"]
+    basis = jacobi.build_basis(0.25, 8)
+    assert np.array_equal(basis.d2, basis.d1 @ basis.d1)
+    assert np.array_equal(basis.psi, jacobi.aux_matrix(0.25, basis.nodes, basis.d1))
+
+
 def test_aux_matrix_zero_for_legendre():
     basis = jacobi.build_basis(0.0, 8)
     assert np.all(basis.psi == 0.0)
@@ -367,6 +416,22 @@ def test_nodal_eval_points_on_nodes_give_unit_rows(mu, n):
     assert np.array_equal(jacobi.nodal_eval(basis, eye, near), eye[[0, n // 3, n]])
     vals = np.cos(3.0 * basis.nodes)
     assert jacobi.nodal_eval(basis, vals, basis.nodes[n // 3]) == vals[n // 3]
+
+
+def test_nodal_eval_in_row_blocks_matches_point_by_point(rng):
+    # more points than nodes run in several blocks; node hits in every block
+    basis = jacobi.build_basis(0.25, 10)
+    vals = np.column_stack([np.sin(basis.nodes), np.cos(2.0 * basis.nodes)])
+    xs = np.concatenate([rng.uniform(-1.0, 1.0, size=20), basis.nodes[[0, 4, 10]],
+                         rng.uniform(-1.0, 1.0, size=9), basis.nodes[[7]] + 1e-13])
+    rng.shuffle(xs)
+    got = jacobi.nodal_eval(basis, vals, xs)
+    for i, x in enumerate(xs):
+        one = jacobi.nodal_eval(basis, vals, x)
+        assert np.abs(got[i] - one).max() <= 1e-14
+        hit = np.abs(basis.nodes - x) < 1e-12
+        if hit.any():
+            assert np.array_equal(got[i], vals[hit][0])
 
 
 def test_build_basis_is_cached_and_readonly():

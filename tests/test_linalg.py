@@ -85,3 +85,13 @@ def test_det_sign_matches_cofactor_expansion(rng, n):
         det = f.sign * np.prod(np.diag(f.lu))
         assert np.sign(det) == np.sign(ref)
         assert abs(det - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_are_a_numerical_failure(bad):
+    # FloatingPointError is an ArithmeticError, which the CLI reports as exit
+    # 3, not a ValueError (exit 2, a bad config)
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        linalg.lu_factor(a)
