@@ -26,6 +26,7 @@ _NODE_TOL = 1e-14          # Newton stopping tolerance for node search
 _NODE_MAX_ITERS = 100
 _WEIGHT_VERIFY_TOL = 1e-9  # moment-oracle gate on the computed weights
 _HIT_TOL = 1e-12           # points this close to a node take its unit row
+_BLOCK_ENTRIES = 1 << 16   # interpolation blocks hold max((N+1)^2, this) entries
 
 
 class QuadratureError(RuntimeError):
@@ -361,9 +362,11 @@ def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
 
     ``values`` is a vector or an (N+1) x k block of nodal values.  Barycentric
     interpolation in matrix form (Berrut & Trefethen, SIAM Rev. 46 (2004)):
-    E[i, j] = (b_j / (x_i - x_j)) / sum_l b_l / (x_i - x_l), built for at
-    most N+1 points at a time, with the exact nodal value for any point
-    within 1e-12 of a node (the nearest node, found by bisection).  A
+    E[i, j] = (b_j / (x_i - x_j)) / sum_l b_l / (x_i - x_l), with the exact
+    nodal value for any point within 1e-12 of a node (the nearest node,
+    found by bisection).  E is built for a block of points at a time: at
+    most N+1 from N = 255 on, and up to 2^16 / (N+1) below, where a block
+    of N+1 points costs more in numpy calls than in arithmetic.  A
     derivative is E applied to the nodal derivative values d1 @ values or
     d1 @ (d1 @ values), which define the derivative polynomial exactly.
     """
@@ -380,8 +383,9 @@ def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
     near = above - (pts - nodes[above - 1] < nodes[above] - pts)
     hit = np.abs(pts - nodes[near]) < _HIT_TOL
     res = np.empty(pts.shape + values.shape[1:])
-    for start in range(0, pts.size, nodes.size):
-        rows = slice(start, start + nodes.size)
+    block = max(nodes.size, _BLOCK_ENTRIES // nodes.size)
+    for start in range(0, pts.size, block):
+        rows = slice(start, start + block)
         e = np.subtract.outer(pts[rows], nodes)
         on_node = hit[rows]
         e[on_node, near[rows][on_node]] = 1.0          # no 0/0; the row is replaced below

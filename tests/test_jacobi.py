@@ -418,8 +418,10 @@ def test_nodal_eval_points_on_nodes_give_unit_rows(mu, n):
     assert jacobi.nodal_eval(basis, vals, basis.nodes[n // 3]) == vals[n // 3]
 
 
-def test_nodal_eval_in_row_blocks_matches_point_by_point(rng):
-    # more points than nodes run in several blocks; node hits in every block
+def test_nodal_eval_in_row_blocks_matches_point_by_point(monkeypatch, rng):
+    # blocks of N+1 points, as from N = 255 on: 33 points, four of them on
+    # or next to a node, run in three blocks
+    monkeypatch.setattr(jacobi, "_BLOCK_ENTRIES", 1)
     basis = jacobi.build_basis(0.25, 10)
     vals = np.column_stack([np.sin(basis.nodes), np.cos(2.0 * basis.nodes)])
     xs = np.concatenate([rng.uniform(-1.0, 1.0, size=20), basis.nodes[[0, 4, 10]],
