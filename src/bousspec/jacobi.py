@@ -254,13 +254,14 @@ def glj_rule(mu: float, n: int) -> QuadratureRule:
 def bary_weights(rule: QuadratureRule) -> np.ndarray:
     """Barycentric weights of the Lobatto nodes from the rule, in O(N).
 
-    1 / prod_{k != j} (x_j - x_k) is proportional to (-1)^j sqrt(w_j) at
-    the interior nodes and to (-1)^j sqrt((1 + mu) w_j) at the ends (Wang,
-    Huybrechs & Vandewalle, Math. Comp. 83 (2014) 2893-2914): both are
-    ratios of the node polynomial's derivative, which the Jacobi equation
-    turns into J_N(x_j), against the weights' C / J_N(x_j)^2.  A common
-    factor cancels in every use, and unlike the product these stay in range
-    for every N.
+    1 / prod_{k != j} (x_j - x_k) is 1 / omega'(x_j) for the node polynomial
+    omega = (x^2 - 1) J_N' (up to a constant), and the Jacobi equation
+    makes omega'(x_j) proportional to J_N(x_j) inside and to
+    J_N(+-1) / (1 + mu) at the ends.  With w_j = C / J_N(x_j)^2 inside and
+    (1 + mu) C / J_N(+-1)^2 at the ends, the weights are (-1)^j sqrt(w_j)
+    inside and (-1)^j sqrt((1 + mu) w_j) at the ends, up to a common factor
+    that cancels in every use (Wang, Huybrechs & Vandewalle, Math. Comp. 83
+    (2014) 2893-2914).  Unlike the product, they stay in range for every N.
     """
     lam = np.sqrt(rule.weights)
     lam[1::2] *= -1.0
