@@ -228,13 +228,10 @@ def discretize(problem: Problem, n: int) -> Discretization:
 
 
 def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
-               snapshot_times=(), disc: Discretization | None = None) -> RunResult:
-    """Integrate and wrap one (N, k, gamma) run; ``disc`` reuses a
-    discretization of ``problem`` at this N (built here when omitted)."""
-    if disc is None:
-        disc = discretize(problem, n)
+               snapshot_times=()) -> RunResult:
+    """Discretize, integrate and wrap one (N, k, gamma) run."""
     plan = timestep.IntegrationPlan(k=k, t_end=t_end, snapshot_times=tuple(snapshot_times))
-    return _integrate(problem, disc, [(gamma, plan)])[0]
+    return _integrate(problem, discretize(problem, n), [(gamma, plan)])[0]
 
 
 def _integrate(problem: Problem, disc: Discretization, runs) -> list[RunResult]:

@@ -9,15 +9,13 @@ triangular solves halve the same way; a leaf block is applied as the
 inverse of its ``_LEAF`` x ``_LEAF`` triangle.  The pivot sequence is the
 one LAPACK ``getrf`` picks (first largest magnitude in the column).
 
-This module pins the contracts the rest of the package relies on: explicit
-shape checks, ``FloatingPointError`` for non-finite entries, an
-exact-singularity error carrying the failing column, and a
-permutation vector with its sign for determinant bookkeeping.
+``lu_factor`` returns the packed factors and the row permutation, the two
+things ``lu_solve`` reads.  The contracts the rest of the package relies
+on are explicit shape checks, ``FloatingPointError`` for non-finite
+entries and an exact-singularity error carrying the failing column.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,26 +46,6 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """Packed L\\U factors of P @ A with row-permutation metadata.
-
-    ``perm`` maps factored rows back to original rows (``P A = L U`` with
-    ``P[i, perm[i]] = 1``); ``piv`` is the same permutation as the LAPACK
-    swap sequence (row i was interchanged with row ``piv[i]``); ``sign`` is
-    det(P).
-    """
-
-    lu: np.ndarray
-    piv: np.ndarray
-    perm: np.ndarray
-    sign: int
-
-    @property
-    def shape(self):
-        return self.lu.shape
-
-
 def _permute_rows(a: np.ndarray, p: np.ndarray) -> None:
     """a[:] = a[p] in place, copying only the rows that move."""
     moved = np.flatnonzero(p != np.arange(p.size))
@@ -75,7 +53,7 @@ def _permute_rows(a: np.ndarray, p: np.ndarray) -> None:
         a[moved] = a[p[moved]]
 
 
-def _factor_leaf(a: np.ndarray, piv: np.ndarray, col0: int) -> np.ndarray:
+def _factor_leaf(a: np.ndarray, col0: int) -> np.ndarray:
     """Partial-pivot LU of a tall block in place; returns its row order.
 
     Crout order on a transposed copy: each column is a contiguous row, is
@@ -92,7 +70,6 @@ def _factor_leaf(a: np.ndarray, piv: np.ndarray, col0: int) -> np.ndarray:
         pivot = t[c, r]
         if not abs(pivot) > _SINGULAR_TOL:
             raise SingularMatrixError(col0 + c)
-        piv[col0 + c] = col0 + r
         if r != c:
             row = t[:, c].copy()
             t[:, c] = t[:, r]
@@ -104,22 +81,23 @@ def _factor_leaf(a: np.ndarray, piv: np.ndarray, col0: int) -> np.ndarray:
     return np.array(order, dtype=np.intp)
 
 
-def _factor(a: np.ndarray, piv: np.ndarray, col0: int) -> np.ndarray:
+def _factor(a: np.ndarray, col0: int) -> np.ndarray:
     """Recursive partial-pivot LU of an m x n block (m >= n) in place.
 
     Returns the block's row order: the factored rows are the original rows
-    ``order``.  ``piv`` receives the swap sequence for columns col0.. .
+    ``order``.  ``col0`` is the block's first column in the whole matrix,
+    for the error a zero pivot raises.
     """
     n = a.shape[1]
     if n <= _LEAF:
-        return _factor_leaf(a, piv, col0)
+        return _factor_leaf(a, col0)
     h = n // 2
     left, right = a[:, :h], a[:, h:]
-    order = _factor(left, piv, col0)
+    order = _factor(left, col0)
     _permute_rows(right, order)
     _solve_lower_unit(left[:h], right[:h])
     right[h:] -= left[h:] @ right[:h]
-    lower = _factor(right[h:], piv, col0 + h)
+    lower = _factor(right[h:], col0 + h)
     _permute_rows(left[h:], lower)
     order[h:] = order[h:][lower]
     return order
@@ -151,27 +129,28 @@ def _solve_upper(lu: np.ndarray, b: np.ndarray) -> None:
     _solve_upper(lu[:h, :h], b[:h])
 
 
-def lu_factor(a) -> LuFactorization:
-    """Partial-pivot LU factorization of a square matrix."""
+def lu_factor(a) -> tuple[np.ndarray, np.ndarray]:
+    """Partial-pivot LU factorization of a square matrix: ``(lu, perm)``,
+    the packed L\\U factors of P A and the row order ``perm`` (row i of
+    P A is row ``perm[i]`` of A)."""
     a = _as_matrix(a)
     n, m = a.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {a.shape}")
     lu = np.array(a, order="C")
-    piv = np.empty(n, dtype=np.int32)
     with np.errstate(all="ignore"):
-        perm = _factor(lu, piv, 0)
-    sign = -1 if np.count_nonzero(piv != np.arange(n)) % 2 else 1
-    return LuFactorization(lu=lu, piv=piv, perm=perm, sign=sign)
+        perm = _factor(lu, 0)
+    return lu, perm
 
 
-def lu_solve(f: LuFactorization, rhs) -> np.ndarray:
-    """Solve A x = rhs from a prior factorization; rhs may be a vector or matrix."""
+def lu_solve(factors: tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
+    """Solve A x = rhs from ``lu_factor(A)``; rhs may be a vector or matrix."""
+    lu, perm = factors
     rhs = np.asarray(rhs, dtype=float)
-    n = f.lu.shape[0]
+    n = lu.shape[0]
     if rhs.shape[0] != n:
         raise ValueError(f"rhs has {rhs.shape[0]} rows, factorization is {n}x{n}")
-    x = rhs[f.perm]
-    _solve_lower_unit(f.lu, x)
-    _solve_upper(f.lu, x)
+    x = rhs[perm]
+    _solve_lower_unit(lu, x)
+    _solve_upper(lu, x)
     return x

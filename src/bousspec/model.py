@@ -36,6 +36,10 @@ class SystemParams:
             raise ValueError("c must be <= 0")
         if self.b < 0.0 or self.d < 0.0:
             raise ValueError("b and d must be >= 0")
+        # without the d u_xxt mass term nothing smooths c eta_xxx: a float64
+        # field of it keeps about 9 digits at N = 64, fewer as N grows
+        if self.d == 0.0 and self.c < 0.0:
+            raise ValueError("c < 0 needs d > 0")
 
 
 def params_from_theta(theta2: float) -> SystemParams:

@@ -73,8 +73,6 @@ class AssembledSystem:
     """
 
     basis: JacobiBasis
-    params: SystemParams
-    imap: IntervalMap
     half: int                       # fold length ceil((N-1)/2)
     # (2, width, half) when b == d, else (2, 2, width, half) for (eta, u):
     # rows [:half] act on a flux fold, rows [half:] (width = 2 half when
@@ -262,8 +260,6 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     scatter = np.concatenate([scatter, half + scatter])[None]
     return AssembledSystem(
         basis=basis,
-        params=params,
-        imap=imap,
         half=half,
         ops=ops,
         fold_shape=fold_shape,

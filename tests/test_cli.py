@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bousspec import cli, experiments
 from bousspec.experiments import ConfigError, PRESETS, parse_config
+from bousspec.jacobi import build_basis
 from bousspec.timestep import GAMMA_ORDER3, STAGE_TOL
 
 
@@ -90,6 +91,9 @@ def test_parse_config_fraction_and_gamma_aliases():
         # error tables and snapshot runs read one N
         ("include-preset = table1\nn = 32 64", r"error_table runs use one N; got n = \(32, 64\)"),
         ("include-preset = bore\nn = 16 32", r"snapshot runs use one N; got n = \(16, 32\)"),
+        (QUICK_RATIO + "t-end = -1", "t_end must be positive"),
+        (QUICK_RATIO + "left = 1", r"need left < right with a finite width, got \(1.0, 1.0\)"),
+        ("mode = snapshot\nn = 16\nk = 0.1\ninitial-data = tent", "'tent' needs theta2"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -191,6 +195,17 @@ def test_cli_run_records_boundary_mismatch(tmp_path, text, window):
         assert value == 0.0
     else:
         assert window[0] < value <= window[1]
+
+
+def test_cli_run_warns_of_a_bore_boundary_mismatch(tmp_path):
+    # kappa = 0.1 widens the smoothed step until its tail reaches the ends
+    cfg_file = tmp_path / "wide.cfg"
+    cfg_file.write_text("include-preset = bore\nn = 16\nk = 0.1\nt-end = 0.2\n"
+                        "snapshot-times = 0.2\nkappa = 0.1\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="disagree by 1.43e-02 at the endpoints"):
+        assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    assert "boundary_mismatch = 0.0143" in (out / "run.meta").read_text()
 
 
 NO_SCIPY_RUN = """
@@ -304,6 +319,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     bad.write_text("mode = ratio_table\nn = 16\nk = 0.1\n")
     assert cli.main(["compare", str(bad)]) == cli.EXIT_CONFIG
     capsys.readouterr()
+    # a valid preset of another mode
+    assert cli.main(["compare", "table1", "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "compare needs a ratio_table config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_stage_divergence_names_the_run_and_exits_3(tmp_path, capsys):
@@ -361,6 +380,23 @@ def test_cli_diagnose_quadrature(capsys):
     weights = [float(line.split(",")[1]) for line in out[1:]]
     assert nodes == [-1.0, 0.0, 1.0]
     assert weights == pytest.approx([1 / 3, 4 / 3, 1 / 3])
+
+
+def test_cli_diagnose_quadrature_matrices(capsys):
+    n = 6
+    assert cli.main(["diagnose", "quadrature", "--mu", "0.25", "--N", str(n), "--matrices"]) == 0
+    out = capsys.readouterr().out.split("\n# ")
+    assert len(out[0].splitlines()) == n + 2             # header and N + 1 nodes
+    basis = build_basis(0.25, n)
+    blocks = {}
+    for block in out[1:]:
+        label, *rows = block.strip().splitlines()
+        blocks[label] = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert list(blocks) == ["d1", "d2", "psi"]
+    assert blocks["d1"].shape == blocks["d2"].shape == (n + 1, n + 1)
+    assert blocks["psi"].shape == (n + 1, n - 1)
+    for label, mat in blocks.items():
+        assert mat == pytest.approx(getattr(basis, label), rel=1e-14, abs=1e-14)
 
 
 def test_cli_diagnose_dispersion(capsys):

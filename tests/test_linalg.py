@@ -4,37 +4,24 @@ import pytest
 from bousspec import linalg
 
 
-def cofactor_det(a):
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * a[0, j] * cofactor_det(minor)
-    return total
-
-
 def test_lu_identity():
     f = linalg.lu_factor(np.eye(3))
-    assert np.array_equal(f.perm, np.arange(3))
-    assert f.sign == 1
+    assert np.array_equal(f[1], np.arange(3))
     assert np.array_equal(linalg.lu_solve(f, np.array([1.0, 2.0, 3.0])), [1, 2, 3])
 
 
 def test_lu_diagonal():
     f = linalg.lu_factor(np.diag([2.0, 3.0]))
-    assert np.allclose(np.diag(f.lu), [2.0, 3.0])
+    assert np.allclose(np.diag(f[0]), [2.0, 3.0])
     assert np.allclose(linalg.lu_solve(f, np.array([8.0, 9.0])), [4.0, 3.0])
 
 
 def test_lu_reconstruction(rng):
     a = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
-    f = linalg.lu_factor(a)
-    lower = np.tril(f.lu, -1) + np.eye(8)
-    upper = np.triu(f.lu)
-    pa = a[f.perm]
+    lu, perm = linalg.lu_factor(a)
+    lower = np.tril(lu, -1) + np.eye(8)
+    upper = np.triu(lu)
+    pa = a[perm]
     assert np.abs(pa - lower @ upper).max() < 1e-12 * np.abs(a).max()
 
 
@@ -72,19 +59,6 @@ def test_roundtrip_poorly_conditioned(rng):
     x = linalg.lu_solve(linalg.lu_factor(a), rhs)
     resid = np.abs(a @ x - rhs).max()
     assert resid <= 1e-10 * (np.abs(a).max() * np.abs(x).max() + np.abs(rhs).max())
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_det_sign_matches_cofactor_expansion(rng, n):
-    for _ in range(20):
-        a = rng.standard_normal((n, n))
-        ref = cofactor_det(a)
-        if abs(ref) < 1e-8:
-            continue
-        f = linalg.lu_factor(a)
-        det = f.sign * np.prod(np.diag(f.lu))
-        assert np.sign(det) == np.sign(ref)
-        assert abs(det - ref) < 1e-10 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -40,6 +40,26 @@ def test_b_neq_d_coefficients():
         model.params_b_neq_d(0.2)
 
 
+@pytest.mark.parametrize("b, c, d, fragment", [
+    (0.1, 0.1, 0.1, "c must be <= 0"),
+    (-0.1, 0.0, 0.1, "b and d must be >= 0"),
+    (0.1, 0.0, -0.1, "b and d must be >= 0"),
+    # no u-mass smoothing for the c eta_xxx term
+    (0.1, -0.1, 0.0, "c < 0 needs d > 0"),
+    (0.0, -5e-324, 0.0, "c < 0 needs d > 0"),
+])
+def test_system_params_rejects(b, c, d, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        model.SystemParams(b=b, c=c, d=d)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0])
+def test_system_params_accepts_signed_zero_c_without_d(c):
+    # a strategy drawing c from [-d, 0] gives -0.0 at d = 0
+    p = model.SystemParams(b=0.2, c=c, d=0.0)
+    assert p.c == 0.0 and p.d == 0.0
+
+
 def test_interval_map_roundtrip(rng):
     imap = model.IntervalMap(-14.0, 50.0)
     xs = rng.uniform(-1.0, 1.0, size=32)

@@ -508,9 +508,9 @@ def test_field_matches_direct_solve_of_assembled_blocks(case):
 def general_mu_systems(draw):
     """(mu, N, b, c, d): any weight exponent, odd and even N, b = d in some
     draws, and |c| <= d as in the Bona-Smith and b != d families.  With d = 0
-    the term |c| B2 eta is not smoothed by the mass matrix, and at N >= 54 a
-    float64 evaluation of it is off by about 1e-9 relative either way (folded
-    or dense, against a long-double reference)."""
+    the draw of c is 0.0 or -0.0: ``SystemParams`` refuses c < 0 there, where
+    the term |c| B2 eta is not smoothed by a mass matrix and a float64
+    evaluation of it is off by about 1e-9 relative at N >= 54."""
     mu = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
     n = draw(st.integers(2, 64))
     b = draw(st.floats(0.0, 1.0))
