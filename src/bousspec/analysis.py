@@ -23,7 +23,7 @@ _MIN_GRID_DEGREE = 64
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Product-norm request: H^{eta_order} x H^{u_order} with weight mu.
+    """Product-norm request: H^{eta_order} x H^{u_order}, unweighted (mu = 0).
 
     The product norm is the Euclidean combination sqrt(|eta|^2 + |u|^2), the
     one the reference experiment tables use (the tent quotients pin it to
@@ -32,7 +32,6 @@ class NormSpec:
 
     eta_order: int = 0
     u_order: int = 0
-    mu: float = 0.0
 
     def __post_init__(self):
         for k in (self.eta_order, self.u_order):
@@ -85,8 +84,8 @@ def sobolev_norm(derivs, weights) -> float:
 
 
 def _grid(spec: NormSpec, imap: IntervalMap, n_max: int):
-    """Physical nodes and weights of the refinement rule for degrees <= n_max."""
-    rule = glj_rule(spec.mu, max(_MIN_GRID_DEGREE, 2 * n_max))
+    """Physical nodes and weights of the (mu = 0) refinement rule for degrees <= n_max."""
+    rule = glj_rule(0.0, max(_MIN_GRID_DEGREE, 2 * n_max))
     return imap.to_physical(rule.nodes), imap.scale * rule.weights
 
 

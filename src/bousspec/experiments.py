@@ -14,6 +14,9 @@ tables use.  Error tables sweep the time steps ``k_values``; the other runs
 take one step, absolute (``k``) or a multiple of the mesh width
 h = (right - left)/N (``k_per_h``).  ``CONFIG_KEYS`` maps the config keys to
 fields, and ``ExperimentConfig.validate`` checks every value.
+
+Every run style solves through ``_solve`` (one N, its (gamma, k) runs in
+lockstep) and writes its tables through ``_write_tables``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ import pickle
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable
 
 import numpy as np
 
 from . import __version__, analysis, model, semidiscrete, timestep
-from .jacobi import JacobiBasis, build_basis
+from .jacobi import build_basis
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
@@ -119,6 +121,10 @@ class ExperimentConfig:
             raise ConfigError(f"{self.initial_data!r} needs theta2")
         if not self.gammas or min(self.gammas) < GAMMA_MIN:
             raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
+        for key, values in (("gamma", self.gammas), ("k-list", self.k_values)):
+            repeated = [x for i, x in enumerate(values) if x in values[:i]]
+            if repeated:   # an error table has one column per gamma, one row per k
+                raise ConfigError(f"{key} values must be distinct; {repeated[0]:.10g} is repeated")
         steps = self.k_values if self.mode == "error_table" else map(self.step_for, self.n_values)
         for k in steps:
             try:
@@ -204,52 +210,32 @@ class RunResult:
     stats: timestep.IntegrationStats
 
 
-@dataclass(frozen=True)
-class Discretization:
-    """Basis, initial state and vector field of one problem at one N.
-
-    Independent of the time step and the SDIRK member, so one instance
-    serves every (k, gamma) solve of an error table; the initial state
-    ``y0`` is read-only for that reason.
-    """
-
-    basis: JacobiBasis
-    y0: np.ndarray
-    field: Callable[[float, np.ndarray], np.ndarray]
-
-
-def discretize(problem: Problem, n: int) -> Discretization:
-    """Build the basis, assemble the solution operators and the initial state."""
+def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
+    """Build the basis at N, assemble, and integrate the (gamma, plan)
+    ``runs`` in lockstep from one read-only initial state; one RunResult
+    per run, in order.  The solution operators are freed on return."""
     basis = build_basis(0.0, n)
     sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
     y0 = semidiscrete.initial_state(basis, problem.imap, problem.eta_init, problem.u_init)
     y0.flags.writeable = False
-    return Discretization(basis, y0, semidiscrete.make_vector_field(sys_, problem.bdata))
+    results, _ = timestep.integrate(
+        semidiscrete.make_vector_field(sys_, problem.bdata), y0,
+        [(timestep.SdirkScheme.from_gamma(g), plan) for g, plan in runs],
+    )
+    wrapped = []
+    for tf, y, raw_snaps, stats in results:
+        sols = [analysis.NodalSolution(basis, problem.imap,
+                                       *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts)
+                for ts, ys in [(tf, y)] + raw_snaps]
+        wrapped.append(RunResult(solution=sols[0], snapshots=sols[1:], stats=stats))
+    return wrapped
 
 
 def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
                snapshot_times=()) -> RunResult:
-    """Discretize, integrate and wrap one (N, k, gamma) run."""
+    """Solve one (N, k, gamma) run."""
     plan = timestep.IntegrationPlan(k=k, t_end=t_end, snapshot_times=tuple(snapshot_times))
-    return _integrate(problem, discretize(problem, n), [(gamma, plan)])[0]
-
-
-def _integrate(problem: Problem, disc: Discretization, runs) -> list[RunResult]:
-    """Integrate the (gamma, plan) ``runs`` of one discretization in lockstep
-    and wrap each, in order."""
-    results, _ = timestep.integrate(
-        disc.field, disc.y0, [(timestep.SdirkScheme.from_gamma(g), plan) for g, plan in runs]
-    )
-    wrapped = []
-    for tf, y, raw_snaps, stats in results:
-        sols = [
-            analysis.NodalSolution(
-                disc.basis, problem.imap, *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts
-            )
-            for ts, ys in [(tf, y)] + raw_snaps
-        ]
-        wrapped.append(RunResult(solution=sols[0], snapshots=sols[1:], stats=stats))
-    return wrapped
+    return _solve(problem, n, [(gamma, plan)])[0]
 
 
 def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationStats) -> dict:
@@ -263,22 +249,16 @@ def run_error_table(cfg: ExperimentConfig) -> dict:
     problem = _resolve_problem(cfg)
     spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
     n = cfg.n_values[0]
-    disc = discretize(problem, n)
-    runs = iter(_integrate(problem, disc, [
+    runs = iter(_solve(problem, n, [
         (gamma, timestep.IntegrationPlan(k=k, t_end=cfg.t_end))
         for gamma in cfg.gammas for k in cfg.k_values
     ]))
-    finals, solves = {}, []
+    columns, solves = {}, []
     for gamma in cfg.gammas:
-        finals[gamma] = []
+        errors = []
         for k, run in zip(cfg.k_values, runs):
-            finals[gamma].append(run.solution)
+            errors.append(analysis.error_vs_exact(run.solution, problem.exact, cfg.t_end, spec))
             solves.append(_solve_record(n, k, gamma, run.stats))
-    # the norms peak in memory; the solution operators are not needed for them
-    del disc
-    columns = {}
-    for gamma, sols in finals.items():
-        errors = [analysis.error_vs_exact(sol, problem.exact, cfg.t_end, spec) for sol in sols]
         columns[gamma] = analysis.rate_table(cfg.k_values, errors, label=f"gamma={gamma:.10g}")
     return {"k_values": list(cfg.k_values), "columns": columns, "norm": spec.label,
             "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
@@ -393,47 +373,35 @@ def fork_map(fn, items, weights, processes: int) -> list:
     return [outcome[i][1] for i in range(len(items))]
 
 
-def refinement_quotients(problem: Problem, n_values, step_for, gamma: float, t_end: float,
-                         specs) -> dict:
-    """Solve ``problem`` at every N of a doubling chain (time step
-    ``step_for(n)``) and form the quotients E_N for every norm in ``specs``.
+def run_ratio_table(cfg: ExperimentConfig) -> dict:
+    """Refinement quotients E_N along the doubling chain, all requested norms.
 
     The solves are independent, so they run in up to one process per
     available CPU (``fork_map``, weighted by N).  Every basis is built here
     first: the workers inherit it and the norms reuse it.
     """
+    problem = _resolve_problem(cfg)
+    specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
+        analysis.NormSpec(*pair) for pair in cfg.extra_norms
+    ]
+    n_values, gamma = cfg.n_values, cfg.gammas[0]
     bases = {n: build_basis(0.0, n) for n in n_values}
 
     def solve(n):
-        run = solve_once(problem, n, step_for(n), gamma, t_end)
+        run = solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end)
         return run.solution.eta, run.solution.u, run.solution.t, run.stats
 
     processes = min(available_cpus(), len(n_values))   # every N > 0: fork_map uses them all
     sols, solves = {}, []
     for n, (eta, u, t, stats) in zip(n_values, fork_map(solve, n_values, n_values, processes)):
         sols[n] = analysis.NodalSolution(bases[n], problem.imap, eta, u, t)
-        solves.append(_solve_record(n, step_for(n), gamma, stats))
+        solves.append(_solve_record(n, cfg.step_for(n), gamma, stats))
     rows = []
     for n in n_values[:-2]:
-        row = {"n": n}
-        for spec in specs:
-            row[spec.label] = analysis.convergence_ratio(
-                [sols[n], sols[2 * n], sols[4 * n]], spec
-            )
-        rows.append(row)
+        chain = [sols[n], sols[2 * n], sols[4 * n]]
+        rows.append({"n": n, **{s.label: analysis.convergence_ratio(chain, s) for s in specs}})
     return {"rows": rows, "norms": [s.label for s in specs], "solves": solves,
-            "workers": processes}
-
-
-def run_ratio_table(cfg: ExperimentConfig) -> dict:
-    """Refinement quotients E_N along the doubling chain, all requested norms."""
-    problem = _resolve_problem(cfg)
-    specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
-        analysis.NormSpec(*pair) for pair in cfg.extra_norms
-    ]
-    result = refinement_quotients(problem, cfg.n_values, cfg.step_for, cfg.gammas[0],
-                                  cfg.t_end, specs)
-    return {**result, "boundary_mismatch": problem.boundary_mismatch}
+            "workers": processes, "boundary_mismatch": problem.boundary_mismatch}
 
 
 def run_snapshot(cfg: ExperimentConfig) -> dict:
@@ -442,7 +410,7 @@ def run_snapshot(cfg: ExperimentConfig) -> dict:
     k, gamma = cfg.step_for(n), cfg.gammas[0]
     times = cfg.snapshot_times or (cfg.t_end,)
     run = solve_once(problem, n, k, gamma, cfg.t_end, snapshot_times=times)
-    return {"run": run, "problem": problem, "solves": [_solve_record(n, k, gamma, run.stats)],
+    return {"run": run, "solves": [_solve_record(n, k, gamma, run.stats)],
             "boundary_mismatch": problem.boundary_mismatch}
 
 
@@ -615,64 +583,56 @@ def _write_csv(path: str, header: list, rows) -> str:
     return path
 
 
-def write_error_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:
+def _write_tables(outdir: str, csvs, title: str, head: list, rows) -> list[str]:
+    """Write the (file name, header, rows) triples ``csvs`` as CSV files and
+    ``rows`` under ``title`` and ``head`` as ``table.md``; return the paths."""
     os.makedirs(outdir, exist_ok=True)
-    ks, columns = result["k_values"], result["columns"]
-    gammas = list(columns)
-    written = [_write_csv(
-        os.path.join(outdir, "errors.csv"), ["k"] + [f"error_gamma_{g:.10g}" for g in gammas],
-        ([_fmt(k)] + [_fmt(columns[g].errors[i]) for g in gammas] for i, k in enumerate(ks)),
-    ), _write_csv(
-        os.path.join(outdir, "rates.csv"), ["k"] + [f"rate_gamma_{g:.10g}" for g in gammas],
-        ([_fmt(k)] + ["" if columns[g].rates[i] is None else f"{columns[g].rates[i]:.4f}"
-                      for g in gammas] for i, k in enumerate(ks[1:])),
-    )]
+    written = [_write_csv(os.path.join(outdir, name), header, body) for name, header, body in csvs]
     path = os.path.join(outdir, "table.md")
     with open(path, "w") as fh:
-        fh.write(f"# {cfg.name}: {result['norm']} errors at T={cfg.t_end:g}\n\n")
-        head = "| k |"
-        rule = "|---|"
-        for g in gammas:
-            head += f" error (gamma={g:.6g}) | rate |"
-            rule += "---|---|"
-        fh.write(head + "\n" + rule + "\n")
-        for i, k in enumerate(result["k_values"]):
-            line = f"| {k:.6g} |"
-            for g in gammas:
-                col = result["columns"][g]
-                rate = "" if i == 0 or col.rates[i - 1] is None else f"{col.rates[i-1]:.2f}"
-                line += f" {col.errors[i]:.4E} | {rate} |"
-            fh.write(line + "\n")
+        fh.write(f"# {title}\n\n")
+        fh.write("| " + " | ".join(head) + " |\n" + "|" + "---|" * len(head) + "\n")
+        for cells in rows:
+            fh.write("| " + " | ".join(cells) + " |\n")
     written.append(path)
     return written
+
+
+def _rate(rate: float | None, spec: str) -> str:
+    return "" if rate is None else format(rate, spec)
+
+
+def write_error_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:
+    ks, columns = result["k_values"], result["columns"]
+    gammas = list(columns)
+    csvs = [
+        ("errors.csv", ["k"] + [f"error_gamma_{g:.10g}" for g in gammas],
+         ([_fmt(k)] + [_fmt(columns[g].errors[i]) for g in gammas] for i, k in enumerate(ks))),
+        ("rates.csv", ["k"] + [f"rate_gamma_{g:.10g}" for g in gammas],
+         ([_fmt(k)] + [_rate(columns[g].rates[i], ".4f") for g in gammas]
+          for i, k in enumerate(ks[1:]))),
+    ]
+    head = ["k"] + [cell for g in gammas for cell in (f"error (gamma={g:.6g})", "rate")]
+    rows = ([f"{k:.6g}"] + [cell for g in gammas for cell in (
+        f"{columns[g].errors[i]:.4E}", _rate(columns[g].rates[i - 1] if i else None, ".2f"))]
+        for i, k in enumerate(ks))
+    return _write_tables(outdir, csvs, f"{cfg.name}: {result['norm']} errors at T={cfg.t_end:g}",
+                         head, rows)
 
 
 def write_ratio_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:
-    os.makedirs(outdir, exist_ok=True)
-    norms = result["norms"]
-    written = [_write_csv(
-        os.path.join(outdir, "ratios.csv"),
-        ["n"] + [cell for label in norms for cell in (f"E_{label}", f"log2_E_{label}")],
-        ([str(row["n"])] + [cell for label in norms
-                            for cell in (_fmt(row[label]), f"{math.log2(row[label]):.6f}")]
-         for row in result["rows"]),
-    )]
-    path = os.path.join(outdir, "table.md")
-    with open(path, "w") as fh:
-        fh.write(f"# {cfg.name}: refinement quotients at T={cfg.t_end:g}\n\n")
-        head = "| N |"
-        rule = "|---|"
-        for label in result["norms"]:
-            head += f" E_N ({label}) | log2 |"
-            rule += "---|---|"
-        fh.write(head + "\n" + rule + "\n")
-        for row in result["rows"]:
-            line = f"| {row['n']} |"
-            for label in result["norms"]:
-                line += f" {row[label]:.4f} | {math.log2(row[label]):.4f} |"
-            fh.write(line + "\n")
-    written.append(path)
-    return written
+    norms, rows = result["norms"], result["rows"]
+    csvs = [("ratios.csv",
+             ["n"] + [cell for label in norms for cell in (f"E_{label}", f"log2_E_{label}")],
+             ([str(row["n"])] + [cell for label in norms
+                                 for cell in (_fmt(row[label]), f"{math.log2(row[label]):.6f}")]
+              for row in rows))]
+    head = ["N"] + [cell for label in norms for cell in (f"E_N ({label})", "log2")]
+    cells = ([str(row["n"])] + [cell for label in norms
+                                for cell in (f"{row[label]:.4f}", f"{math.log2(row[label]):.4f}")]
+             for row in rows)
+    return _write_tables(outdir, csvs, f"{cfg.name}: refinement quotients at T={cfg.t_end:g}",
+                         head, cells)
 
 
 def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:

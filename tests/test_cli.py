@@ -88,6 +88,9 @@ def test_parse_config_fraction_and_gamma_aliases():
         (QUICK_RATIO + "left = -inf", "interval must be finite"),
         ("include-preset = table2\nk-list = 0.5", "k-list needs at least two entries"),
         ("include-preset = table2\nk = 0.01", "give k-list instead of k"),
+        # an error table has one column per gamma and one row per k
+        ("include-preset = table2\ngamma = 0.5 midpoint", "gamma values must be distinct; 0.5 is repeated"),
+        ("include-preset = table2\nk-list = 0.5 0.25 0.5", "k-list values must be distinct; 0.5 is repeated"),
         # error tables and snapshot runs read one N
         ("include-preset = table1\nn = 32 64", r"error_table runs use one N; got n = \(32, 64\)"),
         ("include-preset = bore\nn = 16 32", r"snapshot runs use one N; got n = \(16, 32\)"),
@@ -129,6 +132,32 @@ def test_cli_run_writes_artifacts(tmp_path):
     header, row = (out / "ratios.csv").read_text().splitlines()
     assert header == "n,E_H1xH1,log2_E_H1xH1"
     assert row.startswith("16,2.63624")
+
+
+def test_cli_error_table_artifact_layout(tmp_path):
+    # 0.5 -> 0.25 halves and has a rate; 0.25 -> 0.2 does not and leaves
+    # its rate cells empty, as does the first markdown row
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text("include-preset = table2\nn = 32\nk-list = 0.5 0.25 0.2\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    errors = (out / "errors.csv").read_text().splitlines()
+    assert errors[0] == "k,error_gamma_0.5,error_gamma_0.7886751346"
+    assert [line.split(",")[0] for line in errors[1:]] == [
+        "5.00000000000E-01", "2.50000000000E-01", "2.00000000000E-01"]
+    assert all(len(line.split(",")) == 3 for line in errors)
+    rates = (out / "rates.csv").read_text().splitlines()
+    assert rates[0] == "k,rate_gamma_0.5,rate_gamma_0.7886751346"
+    assert len(rates) == 3 and re.fullmatch(r"2\.50000000000E-01,-?\d\.\d{4},-?\d\.\d{4}", rates[1])
+    assert rates[2] == "2.00000000000E-01,,"
+    md = (out / "table.md").read_text().splitlines()
+    assert md[:4] == ["# sweep: H2xH2 errors at T=2", "",
+                      "| k | error (gamma=0.5) | rate | error (gamma=0.788675) | rate |",
+                      "|---|---|---|---|---|"]
+    cells = [line.split("|")[1:-1] for line in md[4:]]
+    assert [c[0].strip() for c in cells] == ["0.5", "0.25", "0.2"]
+    halving = tuple(f" {float(r):.2f} " for r in rates[1].split(",")[1:])
+    assert [(c[2], c[4]) for c in cells] == [("  ", "  "), halving, ("  ", "  ")]
 
 
 def test_cli_rerun_reproduces_identical_bytes(tmp_path):
@@ -238,10 +267,12 @@ sys.exit(cli.main(["run", sys.argv[1], "--output", sys.argv[2]]))
 """
 
 
-def _run_solver(cfg_file, out, cpus=None):
-    """``solver run`` in a fresh interpreter, on ``cpus`` (a CPU set) if given."""
+def _run_solver(cfg_file, out, cpus=None, **extra_env):
+    """``solver run`` in a fresh interpreter, on ``cpus`` (a CPU set) if
+    given, with ``extra_env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **extra_env)
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     return subprocess.run([sys.executable, "-c", SOLVER_RUN, str(cfg_file), str(out)],
                           capture_output=True, text=True, env=env, timeout=120,
@@ -252,13 +283,17 @@ def _run_solver(cfg_file, out, cpus=None):
 @pytest.mark.parametrize("preset", ["table5", "table5b"])
 def test_ratio_table_bytes_do_not_depend_on_worker_count(tmp_path, preset):
     # the default run spreads the N values over one process per CPU; the
-    # same run pinned to one CPU solves them all in process
+    # same run pinned to one CPU solves them all in process.  Both runs get
+    # one BLAS thread: pinning alone would also change the BLAS thread
+    # count, and the operators at N = 128 differ in their last bits between
+    # 1 and 2 OpenBLAS threads
     cfg_file = tmp_path / "chain.cfg"
     cfg_file.write_text(f"include-preset = {preset}\nn = 16 32 64 128\n")
     one_cpu = {min(os.sched_getaffinity(0))}
     outs = {}
     for label, cpus in (("default", None), ("pinned", one_cpu)):
-        done = _run_solver(cfg_file, tmp_path / label, cpus)
+        done = _run_solver(cfg_file, tmp_path / label, cpus,
+                           OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         assert done.returncode == 0, done.stderr
         meta = (tmp_path / label / "run.meta").read_text().splitlines()
         outs[label] = ((tmp_path / label / "ratios.csv").read_bytes(),

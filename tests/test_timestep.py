@@ -194,8 +194,11 @@ def test_lockstep_runs_match_runs_alone_gni(preset):
     # differently from a product of one row: c != 0 (table1, table3),
     # time-dependent boundary traces (table2) and b != d (table3)
     problem = experiments._resolve_problem(experiments.PRESETS[preset])
-    disc = experiments.discretize(problem, 33)
-    _assert_lockstep_matches_alone(disc.field, disc.y0, _LOCKSTEP_RUNS, 1e-13)
+    basis = build_basis(0.0, 33)
+    field = semidiscrete.make_vector_field(
+        semidiscrete.assemble(basis, problem.params, problem.imap), problem.bdata)
+    y0 = semidiscrete.initial_state(basis, problem.imap, problem.eta_init, problem.u_init)
+    _assert_lockstep_matches_alone(field, y0, _LOCKSTEP_RUNS, 1e-13)
 
 
 def test_stage_divergence_names_the_run():
