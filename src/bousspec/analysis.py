@@ -4,7 +4,9 @@ Norms are estimated by Gauss-Lobatto quadrature on a refinement grid of
 degree M = max(64, 2 N_max), N_max the largest polynomial degree compared:
 ||f||_{H^k}^2 ~ sum_{l<=k} sum_j |f^(l)(y_j)|^2 w_j, with physical-interval
 nodes and weights.  Product norms are sqrt(|eta|^2 + |u|^2).  Every norm
-samples a solution through one interpolation matrix (``_sample``).
+samples its solutions through one interpolation pass (``_sample``), which
+forms D1 in blocks: an error table's runs are all measured in one call
+of ``error_vs_exact``.
 All tables in the experiment suite use the unweighted (mu = 0) norms.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jacobi import JacobiBasis, glj_rule, nodal_eval
+from .jacobi import JacobiBasis, d1_matmul, glj_rule, nodal_eval
 from .model import ExactSolution, IntervalMap
 
 _MIN_GRID_DEGREE = 64
@@ -89,24 +91,37 @@ def _grid(spec: NormSpec, imap: IntervalMap, n_max: int):
     return imap.to_physical(rule.nodes), imap.scale * rule.weights
 
 
-def _sample(sol: NodalSolution, pts, spec: NormSpec) -> np.ndarray:
-    """Derivative samples of ``sol`` on pts, one column per (component, order).
+def _sample(sols, pts, spec: NormSpec) -> np.ndarray:
+    """Derivative samples of the solutions ``sols`` (one basis and interval)
+    on pts, shaped (points, solutions, columns).
 
-    Columns are eta, eta', ... up to ``spec.eta_order``, then u, u', ... up to
-    ``spec.u_order``; one interpolation matrix serves all of them.
+    Columns are eta, eta', ... up to ``spec.eta_order``, then u, u', ... up
+    to ``spec.u_order``.  D1 is applied once per derivative order, to every
+    solution's values that need it, and one interpolation pass serves all
+    the columns of all the solutions.
     """
-    d1, s = sol.basis.d1, sol.imap.scale
-    cols = []
-    for v, order in ((sol.eta, spec.eta_order), (sol.u, spec.u_order)):
-        cols.append(v)
-        for k in range(1, order + 1):
-            v = d1 @ v                      # nodal values of the k-th derivative
-            cols.append(v / s**k)
-    return nodal_eval(sol.basis, np.column_stack(cols), _reference_points(sol.imap, pts))
+    basis, imap = sols[0].basis, sols[0].imap
+    if any(sol.basis is not basis or sol.imap != imap for sol in sols):
+        raise ValueError("sampled solutions must share one basis and interval")
+    s = imap.scale
+    orders = (spec.eta_order, spec.u_order)
+    values = [np.column_stack([sol.eta for sol in sols]), np.column_stack([sol.u for sol in sols])]
+    cols = [[v] for v in values]
+    for k in range(1, max(orders) + 1):
+        need = [c for c in (0, 1) if orders[c] >= k]
+        # nodal values of the k-th derivatives
+        step = d1_matmul(basis, np.hstack([values[c] for c in need]))
+        for c, v in zip(need, np.hsplit(step, len(need))):
+            values[c] = v
+            cols[c].append(v / s**k)
+    nodal = np.stack(cols[0] + cols[1], axis=2)
+    samples = nodal_eval(basis, nodal.reshape(basis.n + 1, -1), _reference_points(imap, pts))
+    return samples.reshape(len(pts), *nodal.shape[1:])
 
 
 def _diff_norm(sa, sb, w) -> float:
-    """Product norm of the difference of two ``_sample``-shaped samples.
+    """Product norm of the difference of two samples of one solution each
+    (points x columns, a slice of ``_sample``'s).
 
     sqrt(|eta|^2 + |u|^2) adds the squared component norms, so it is the
     quadrature sum over every sampled column.
@@ -114,21 +129,23 @@ def _diff_norm(sa, sb, w) -> float:
     return sobolev_norm((sa - sb).T, w)
 
 
-def error_vs_exact(sol: NodalSolution, exact: ExactSolution, t: float,
-                   spec: NormSpec) -> float:
-    """Product norm of (eta_N - eta(., t), u_N - u(., t))."""
-    pts, w = _grid(spec, sol.imap, sol.basis.n)
+def error_vs_exact(sols, exact: ExactSolution, t: float, spec: NormSpec) -> list[float]:
+    """Product norms of (eta_N - eta(., t), u_N - u(., t)), one per solution
+    of ``sols`` (one basis and interval): one grid, one exact sample and
+    one ``_sample`` pass serve them all."""
+    pts, w = _grid(spec, sols[0].imap, sols[0].basis.n)
     ref = np.column_stack(
         [exact.eta(pts, t, d) for d in range(spec.eta_order + 1)]
         + [exact.u(pts, t, d) for d in range(spec.u_order + 1)]
     )
-    return _diff_norm(_sample(sol, pts, spec), ref, w)
+    samples = _sample(sols, pts, spec)
+    return [_diff_norm(samples[:, r], ref, w) for r in range(len(sols))]
 
 
 def self_norm(sol: NodalSolution, spec: NormSpec) -> float:
     """Product norm of the solution itself on the refinement grid."""
     pts, w = _grid(spec, sol.imap, sol.basis.n)
-    return _diff_norm(_sample(sol, pts, spec), 0.0, w)
+    return _diff_norm(_sample([sol], pts, spec)[:, 0], 0.0, w)
 
 
 def convergence_ratio(sols, spec: NormSpec) -> float:
@@ -145,7 +162,7 @@ def convergence_ratio(sols, spec: NormSpec) -> float:
         raise ValueError("solution degrees must double: N, 2N, 4N")
     pts, w = _grid(spec, s4.imap, s4.basis.n)
     # each level is sampled once; s_2N enters both differences
-    v1, v2, v4 = (_sample(s, pts, spec) for s in sols)
+    v1, v2, v4 = (_sample([s], pts, spec)[:, 0] for s in sols)
     num = _diff_norm(v1, v2, w)
     den = _diff_norm(v2, v4, w)
     if den == 0.0:

@@ -35,9 +35,10 @@ from .jacobi import build_basis
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
-# A basis keeps one dense (N+1)^2 matrix, d1 (0.13 GB at N = 4096), and
-# assembly peaks at about four more: a one-step N = 4096 bore run peaked at
-# 0.48 GB of RSS.  The largest preset N is 1024.
+# A basis keeps O(N) data, and assembly peaks at about 2.3 dense (N+1)^2
+# matrices (0.13 GB each at N = 4096) with c = 0 and 3.5 with c != 0: a
+# one-step N = 4096 bore run (c = 0) peaked at 0.33 GB of RSS.  The largest
+# preset N is 1024.
 N_MAX = 4096
 # the two-stage SDIRK family is stable on the imaginary axis only for gamma >= 1/4
 GAMMA_MIN = 0.25
@@ -121,10 +122,18 @@ class ExperimentConfig:
             raise ConfigError(f"{self.initial_data!r} needs theta2")
         if not self.gammas or min(self.gammas) < GAMMA_MIN:
             raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
-        for key, values in (("gamma", self.gammas), ("k-list", self.k_values)):
-            repeated = [x for i, x in enumerate(values) if x in values[:i]]
-            if repeated:   # an error table has one column per gamma, one row per k
-                raise ConfigError(f"{key} values must be distinct; {repeated[0]:.10g} is repeated")
+        # an error table has one column per gamma and one row per k, labelled
+        # as the writers print them: gamma to 10 digits in errors.csv, k as
+        # ``_fmt`` does, and both to 6 in table.md
+        for key, values, specs in (("gamma", self.gammas, (".10g", ".6g")),
+                                   ("k-list", self.k_values, (".11E", ".6g"))):
+            for i, x in enumerate(values):
+                for y in values[:i]:
+                    if x == y:
+                        raise ConfigError(f"{key} values must be distinct; {x:.10g} is repeated")
+                    if any(format(x, f) == format(y, f) for f in specs):
+                        raise ConfigError(f"{key} values {y!r} and {x!r} print as the same "
+                                          "table label")
         steps = self.k_values if self.mode == "error_table" else map(self.step_for, self.n_values)
         for k in steps:
             try:
@@ -245,21 +254,20 @@ def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationSta
 
 def run_error_table(cfg: ExperimentConfig) -> dict:
     """Errors and observed rates over the time steps ``cfg.k_values``, one
-    column per gamma; every (gamma, k) run is integrated in one lockstep batch."""
+    column per gamma; every (gamma, k) run is integrated in one lockstep batch
+    and measured in one ``error_vs_exact`` call."""
     problem = _resolve_problem(cfg)
     spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
-    n = cfg.n_values[0]
-    runs = iter(_solve(problem, n, [
-        (gamma, timestep.IntegrationPlan(k=k, t_end=cfg.t_end))
-        for gamma in cfg.gammas for k in cfg.k_values
-    ]))
-    columns, solves = {}, []
-    for gamma in cfg.gammas:
-        errors = []
-        for k, run in zip(cfg.k_values, runs):
-            errors.append(analysis.error_vs_exact(run.solution, problem.exact, cfg.t_end, spec))
-            solves.append(_solve_record(n, k, gamma, run.stats))
-        columns[gamma] = analysis.rate_table(cfg.k_values, errors, label=f"gamma={gamma:.10g}")
+    n, nk = cfg.n_values[0], len(cfg.k_values)
+    pairs = [(gamma, k) for gamma in cfg.gammas for k in cfg.k_values]
+    runs = _solve(problem, n, [(gamma, timestep.IntegrationPlan(k=k, t_end=cfg.t_end))
+                               for gamma, k in pairs])
+    errors = analysis.error_vs_exact([run.solution for run in runs], problem.exact,
+                                     cfg.t_end, spec)
+    solves = [_solve_record(n, k, gamma, run.stats) for (gamma, k), run in zip(pairs, runs)]
+    columns = {gamma: analysis.rate_table(cfg.k_values, errors[i * nk:(i + 1) * nk],
+                                          label=f"gamma={gamma:.10g}")
+               for i, gamma in enumerate(cfg.gammas)}
     return {"k_values": list(cfg.k_values), "columns": columns, "norm": spec.label,
             "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
 

@@ -5,8 +5,10 @@ w(x) = (1 - x^2)^mu, -1 < mu < 1 (mu = 0: Legendre, mu = -1/2: Chebyshev).
 The quadrature nodes are -1, 1 and the zeros of the derivative of the
 degree-N Jacobi polynomial; the rule is exact on polynomials of degree
 <= 2N - 1 against w.  A ``JacobiBasis`` bundles that rule with its
-barycentric weights and the Lagrange (nodal) differentiation matrix; the
-second-derivative matrix and the auxiliary matrix produced by
+barycentric weights and the diagonal of the Lagrange (nodal)
+differentiation matrix D1, O(N) data in all.  Products with D1 form it one
+row or column block at a time (``d1_matmul``, ``matmul_d1``); the dense D1,
+the second-derivative matrix and the auxiliary matrix produced by
 differentiating the weight inside weak forms are formed on request.
 
 Normalization of the polynomials is the standard one (J_n(1) = C(n+mu, n));
@@ -26,7 +28,7 @@ _NODE_TOL = 1e-14          # Newton stopping tolerance for node search
 _NODE_MAX_ITERS = 100
 _WEIGHT_VERIFY_TOL = 1e-9  # moment-oracle gate on the computed weights
 _HIT_TOL = 1e-12           # points this close to a node take its unit row
-_BLOCK_ENTRIES = 1 << 16   # interpolation blocks hold max((N+1)^2, this) entries
+_BLOCK_ENTRIES = 1 << 16   # entries of one interpolation or D1 block (at least one row)
 
 
 class QuadratureError(RuntimeError):
@@ -269,6 +271,39 @@ def bary_weights(rule: QuadratureRule) -> np.ndarray:
     return lam
 
 
+def _block_len(size: int) -> int:
+    """Rows (or columns) of one block of ``_BLOCK_ENTRIES`` entries, at least one."""
+    return max(1, _BLOCK_ENTRIES // size)
+
+
+def _d1_spans(size: int, other: int) -> list[slice]:
+    """Nearly equal slices of range(size) for the D1 blocks of a product
+    whose other factor has ``other`` rows or columns: blocks of
+    ``_BLOCK_ENTRIES`` entries, or about as many as that factor holds if
+    more (a thin product runs below the speed of a full one)."""
+    count = max(1, size // max(_block_len(size), other))
+    step = -(-size // count)
+    return [slice(start, start + step) for start in range(0, size, step)]
+
+
+def _bary_block(nodes: np.ndarray, bary: np.ndarray, rows: slice, cols: slice,
+                diag: np.ndarray | None) -> np.ndarray:
+    """The block [rows, cols] (unit-step slices) of the barycentric matrix
+    (b_j / b_i) / (x_i - x_j), with ``diag`` (or 0) on its diagonal
+    entries.  Each entry takes the same operations at any block shape, so
+    blocks of it tile the matrix of a single call bit for bit."""
+    r = range(nodes.size)[rows]
+    c = range(nodes.size)[cols]
+    on = np.arange(max(r.start, c.start), min(r.stop, c.stop))
+    at = (on - r.start, on - c.start)
+    blk = np.subtract.outer(nodes[rows], nodes[cols])
+    blk[at] = 1.0
+    blk *= bary[rows, None]
+    np.divide(bary[cols], blk, out=blk)
+    blk[at] = 0.0 if diag is None else diag[on]
+    return blk
+
+
 def diff_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
     """Nodal differentiation matrix d1[i, j] = psi_j'(x_i).
 
@@ -277,11 +312,8 @@ def diff_matrix(nodes: np.ndarray, bary: np.ndarray) -> np.ndarray:
     of it are exact on polynomials: d1 @ d1 is the second-derivative matrix.
     """
     nodes = np.asarray(nodes, dtype=float)
-    d1 = np.subtract.outer(nodes, nodes)
-    np.fill_diagonal(d1, 1.0)
-    d1 *= bary[:, None]
-    np.divide(bary, d1, out=d1)
-    np.fill_diagonal(d1, 0.0)
+    whole = slice(None)
+    d1 = _bary_block(nodes, bary, whole, whole, None)
     np.fill_diagonal(d1, -d1.sum(axis=1))
     return d1
 
@@ -312,17 +344,19 @@ class JacobiBasis:
     """Degree-N nodal basis on the Gauss-Lobatto-Jacobi points.
 
     The nodes are mirrored exactly (x_{N-j} == -x_j; ``build_basis`` checks).
-    Holds the rule, the barycentric weights and d1, immutable after
-    construction (arrays are read-only), so instances can be shared freely
-    across threads and cached.  ``d2`` and ``psi`` are formed anew on each
-    access; no solve reads them.
+    Holds O(N) data: the rule, the barycentric weights and the diagonal of
+    the differentiation matrix D1 (its negative off-diagonal row sums),
+    immutable after construction (arrays are read-only), so instances can
+    be shared freely across threads and cached.  Products with D1 form it
+    in blocks (``d1_matmul``, ``matmul_d1``); ``d1``, ``d2`` and ``psi``
+    are formed anew on each access, for diagnostics and tests.
     """
 
     mu: float
     n: int
     rule: QuadratureRule
     bary: np.ndarray
-    d1: np.ndarray
+    d1_diag: np.ndarray
 
     @property
     def nodes(self) -> np.ndarray:
@@ -333,9 +367,17 @@ class JacobiBasis:
         return self.rule.weights
 
     @property
+    def d1(self) -> np.ndarray:
+        """The dense differentiation matrix, read-only (``diff_matrix``'s entries)."""
+        d1 = d1_block(self)
+        d1.setflags(write=False)
+        return d1
+
+    @property
     def d2(self) -> np.ndarray:
         """Second-derivative matrix d1 @ d1."""
-        return self.d1 @ self.d1
+        d1 = self.d1
+        return d1 @ d1
 
     @property
     def psi(self) -> np.ndarray:
@@ -349,13 +391,42 @@ def _build_basis(mu: float, n: int) -> JacobiBasis:
     if not np.array_equal(rule.nodes[::-1], -rule.nodes):
         raise QuadratureError(f"nodes for mu={mu}, n={n} are not mirrored exactly")
     bary = bary_weights(rule)
-    d1 = diff_matrix(rule.nodes, bary)
-    for a in (bary, d1):
+    # the negative row sums of diff_matrix, a block of rows at a time
+    diag = np.empty(n + 1)
+    for rows in _d1_spans(n + 1, 1):
+        diag[rows] = -_bary_block(rule.nodes, bary, rows, slice(None), None).sum(axis=1)
+    for a in (bary, diag):
         a.setflags(write=False)
-    return JacobiBasis(mu=float(mu), n=n, rule=rule, bary=bary, d1=d1)
+    return JacobiBasis(mu=float(mu), n=n, rule=rule, bary=bary, d1_diag=diag)
 
 
 build_basis = lru_cache(maxsize=32)(_build_basis)
+
+
+def d1_block(basis: JacobiBasis, rows: slice = slice(None),
+             cols: slice = slice(None)) -> np.ndarray:
+    """The block D1[rows, cols] (unit-step slices), a new array holding
+    exactly the entries ``diff_matrix`` gives there."""
+    return _bary_block(basis.nodes, basis.bary, rows, cols, basis.d1_diag)
+
+
+def d1_matmul(basis: JacobiBasis, values) -> np.ndarray:
+    """D1 @ values, for a vector or an (N+1) x k block, forming D1 one
+    block of rows at a time (``_d1_spans``)."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape)
+    for rows in _d1_spans(basis.n + 1, values[0].size):
+        out[rows] = d1_block(basis, rows) @ values
+    return out
+
+
+def matmul_d1(x: np.ndarray, basis: JacobiBasis) -> np.ndarray:
+    """x @ D1, for an r x (N+1) block x, forming D1 one block of columns
+    at a time (``_d1_spans``)."""
+    out = np.empty(x.shape)
+    for cols in _d1_spans(basis.n + 1, len(x)):
+        out[:, cols] = x @ d1_block(basis, cols=cols)
+    return out
 
 
 def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
@@ -365,17 +436,16 @@ def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
     interpolation in matrix form (Berrut & Trefethen, SIAM Rev. 46 (2004)):
     E[i, j] = (b_j / (x_i - x_j)) / sum_l b_l / (x_i - x_l), with the exact
     nodal value for any point within 1e-12 of a node (the nearest node,
-    found by bisection).  E is built for a block of points at a time: at
-    most N+1 from N = 255 on, and up to 2^16 / (N+1) below, where a block
-    of N+1 points costs more in numpy calls than in arithmetic.  A
-    derivative is E applied to the nodal derivative values d1 @ values or
-    d1 @ (d1 @ values), which define the derivative polynomial exactly.
+    found by bisection).  E is built for a block of points at a time, at
+    most 2^16 / (N+1) of them (at least one).  A derivative is E applied to
+    the nodal derivative values D1 @ values or D1 @ (D1 @ values)
+    (``d1_matmul``), which define the derivative polynomial exactly.
     """
     if deriv not in (0, 1, 2):
         raise ValueError("deriv must be 0, 1 or 2")
     values = np.asarray(values, dtype=float)
     for _ in range(deriv):
-        values = basis.d1 @ values
+        values = d1_matmul(basis, values)
     x = np.asarray(x, dtype=float)
     pts = np.atleast_1d(x)
     nodes = basis.nodes
@@ -384,7 +454,7 @@ def nodal_eval(basis: JacobiBasis, values, x, deriv: int = 0) -> np.ndarray:
     near = above - (pts - nodes[above - 1] < nodes[above] - pts)
     hit = np.abs(pts - nodes[near]) < _HIT_TOL
     res = np.empty(pts.shape + values.shape[1:])
-    block = max(nodes.size, _BLOCK_ENTRIES // nodes.size)
+    block = _block_len(nodes.size)
     for start in range(0, pts.size, block):
         rows = slice(start, start + block)
         e = np.subtract.outer(pts[rows], nodes)

@@ -40,7 +40,11 @@ half size (the even-odd decomposition: Solomonoff, J. Comput. Phys. 98
 2009).  Assembly works in the folded form throughout: each distinct mass
 matrix splits into an even and an odd half block, each half block is
 factored once and solved against the folded G (and |c| B2), and the full
-(N-1)^2 operators are never formed.
+(N-1)^2 operators are never formed.  Of G, B and B2 only the top half
+rows are formed, from blocks of D1 (the basis keeps no dense matrix), and
+the mirror symmetry gives the rows below; each half block's mass block
+and right-hand sides are folded from them into fresh buffers that
+``linalg`` factors and solves in place.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .jacobi import JacobiBasis
+from .jacobi import JacobiBasis, d1_block, matmul_d1
 from .model import BoundaryData, IntervalMap, SystemParams
 
 
@@ -67,7 +71,7 @@ class AssembledSystem:
     slice 1 takes the odd fold to the top half of the even part, both
     transposed for ``fold @ slice``.  The three operators are views into
     ``ops``, the stack ``rhs_eval`` applies in one batched product to the
-    folds of a whole block of states; with
+    folds of a whole block of states, allocated on a 64-byte boundary; with
     b == d both equations share one operator object (``op_u is op_eta``).
     Immutable; reuse across the whole time integration.
     """
@@ -121,61 +125,60 @@ class AssembledSystem:
         return found
 
 
-def _fold_columns(x: np.ndarray, half: int):
-    """(X U_e, X U_o) for an r x m block X, with U_e (U_o) the m x half
-    (m x (m - half)) map from the top half of an even (odd) vector to the
-    whole vector: a column plus its mirror (a centre column once) and a
-    column minus its mirror."""
+def _aligned_zeros(shape) -> np.ndarray:
+    """A zeroed float64 array whose data starts on a 64-byte boundary.
+
+    A fresh large array starts wherever the allocator puts it (with glibc,
+    16 bytes past a page boundary); the batched product in ``rhs_eval``
+    runs markedly slower on an operator that does not start on a cache
+    line.
+    """
+    size = math.prod(shape)
+    raw = np.zeros(size + 8)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + size].reshape(shape)
+
+
+def _fold(x: np.ndarray, half: int, f: int, out: np.ndarray) -> np.ndarray:
+    """X U_e (f = 0) or X U_o (f = 1) into ``out``, for an r x m block X,
+    with U_e (U_o) the m x half (m x (m - half)) map from the top half of
+    an even (odd) vector to the whole vector: a column plus its mirror (a
+    centre column once) or a column minus its mirror."""
     pairs = x.shape[1] - half
     mirror = x[:, ::-1]
-    even = x[:, :half] + mirror[:, :half]
+    if f:
+        return np.subtract(x[:, :pairs], mirror[:, :pairs], out=out)
+    np.add(x[:, :half], mirror[:, :half], out=out)
     if half > pairs:
-        even[:, -1] *= 0.5
-    return even, x[:, :pairs] - mirror[:, :pairs]
+        out[:, -1] *= 0.5
+    return out
 
 
-def _folded_blocks(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
-    """The G-NI blocks the folded solves need, in physical scaling.
+def _top_rows(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
+    """The interior weights, in physical scaling, and the top half rows of
+    G, B = G D1 and (when ``stiff``) B2 = B D1, in reference scaling.
 
-    Returns the interior weights, the top half rows of the column folds of
-    B, G and (when ``stiff``) B2, and the edge columns B[:, (0, N)],
-    G[:, (0, N)] and B2[:, (0, N)].  Everything is formed in reference
-    scaling, where G is the same (the weights scale by s, D1 and Psi by
-    1/s), and the half-size results are scaled: B by 1/s and B2 by 1/s^2.
-    The top rows of B2 = B D1 are those of B = G D1 times D1, so D2 is
-    never formed, and the edge columns of B2 are G (D1 D1[:, (0, N)]).  No
-    full block outlives this call.
+    In reference scaling G is the same (the weights scale by s, D1 and Psi
+    by 1/s); B scales by 1/s and B2 by 1/s^2.  The rows of G are columns of
+    D1 times the weights, and B and B2 come from products with D1 formed a
+    block of columns at a time, so neither D1 nor D2 is ever formed whole.
     """
     n, mu = basis.n, basis.mu
     half = n // 2
-    s = imap.scale
-    w, d1 = basis.weights, basis.d1
-    interior = slice(1, n)
+    w = basis.weights
     edge = [0, n]
     # G = (D1[:, 1:N] - Psi)^T K: Psi is diagonal on the interior rows, and
     # its end rows are -mu times D1's, so D1 - Psi has the end rows
     # (1 + mu) D1, formed directly: the difference cancels as mu -> -1
-    g = d1[:, interior].T * w
-    g[:, edge] = ((1.0 + mu) * d1[edge, interior]).T * w[edge]
-    j, xj = np.arange(1, n), basis.nodes[interior]
-    g[j - 1, j] = (d1[j, j] - 2.0 * xj * mu / (1.0 - xj * xj)) * w[interior]
-
-    def folded(x, scale):
-        even, odd = _fold_columns(x[:, interior], half)
-        even /= scale
-        odd /= scale
-        return even, odd
-
-    top = g[:half]
-    b_top = top @ d1                                    # B[:half], reference scaling
-    d1_edge = d1[:, edge]
-    return (
-        s * w[interior],
-        folded(b_top, s),
-        _fold_columns(top[:, interior], half),
-        folded(b_top @ d1, s * s) if stiff else None,
-        ((g @ d1_edge) / s, g[:, edge], (g @ (d1 @ d1_edge)) / (s * s)),
-    )
+    cols = d1_block(basis, cols=slice(1, half + 1))
+    g = cols.T * w
+    g[:, edge] = ((1.0 + mu) * cols[edge]).T * w[edge]
+    j = np.arange(1, half + 1)
+    xj = basis.nodes[j]
+    g[j - 1, j] = (basis.d1_diag[j] - 2.0 * xj * mu / (1.0 - xj * xj)) * w[j]
+    del cols                # freed before the products
+    b = matmul_d1(g, basis)
+    return imap.scale * w[1:n], g, b, matmul_d1(b, basis) if stiff else None
 
 
 def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> AssembledSystem:
@@ -183,7 +186,10 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
 
     The eta-equation mass uses coefficient b, the u-equation mass uses d;
     with b == d one pair of half-size factorizations and solves serves both
-    equations.
+    equations.  Only the top half rows of G, B and B2 are formed
+    (``_top_rows``); each half block's mass block and right-hand sides are
+    folded from them into fresh buffers, which ``linalg`` factors and
+    solves in place, and are freed before the next half block.
     """
     n = basis.n
     m = n - 1
@@ -191,58 +197,75 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     pairs = m - half
     p = params
     absc = abs(p.c)
-    w, mass, grad, third, (mass_edge, grad_edge, third_edge) = _folded_blocks(
-        basis, imap, absc > 0.0
-    )
+    s = imap.scale
+    w, g, b, b2 = _top_rows(basis, imap, absc > 0.0)
+    interior, edge = slice(1, n), [0, n]
+    # the edge columns' top rows, and the rows of their mirror images (row
+    # m-1-k of a column is row k of the other end's column): B is even
+    # under the flip of rows and columns, G and B2 = B D1 are odd
+    mass_edge = b[:, edge] / s
+    grad_edge = g[:, edge]
+    third_edge = b2[:, edge] / (s * s) if absc else np.zeros((half, 2))
 
-    def solve_folded(coeff: float, out: np.ndarray, edge_rhs: np.ndarray) -> np.ndarray:
+    def solve_folded(coeff: float, out: np.ndarray, edge_top: np.ndarray,
+                     edge_mirror: np.ndarray) -> np.ndarray:
         """Fold M^-1 G (and -|c| M^-1 B2 when ``out`` has room) into ``out``
         for the mass matrix M = W + coeff B, from its even and odd half
-        blocks; return the dense M^-1 edge_rhs."""
+        blocks; return the dense M^-1 of the edge columns, whose top rows
+        are ``edge_top`` and mirror rows ``edge_mirror``."""
         blocks = out.shape[1] // half
-        sources = (grad, third)[:blocks]
-        scales = (0.5, -0.5 * absc)[:blocks]
-        mirror = edge_rhs[::-1]
+        # each source row block, the divisor of its reference scaling, its factor
+        sources = ((g, 1.0, 0.5), (b2, s * s, -0.5 * absc))[:blocks]
 
         def solve_half(f: int, size: int, width: int, sign: float) -> np.ndarray:
             # images of even folds (f = 0, width half) are odd, rows [:pairs],
             # and of odd folds (f = 1, width pairs) even, rows [:half]; the
             # block is (M U_o)[:pairs] or (M U_e)[:half].  A fold counts each
             # mirror pair twice, hence the 1/2.  Returns the edge columns.
-            block = coeff * mass[1 - f][:size]
+            block = _fold(b[:size, interior], half, 1 - f, np.empty((size, size)))
+            block /= s
+            block *= coeff
             block[np.diag_indices(size)] += w[:size]
-            rhs = np.empty((size, blocks * width + edge_rhs.shape[1]))
-            for k, (c, b) in enumerate(zip(scales, sources)):
-                np.multiply(c, b[f][:size], out=rhs[:, k * width:(k + 1) * width])
-            rhs[:, blocks * width:] = 0.5 * (edge_rhs[:size] + sign * mirror[:size])
+            rhs = np.empty((size, blocks * width + edge_top.shape[1]))
+            for k, (src, div, c) in enumerate(sources):
+                cell = _fold(src[:size, interior], half, f, rhs[:, k * width:(k + 1) * width])
+                cell /= div
+                cell *= c
+            rhs[:, blocks * width:] = 0.5 * (edge_top[:size] + sign * edge_mirror[:size])
             x = linalg.lu_solve(linalg.lu_factor(block), rhs)
             for k in range(blocks):
                 out[f, k * half:k * half + width, :size] = x[:, k * width:(k + 1) * width].T
             return x[:, blocks * width:].copy()
 
-        # one half block at a time, so one set of its temporaries is alive
+        # one half block at a time, so one set of its buffers is alive
         edge_odd = solve_half(0, pairs, half, -1.0)
         edge_even = solve_half(1, half, pairs, 1.0)
-        solved = np.empty_like(edge_rhs)
+        solved = np.empty((m, edge_top.shape[1]))
         solved[:half] = edge_even
         solved[:pairs] += edge_odd
         solved[::-1][:pairs] = edge_even[:pairs] - edge_odd
         return solved
 
+    def edge_rows(coeff: float, third: bool):
+        parts = [(-coeff * mass_edge, 1.0), (grad_edge, -1.0)]
+        if third:
+            parts.append((-absc * third_edge, -1.0))
+        return (np.hstack([e for e, _ in parts]),
+                np.hstack([sign * e[:, ::-1] for e, sign in parts]))
+
     width = 2 * half if absc else half
-    rhs_u = np.hstack([-p.d * mass_edge, grad_edge, -absc * third_edge])
     if p.b == p.d:
-        ops = np.zeros((2, width, half))
+        ops = _aligned_zeros((2, width, half))
         fold_shape = (2, -1, width)
-        edge_u = solve_folded(p.d, ops, rhs_u)
+        edge_u = solve_folded(p.d, ops, *edge_rows(p.d, True))
         edge_eta = edge_u[:, :4]
         op_eta = op_u = ops[:, :half]
         u_ops = ops
     else:
-        ops = np.zeros((2, 2, width, half))
+        ops = _aligned_zeros((2, 2, width, half))
         fold_shape = (2, 2, -1, width)
-        edge_u = solve_folded(p.d, ops[:, 1], rhs_u)
-        edge_eta = solve_folded(p.b, ops[:, 0, :half], np.hstack([-p.b * mass_edge, grad_edge]))
+        edge_u = solve_folded(p.d, ops[:, 1], *edge_rows(p.d, True))
+        edge_eta = solve_folded(p.b, ops[:, 0, :half], *edge_rows(p.b, False))
         op_eta, op_u = ops[:, 0, :half], ops[:, 1, :half]
         u_ops = ops[:, 1]
     top = np.arange(half)

@@ -178,7 +178,7 @@ def test_criterion_7_spatial_spectral_convergence():
     errors = []
     for n in (32, 64, 128, 256):
         run = experiments.solve_once(problem, n, 1e-3, timestep.GAMMA_ORDER3, t_end)
-        errors.append(analysis.error_vs_exact(run.solution, exact, t_end, spec))
+        errors += analysis.error_vs_exact([run.solution], exact, t_end, spec)
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     monotone = all(r > 1.0 for r in ratios)
     # average decay over the sweep: at least one decade per doubling

@@ -89,10 +89,29 @@ def test_error_vs_exact_interpolation_baseline():
     ns = NodalSolution(
         basis=basis, imap=imap, eta=sol_exact.eta(x, 0.0), u=sol_exact.u(x, 0.0), t=0.0
     )
-    err = analysis.error_vs_exact(ns, sol_exact, 0.0, NormSpec(2, 1))
+    [err] = analysis.error_vs_exact([ns], sol_exact, 0.0, NormSpec(2, 1))
     assert err < 1e-4
     # and it is purely spectral: the weaker norms sit far lower
-    assert analysis.error_vs_exact(ns, sol_exact, 0.0, NormSpec(0, 0)) < 1e-6
+    assert analysis.error_vs_exact([ns], sol_exact, 0.0, NormSpec(0, 0))[0] < 1e-6
+
+
+def test_error_vs_exact_measures_a_batch_as_one_at_a_time():
+    # one grid, exact sample and interpolation pass serve every solution
+    sol_exact = model.solitary_bona_smith(9 / 11)
+    imap = IntervalMap(-32.0, 32.0)
+    basis = jacobi.build_basis(0.0, 256)
+    x = imap.to_physical(basis.nodes)
+    sols = [NodalSolution(basis=basis, imap=imap, eta=sol_exact.eta(x, t), u=sol_exact.u(x, t), t=t)
+            for t in (0.0, 0.25, 0.5)]
+    spec = NormSpec(2, 1)
+    batch = analysis.error_vs_exact(sols, sol_exact, 0.25, spec)
+    single = [analysis.error_vs_exact([s], sol_exact, 0.25, spec)[0] for s in sols]
+    assert batch == pytest.approx(single, rel=1e-12)
+    assert batch[1] < 1e-3 * min(batch[0], batch[2])
+    other = NodalSolution(basis=jacobi.build_basis(0.0, 64), imap=imap, eta=np.zeros(65),
+                          u=np.zeros(65), t=0.0)
+    with pytest.raises(ValueError, match="one basis and interval"):
+        analysis.error_vs_exact([sols[0], other], sol_exact, 0.25, spec)
 
 
 def test_error_symmetry_between_sampled_exact_solutions():
@@ -108,8 +127,8 @@ def test_error_symmetry_between_sampled_exact_solutions():
     spec = NormSpec(1, 1)
     pts, w = analysis._grid(spec, imap, 512)
     assert pts.size == 1025
-    s1 = analysis._sample(mk(b1, 0.0), pts, spec)
-    s2 = analysis._sample(mk(b2, 0.3), pts, spec)
+    s1 = analysis._sample([mk(b1, 0.0)], pts, spec)[:, 0]
+    s2 = analysis._sample([mk(b2, 0.3)], pts, spec)[:, 0]
     a = analysis._diff_norm(s1, s2, w)
     b = analysis._diff_norm(s2, s1, w)
     assert a == pytest.approx(b, rel=1e-13)

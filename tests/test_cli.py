@@ -91,6 +91,11 @@ def test_parse_config_fraction_and_gamma_aliases():
         # an error table has one column per gamma and one row per k
         ("include-preset = table2\ngamma = 0.5 midpoint", "gamma values must be distinct; 0.5 is repeated"),
         ("include-preset = table2\nk-list = 0.5 0.25 0.5", "k-list values must be distinct; 0.5 is repeated"),
+        # ... and values that differ but print as one label
+        ("include-preset = table2\nn = 16\nk-list = 0.5 0.25\ngamma = 0.5 0.50000000001",
+         "gamma values 0.5 and 0.50000000001 print as the same table label"),
+        ("include-preset = table2\nk-list = 0.5 0.25 0.2500000000001",
+         "k-list values 0.25 and 0.2500000000001 print as the same table label"),
         # error tables and snapshot runs read one N
         ("include-preset = table1\nn = 32 64", r"error_table runs use one N; got n = \(32, 64\)"),
         ("include-preset = bore\nn = 16 32", r"snapshot runs use one N; got n = \(16, 32\)"),
@@ -395,14 +400,14 @@ def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
 
     cfg = tmp_path / "small.cfg"
     cfg.write_text("include-preset = table5\nn = 8 16 32\n")
-    folded = semidiscrete._folded_blocks
+    top_rows = semidiscrete._top_rows
 
     def singular(*args):
-        # zero weights and second-derivative folds: the mass matrix is exactly 0
-        w, mass, *rest = folded(*args)
-        return (0.0 * w, tuple(0.0 * f for f in mass), *rest)
+        # zero weights and rows of B: every folded mass block is exactly 0
+        w, g, b, b2 = top_rows(*args)
+        return 0.0 * w, g, 0.0 * b, b2
 
-    monkeypatch.setattr(semidiscrete, "_folded_blocks", singular)
+    monkeypatch.setattr(semidiscrete, "_top_rows", singular)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
     assert "singular" in capsys.readouterr().err
 

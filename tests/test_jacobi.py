@@ -338,12 +338,40 @@ def test_d1_stays_finite_and_exact_at_n_2048(mu):
 
 
 def test_basis_stores_no_second_derivative_or_aux_matrix():
-    # d2 and psi are formed on access, for diagnostics and tests only
+    # O(N) data only: d1, d2 and psi are formed on access, for diagnostics
+    # and tests only
     from dataclasses import fields
-    assert [f.name for f in fields(jacobi.JacobiBasis)] == ["mu", "n", "rule", "bary", "d1"]
+    assert [f.name for f in fields(jacobi.JacobiBasis)] == ["mu", "n", "rule", "bary", "d1_diag"]
     basis = jacobi.build_basis(0.25, 8)
+    assert np.array_equal(basis.d1, jacobi.diff_matrix(basis.nodes, basis.bary))
     assert np.array_equal(basis.d2, basis.d1 @ basis.d1)
     assert np.array_equal(basis.psi, jacobi.aux_matrix(0.25, basis.nodes, basis.d1))
+
+
+@pytest.mark.parametrize("mu,n", [(0.0, 8), (0.25, 9), (-0.5, 64), (0.0, 511), (0.5, 1024)])
+def test_d1_blocks_tile_diff_matrix_bit_for_bit(mu, n):
+    # the stored diagonal is diff_matrix's negative row sum, and a block of
+    # any shape holds the dense matrix's entries exactly
+    basis = jacobi.build_basis(mu, n)
+    dense = jacobi.diff_matrix(basis.nodes, basis.bary)
+    assert np.array_equal(basis.d1_diag, np.diag(dense))
+    cuts = sorted({0, 1, n // 3, n // 2 + 1, n, n + 1})
+    for r0, r1 in zip(cuts, cuts[1:]):
+        for c0, c1 in zip(cuts, cuts[1:]):
+            block = jacobi.d1_block(basis, slice(r0, r1), slice(c0, c1))
+            assert np.array_equal(block, dense[r0:r1, c0:c1]), (r0, r1, c0, c1)
+
+
+def test_d1_products_in_blocks_match_the_dense_matrix(monkeypatch, rng):
+    # blocks of three rows or columns at N = 32, the last one short
+    monkeypatch.setattr(jacobi, "_BLOCK_ENTRIES", 100)
+    basis = jacobi.build_basis(0.25, 32)
+    dense = basis.d1
+    v = rng.standard_normal((33, 4))
+    tol = 1e-13 * np.abs(dense).sum(axis=1).max() * np.abs(v).max()
+    assert np.abs(jacobi.d1_matmul(basis, v) - dense @ v).max() <= tol
+    assert np.abs(jacobi.d1_matmul(basis, v[:, 0]) - dense @ v[:, 0]).max() <= tol
+    assert np.abs(jacobi.matmul_d1(v.T, basis) - v.T @ dense).max() <= tol
 
 
 def test_aux_matrix_zero_for_legendre():
@@ -419,8 +447,8 @@ def test_nodal_eval_points_on_nodes_give_unit_rows(mu, n):
 
 
 def test_nodal_eval_in_row_blocks_matches_point_by_point(monkeypatch, rng):
-    # blocks of N+1 points, as from N = 255 on: 33 points, four of them on
-    # or next to a node, run in three blocks
+    # blocks of one point, the least a block holds: 33 points, four of them
+    # on or next to a node
     monkeypatch.setattr(jacobi, "_BLOCK_ENTRIES", 1)
     basis = jacobi.build_basis(0.25, 10)
     vals = np.column_stack([np.sin(basis.nodes), np.cos(2.0 * basis.nodes)])

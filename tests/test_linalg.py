@@ -1,3 +1,6 @@
+"""LU factorization and solves.  Both work in place, so a test that reads
+the matrix or the right-hand side afterwards passes a copy."""
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ def test_lu_diagonal():
 
 def test_lu_reconstruction(rng):
     a = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
-    lu, perm = linalg.lu_factor(a)
+    lu, perm = linalg.lu_factor(a.copy())
     lower = np.tril(lu, -1) + np.eye(8)
     upper = np.triu(lu)
     pa = a[perm]
@@ -29,7 +32,7 @@ def test_solve_residual(rng):
     a = rng.standard_normal((10, 10))
     a = a @ a.T + 10.0 * np.eye(10)
     rhs = rng.standard_normal(10)
-    x = linalg.lu_solve(linalg.lu_factor(a), rhs)
+    x = linalg.lu_solve(linalg.lu_factor(a.copy()), rhs.copy())
     resid = np.abs(a @ x - rhs).max()
     scale = np.abs(a).max() * np.abs(x).max() + np.abs(rhs).max()
     assert resid <= 1e-10 * scale
@@ -38,7 +41,7 @@ def test_solve_residual(rng):
 def test_solve_matrix_rhs(rng):
     a = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
     rhs = rng.standard_normal((6, 4))
-    x = linalg.lu_solve(linalg.lu_factor(a), rhs)
+    x = linalg.lu_solve(linalg.lu_factor(a.copy()), rhs.copy())
     assert np.abs(a @ x - rhs).max() < 1e-10
 
 
@@ -56,7 +59,7 @@ def test_roundtrip_poorly_conditioned(rng):
     a = q @ np.diag(np.logspace(0, 8, 12)) @ q.T
     x_true = rng.standard_normal(12)
     rhs = a @ x_true
-    x = linalg.lu_solve(linalg.lu_factor(a), rhs)
+    x = linalg.lu_solve(linalg.lu_factor(a.copy()), rhs.copy())
     resid = np.abs(a @ x - rhs).max()
     assert resid <= 1e-10 * (np.abs(a).max() * np.abs(x).max() + np.abs(rhs).max())
 
@@ -69,3 +72,18 @@ def test_non_finite_entries_are_a_numerical_failure(bad):
     a[1, 2] = bad
     with pytest.raises(FloatingPointError, match="non-finite"):
         linalg.lu_factor(a)
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+def test_factor_and_solve_overwrite_their_arguments(rng, cols):
+    # as LAPACK getrf/getrs: the factors replace the matrix, the solution the rhs
+    a = rng.standard_normal((40, 40)) + 6.0 * np.eye(40)
+    rhs = rng.standard_normal(40 if cols is None else (40, cols))
+    a0, rhs0 = a.copy(), rhs.copy()
+    lu, perm = linalg.lu_factor(a)
+    assert lu is a and not np.array_equal(a, a0)
+    x = linalg.lu_solve((lu, perm), rhs)
+    assert x is rhs and np.shares_memory(x, rhs)
+    assert np.abs(a0 @ x - rhs0).max() < 1e-10 * np.abs(rhs0).max()
+    lower = np.tril(lu, -1) + np.eye(40)
+    assert np.abs(a0[perm] - lower @ np.triu(lu)).max() <= 1e-12 * np.abs(a0).max()

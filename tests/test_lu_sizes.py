@@ -15,13 +15,13 @@ from bousspec import linalg
 def test_factor_and_solve_past_leaf(rng, n, ncols):
     a = rng.standard_normal((n, n))
     rhs = rng.standard_normal(n if ncols is None else (n, n + 2))
-    f = linalg.lu_factor(a)
+    f = linalg.lu_factor(a.copy())
     lu, perm = f
     lower = np.tril(lu, -1) + np.eye(n)
     upper = np.triu(lu)
     assert np.abs(a[perm] - lower @ upper).max() <= 1e-12 * np.abs(a).max()
 
-    x = linalg.lu_solve(f, rhs)
+    x = linalg.lu_solve(f, rhs.copy())
     assert x.shape == rhs.shape
     resid = np.abs(a @ x - rhs).max()
     assert resid <= 1e-10 * (np.abs(a).max() * np.abs(x).max() + np.abs(rhs).max())

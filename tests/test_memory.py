@@ -1,10 +1,11 @@
 """Memory regression bounds of the set-up and the norms at N = 512.
 
 Measured with tracemalloc (numpy reports its array buffers to it), in units
-of one dense (N+1) x (N+1) float64 matrix.  The basis keeps d1 only, the
-assembly forms no full D2 or copy of D1, and interpolation runs in blocks of
-at most N+1 points, so the bounds below hold with room; a miss reports the
-measured value.
+of one dense (N+1) x (N+1) float64 matrix.  The basis keeps O(N) data, D1
+is formed in blocks, the assembly keeps the top half rows of G, B and B2
+and factors and solves each half block in place, and interpolation runs
+in blocks of 2^16 entries.  Each bound is the measured
+value plus about 25 %; a miss reports the measured value.
 """
 
 import tracemalloc
@@ -30,9 +31,14 @@ def _traced(fn):
     return result, (peak - base) / UNIT, (kept - base) / UNIT
 
 
-@pytest.mark.parametrize("preset,bound", [("table1", 7.0), ("table5", 5.0)])
-def test_basis_and_assembly_peak(preset, bound):
+# (peak, kept) bounds; measured: table1 3.53 and 1.03, table5 2.28 and 0.52
+SETUP_BOUNDS = {"table1": (4.4, 1.28), "table5": (2.8, 0.65)}
+
+
+@pytest.mark.parametrize("preset", list(SETUP_BOUNDS))
+def test_basis_and_assembly_peak(preset):
     # table1 has c != 0 (a stiffness fold), table5 c = 0
+    bound, kept_bound = SETUP_BOUNDS[preset]
     problem = experiments._resolve_problem(experiments.PRESETS[preset])
 
     def setup():
@@ -42,7 +48,7 @@ def test_basis_and_assembly_peak(preset, bound):
     sys_, peak, kept = _traced(setup)
     assert sys_.n == N
     assert peak <= bound, f"{preset}: build_basis + assemble peaked at {peak:.2f} matrices"
-    assert kept <= 2.5, f"{preset}: build_basis + assemble kept {kept:.2f} matrices"
+    assert kept <= kept_bound, f"{preset}: build_basis + assemble kept {kept:.2f} matrices"
 
 
 def test_convergence_ratio_peak():
@@ -56,4 +62,4 @@ def test_convergence_ratio_peak():
     spec = analysis.NormSpec(1, 1)
     ratio, peak, _ = _traced(lambda: analysis.convergence_ratio(sols, spec))
     assert np.isfinite(ratio)
-    assert peak <= 2.5, f"convergence_ratio peaked at {peak:.2f} matrices"
+    assert peak <= 0.8, f"convergence_ratio peaked at {peak:.2f} matrices"     # measured 0.65

@@ -191,6 +191,20 @@ def test_assembled_system_holds_no_full_operator(n, params):
     assert sys_.edge_eta.shape == (m, 4) and sys_.edge_u.shape == (m, 6)
 
 
+@pytest.mark.parametrize("n", [9, 10, 511, 512])
+@pytest.mark.parametrize("params", [
+    model.SystemParams(b=0.3, c=0.0, d=0.3),
+    model.SystemParams(b=0.3, c=-0.1, d=0.3),
+    model.SystemParams(b=0.2, c=-0.15, d=0.35),
+])
+def test_operators_start_on_a_cache_line(n, params):
+    # the batched product of rhs_eval runs markedly slower on a misaligned
+    # operator, and where a fresh array lands is up to the allocator
+    sys_ = semidiscrete.assemble(jacobi.build_basis(0.0, n), params, IntervalMap(-1.0, 1.0))
+    assert sys_.ops.ctypes.data % 64 == 0
+    assert sys_.ops.flags.c_contiguous
+
+
 def test_gamma_vanishes_for_homogeneous_data(setup_mu):
     basis, params, imap = setup_mu
     sys_ = semidiscrete.assemble(basis, params, imap)

@@ -312,7 +312,7 @@ def _run_with_mode(fixture, k, mode):
         f = field if mode == "stage" else (lambda t, v, tn=tn: field(np.full_like(t, tn), v))
         y = timestep.sdirk_step(f, tn, y, k, scheme)
     ns = analysis.NodalSolution(basis, imap, *semidiscrete.nodal_values(y, bdata.at(1.0)), 1.0)
-    return analysis.error_vs_exact(ns, sol, 1.0, analysis.NormSpec(1, 1))
+    return analysis.error_vs_exact([ns], sol, 1.0, analysis.NormSpec(1, 1))[0]
 
 
 def test_stage_times_preserve_third_order(truncated_solitary):
