@@ -7,7 +7,7 @@ error tables, convergence-ratio studies) and a CLI experiment runner.
 
 __version__ = "0.1.0"
 
-from .analysis import ConvergenceRecord, NodalSolution, NormSpec
+from .analysis import NodalSolution, NormSpec
 from .jacobi import JacobiBasis, QuadratureRule, build_basis, glj_rule
 from .model import (
     BoundaryData,
@@ -27,7 +27,6 @@ from .semidiscrete import AssembledSystem, assemble, initial_state, rhs_eval
 from .timestep import (
     GAMMA_ORDER3,
     IntegrationPlan,
-    SdirkScheme,
     dispersion_error,
     integrate,
     sdirk_step,
@@ -37,7 +36,6 @@ from .timestep import (
 __all__ = [
     "AssembledSystem",
     "BoundaryData",
-    "ConvergenceRecord",
     "ExactSolution",
     "GAMMA_ORDER3",
     "IntegrationPlan",
@@ -46,7 +44,6 @@ __all__ = [
     "NodalSolution",
     "NormSpec",
     "QuadratureRule",
-    "SdirkScheme",
     "SystemParams",
     "assemble",
     "bore_data",

@@ -13,7 +13,7 @@ All tables in the experiment suite use the unweighted (mu = 0) norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def sobolev_norm(derivs, weights) -> float:
     return math.sqrt(acc)
 
 
-def _grid(spec: NormSpec, imap: IntervalMap, n_max: int):
+def _grid(imap: IntervalMap, n_max: int):
     """Physical nodes and weights of the (mu = 0) refinement rule for degrees <= n_max."""
     rule = glj_rule(0.0, max(_MIN_GRID_DEGREE, 2 * n_max))
     return imap.to_physical(rule.nodes), imap.scale * rule.weights
@@ -133,7 +133,7 @@ def error_vs_exact(sols, exact: ExactSolution, t: float, spec: NormSpec) -> list
     """Product norms of (eta_N - eta(., t), u_N - u(., t)), one per solution
     of ``sols`` (one basis and interval): one grid, one exact sample and
     one ``_sample`` pass serve them all."""
-    pts, w = _grid(spec, sols[0].imap, sols[0].basis.n)
+    pts, w = _grid(sols[0].imap, sols[0].basis.n)
     ref = np.column_stack(
         [exact.eta(pts, t, d) for d in range(spec.eta_order + 1)]
         + [exact.u(pts, t, d) for d in range(spec.u_order + 1)]
@@ -144,7 +144,7 @@ def error_vs_exact(sols, exact: ExactSolution, t: float, spec: NormSpec) -> list
 
 def self_norm(sol: NodalSolution, spec: NormSpec) -> float:
     """Product norm of the solution itself on the refinement grid."""
-    pts, w = _grid(spec, sol.imap, sol.basis.n)
+    pts, w = _grid(sol.imap, sol.basis.n)
     return _diff_norm(_sample([sol], pts, spec)[:, 0], 0.0, w)
 
 
@@ -160,7 +160,7 @@ def convergence_ratio(sols, spec: NormSpec) -> float:
     s1, s2, s4 = sols
     if not (s2.basis.n == 2 * s1.basis.n and s4.basis.n == 2 * s2.basis.n):
         raise ValueError("solution degrees must double: N, 2N, 4N")
-    pts, w = _grid(spec, s4.imap, s4.basis.n)
+    pts, w = _grid(s4.imap, s4.basis.n)
     # each level is sampled once; s_2N enters both differences
     v1, v2, v4 = (_sample([s], pts, spec)[:, 0] for s in sols)
     num = _diff_norm(v1, v2, w)
@@ -172,24 +172,13 @@ def convergence_ratio(sols, spec: NormSpec) -> float:
     return num / den
 
 
-@dataclass
-class ConvergenceRecord:
-    """One error-vs-parameter sweep with ratios and observed rates."""
-
-    label: str
-    parameters: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    rates: list = field(default_factory=list)
-
-
-def rate_table(parameters, errors, label: str = "") -> ConvergenceRecord:
+def rate_table(parameters, errors, label: str = "") -> list:
     """Observed rates log2(e_i / e_{i+1}) between consecutive halvings.
 
     The parameters are the time steps k.  A rate is only recorded where the
     parameter actually halves (or doubles); other consecutive pairs get a
-    None placeholder.  An error of exactly 0 has no ratio or rate, and
-    raises ``ZeroDivisionError`` naming ``label`` and its k.
+    None placeholder.  An error of exactly 0 has no rate, and raises
+    ``ZeroDivisionError`` naming ``label`` and its k.
     """
     parameters = [float(p) for p in parameters]
     errors = [float(e) for e in errors]
@@ -199,14 +188,6 @@ def rate_table(parameters, errors, label: str = "") -> ConvergenceRecord:
         if e == 0.0:
             raise ZeroDivisionError(f"{label}: the error at k={k:.10g} is exactly 0, so the "
                                     "table has no ratio or rate there (do the data vanish?)")
-    ratios, rates = [], []
-    for i in range(len(errors) - 1):
-        ratios.append(errors[i] / errors[i + 1])
-        step = parameters[i] / parameters[i + 1]
-        if abs(step - 2.0) < 1e-12 or abs(step - 0.5) < 1e-12:
-            rates.append(math.log2(ratios[-1]))
-        else:
-            rates.append(None)
-    return ConvergenceRecord(
-        label=label, parameters=parameters, errors=errors, ratios=ratios, rates=rates
-    )
+    pairs = zip(parameters, parameters[1:], errors, errors[1:])
+    return [math.log2(e0 / e1) if abs(k0 / k1 - 2.0) < 1e-12 or abs(k0 / k1 - 0.5) < 1e-12
+            else None for k0, k1, e0, e1 in pairs]

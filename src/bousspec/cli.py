@@ -21,7 +21,7 @@ from . import experiments, model, timestep
 from .experiments import ConfigError, ExperimentConfig, PRESETS
 from .jacobi import QuadratureError, build_basis
 from .linalg import SingularMatrixError
-from .timestep import SdirkScheme, StageDivergenceError
+from .timestep import StageDivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,6 +55,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     if args.sub == "quadrature":
+        # the node search is O(N^2) and --matrices forms dense (N+1)^2 arrays
+        if not 2 <= args.n <= experiments.N_MAX:
+            raise ConfigError(f"--N must lie in [2, {experiments.N_MAX}], got {args.n}")
         basis = build_basis(args.mu, args.n)
         print("node,weight")
         for x, w in zip(basis.nodes, basis.weights):
@@ -65,12 +68,11 @@ def _cmd_diagnose(args) -> int:
                 for row in np.atleast_2d(mat):
                     print(",".join(f"{v:.15E}" for v in row))
     elif args.sub == "dispersion":
-        scheme = SdirkScheme.from_gamma(args.gamma)
         ys = np.logspace(-3, -1, 25)
         print("y,phase_error")
         for y in ys:
-            print(f"{y:.6E},{timestep.dispersion_error(scheme, y):.15E}")
-        slope = timestep.dispersion_slope(scheme)
+            print(f"{y:.6E},{timestep.dispersion_error(args.gamma, y):.15E}")
+        slope = timestep.dispersion_slope(args.gamma)
         print(f"# log-log slope = {slope:.4f}")
     elif args.sub == "residual":
         sol = _diagnose_solution(args)

@@ -227,10 +227,7 @@ def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
     sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
     y0 = semidiscrete.initial_state(basis, problem.imap, problem.eta_init, problem.u_init)
     y0.flags.writeable = False
-    results, _ = timestep.integrate(
-        semidiscrete.make_vector_field(sys_, problem.bdata), y0,
-        [(timestep.SdirkScheme.from_gamma(g), plan) for g, plan in runs],
-    )
+    results, _ = timestep.integrate(semidiscrete.make_vector_field(sys_, problem.bdata), y0, runs)
     wrapped = []
     for tf, y, raw_snaps, stats in results:
         sols = [analysis.NodalSolution(basis, problem.imap,
@@ -265,9 +262,10 @@ def run_error_table(cfg: ExperimentConfig) -> dict:
     errors = analysis.error_vs_exact([run.solution for run in runs], problem.exact,
                                      cfg.t_end, spec)
     solves = [_solve_record(n, k, gamma, run.stats) for (gamma, k), run in zip(pairs, runs)]
-    columns = {gamma: analysis.rate_table(cfg.k_values, errors[i * nk:(i + 1) * nk],
-                                          label=f"gamma={gamma:.10g}")
-               for i, gamma in enumerate(cfg.gammas)}
+    columns = {}   # gamma -> (errors, rates)
+    for i, gamma in enumerate(cfg.gammas):
+        errs = errors[i * nk:(i + 1) * nk]
+        columns[gamma] = (errs, analysis.rate_table(cfg.k_values, errs, f"gamma={gamma:.10g}"))
     return {"k_values": list(cfg.k_values), "columns": columns, "norm": spec.label,
             "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
 
@@ -533,8 +531,9 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     """Parse the flat key = value config format.
 
     Lines are ``key = value`` with ``#`` comments; lists are whitespace
-    separated.  ``include-preset`` starts from a named preset, later keys
-    override.  Unknown keys and bad values are errors naming the line.
+    separated.  ``include-preset``, allowed only as the first key, starts
+    from a named preset; later keys override.  Unknown keys, a later
+    ``include-preset`` and bad values are errors naming the line.
     """
     items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -552,11 +551,13 @@ def config_from_items(items, name: str = "run") -> ExperimentConfig:
     """Build and validate a config from (where, key, value) string triples,
     read through ``CONFIG_KEYS``; ``where`` labels errors."""
     base, updates = ExperimentConfig(name=name), {}
-    for where, key, value in items:
+    for i, (where, key, value) in enumerate(items):
         if key == "include-preset":
+            if i:
+                raise ConfigError(f"{where}: include-preset must be the first key")
             if value not in PRESETS:
                 raise ConfigError(f"{where}: unknown preset {value!r}")
-            base, updates = replace(PRESETS[value], name=name), {}
+            base = replace(PRESETS[value], name=name)
             continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -612,17 +613,16 @@ def _rate(rate: float | None, spec: str) -> str:
 
 def write_error_table(result: dict, outdir: str, cfg: ExperimentConfig) -> list[str]:
     ks, columns = result["k_values"], result["columns"]
-    gammas = list(columns)
     csvs = [
-        ("errors.csv", ["k"] + [f"error_gamma_{g:.10g}" for g in gammas],
-         ([_fmt(k)] + [_fmt(columns[g].errors[i]) for g in gammas] for i, k in enumerate(ks))),
-        ("rates.csv", ["k"] + [f"rate_gamma_{g:.10g}" for g in gammas],
-         ([_fmt(k)] + [_rate(columns[g].rates[i], ".4f") for g in gammas]
+        ("errors.csv", ["k"] + [f"error_gamma_{g:.10g}" for g in columns],
+         ([_fmt(k)] + [_fmt(errs[i]) for errs, _ in columns.values()] for i, k in enumerate(ks))),
+        ("rates.csv", ["k"] + [f"rate_gamma_{g:.10g}" for g in columns],
+         ([_fmt(k)] + [_rate(rates[i], ".4f") for _, rates in columns.values()]
           for i, k in enumerate(ks[1:]))),
     ]
-    head = ["k"] + [cell for g in gammas for cell in (f"error (gamma={g:.6g})", "rate")]
-    rows = ([f"{k:.6g}"] + [cell for g in gammas for cell in (
-        f"{columns[g].errors[i]:.4E}", _rate(columns[g].rates[i - 1] if i else None, ".2f"))]
+    head = ["k"] + [cell for g in columns for cell in (f"error (gamma={g:.6g})", "rate")]
+    rows = ([f"{k:.6g}"] + [cell for errs, rates in columns.values() for cell in (
+        f"{errs[i]:.4E}", _rate(rates[i - 1] if i else None, ".2f"))]
         for i, k in enumerate(ks))
     return _write_tables(outdir, csvs, f"{cfg.name}: {result['norm']} errors at T={cfg.t_end:g}",
                          head, rows)

@@ -14,7 +14,7 @@ the classical order with time-dependent Dirichlet data.
 The vector field acts on a block: F(t, Y) takes a (rows, m) block Y of
 states and the (rows, 1) column t of their times and returns the (rows, m)
 block of derivatives, so a field written elementwise for one state serves
-a block unchanged.  ``integrate`` advances one or more (scheme, plan) runs
+a block unchanged.  ``integrate`` advances one or more (gamma, plan) runs
 from one initial state as rows of such a block.  Each round makes one field
 call on the rows that are still iterating a stage, and every row runs its
 own stage machine: its predictor, the ``STAGE_TOL`` stop, the growth and
@@ -54,36 +54,10 @@ class StageDivergenceError(RuntimeError):
         return type(self), (self.problem, self.gamma, self.k, self.step), vars(self)
 
 
-@dataclass(frozen=True)
-class SdirkScheme:
-    gamma: float
-    order: int
-
-    @staticmethod
-    def midpoint() -> "SdirkScheme":
-        return SdirkScheme(gamma=0.5, order=2)
-
-    @staticmethod
-    def order3() -> "SdirkScheme":
-        return SdirkScheme(gamma=GAMMA_ORDER3, order=3)
-
-    @staticmethod
-    def from_gamma(gamma: float) -> "SdirkScheme":
-        if gamma == 0.5:
-            return SdirkScheme.midpoint()
-        if abs(gamma - GAMMA_ORDER3) < 1e-12:
-            return SdirkScheme.order3()
-        return SdirkScheme(gamma=float(gamma), order=2)
-
-    # stability function R(z) = 1 + z b^T (I - z A)^{-1} 1 reduced to a
-    # rational with numerator 1 + beta z + alpha z^2 over (1 - gamma z)^2
-    @property
-    def _beta(self) -> float:
-        return 1.0 - 2.0 * self.gamma
-
-    @property
-    def _alpha(self) -> float:
-        return self.gamma**2 + 0.5 - 2.0 * self.gamma
+def _numerator(gamma: float) -> tuple[float, float]:
+    """(beta, alpha) of R(z) = 1 + z b^T (I - z A)^{-1} 1 reduced to the
+    rational (1 + beta z + alpha z^2) / (1 - gamma z)^2."""
+    return 1.0 - 2.0 * gamma, gamma**2 + 0.5 - 2.0 * gamma
 
 
 @dataclass(frozen=True)
@@ -127,7 +101,7 @@ class IntegrationStats:
 
 
 class _Run:
-    """Stage machine of one (scheme, plan) run.
+    """Stage machine of one (gamma, plan) run.
 
     While the run iterates a stage, row ``row`` of the block holds its
     iterate, the stage's base value and time, and the run holds what the
@@ -148,9 +122,9 @@ class _Run:
     __slots__ = ("gamma", "k", "gk", "n", "step", "y", "prev", "f1", "base2",
                  "started", "last", "growth", "stats", "want", "snapshots")
 
-    def __init__(self, scheme: SdirkScheme, plan: IntegrationPlan, y0: np.ndarray):
-        self.gamma, self.k = scheme.gamma, plan.k
-        self.gk = scheme.gamma * plan.k
+    def __init__(self, gamma: float, plan: IntegrationPlan, y0: np.ndarray):
+        self.gamma, self.k = gamma, plan.k
+        self.gk = gamma * plan.k
         self.n = plan.n_steps
         self.step = 0
         self.y = y0
@@ -239,7 +213,7 @@ class _Run:
 
 
 def integrate(f, y0: np.ndarray, runs):
-    """Integrate the (scheme, plan) ``runs`` of y' = f(t, y) from y0 in
+    """Integrate the (gamma, plan) ``runs`` of y' = f(t, y) from y0 in
     lockstep; returns ([(t, y, snapshots, stats) per run], total stats).
 
     Each round evaluates the block of rows still iterating once.  Each step
@@ -249,7 +223,7 @@ def integrate(f, y0: np.ndarray, runs):
     sums the steps and evaluations of the runs and keeps their maxima.
     """
     y0 = np.asarray(y0, dtype=float)
-    machines = [_Run(scheme, plan, y0) for scheme, plan in runs]
+    machines = [_Run(gamma, plan, y0) for gamma, plan in runs]
     active = [run for run in machines if run.n]
     # rows of the stage bases, the iterates and the stage times
     block = [np.empty((len(active), y0.size)), np.empty((len(active), y0.size)),
@@ -291,7 +265,7 @@ def integrate(f, y0: np.ndarray, runs):
     return [(run.n * run.k, run.y, run.snapshots, run.stats) for run in machines], total
 
 
-def sdirk_step(f, t: float, y: np.ndarray, k: float, scheme: SdirkScheme) -> np.ndarray:
+def sdirk_step(f, t: float, y: np.ndarray, k: float, gamma: float) -> np.ndarray:
     """Advance y(t) one step of size k for y' = f(t, y).
 
     A one-step ``integrate`` of the field shifted to start at t: its stage
@@ -300,19 +274,20 @@ def sdirk_step(f, t: float, y: np.ndarray, k: float, scheme: SdirkScheme) -> np.
     start as the first step of ``integrate`` does.
     """
     [(_, y_next, _, _)], _ = integrate(lambda s, v: f(s + t, v), y,
-                                       [(scheme, IntegrationPlan(k=k, t_end=k))])
+                                       [(gamma, IntegrationPlan(k=k, t_end=k))])
     return y_next
 
 
-def stability_function(scheme: SdirkScheme, z: complex) -> complex:
+def stability_function(gamma: float, z: complex) -> complex:
     """R(z) for the two-stage tableau, as a reduced rational function."""
-    den = (1.0 - scheme.gamma * z) ** 2
+    den = (1.0 - gamma * z) ** 2
     if den == 0.0:
         raise ZeroDivisionError(f"z = {z} is a pole of the stability function")
-    return (1.0 + scheme._beta * z + scheme._alpha * z * z) / den
+    beta, alpha = _numerator(gamma)
+    return (1.0 + beta * z + alpha * z * z) / den
 
 
-def dispersion_error(scheme: SdirkScheme, y):
+def dispersion_error(gamma: float, y):
     """Phase error Phi(y) = y - arg R(iy), continuous through y = 0.
 
     Split as arg R(iy) = atan2(beta y, 1 - alpha (iy)^2 ...) minus twice the
@@ -321,16 +296,17 @@ def dispersion_error(scheme: SdirkScheme, y):
     needed and small-y values avoid the cancellation of a complex division.
     """
     y = np.asarray(y, dtype=float)
-    num_phase = np.arctan2(scheme._beta * y, 1.0 + (-scheme._alpha) * y * y)
-    den_phase = -2.0 * np.arctan(scheme.gamma * y)
+    beta, alpha = _numerator(gamma)
+    num_phase = np.arctan2(beta * y, 1.0 + (-alpha) * y * y)
+    den_phase = -2.0 * np.arctan(gamma * y)
     out = y - (num_phase - den_phase)
     return float(out) if out.shape == () else out
 
 
-def dispersion_slope(scheme: SdirkScheme, y_lo: float = 1e-3, y_hi: float = 1e-1,
+def dispersion_slope(gamma: float, y_lo: float = 1e-3, y_hi: float = 1e-1,
                      n: int = 25) -> float:
     """Empirical log-log slope of |Phi| over [y_lo, y_hi]."""
     ys = np.logspace(math.log10(y_lo), math.log10(y_hi), n)
-    phi = np.abs(dispersion_error(scheme, ys))
+    phi = np.abs(dispersion_error(gamma, ys))
     slope, _ = np.polyfit(np.log(ys), np.log(phi), 1)
     return float(slope)

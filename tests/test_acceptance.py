@@ -35,7 +35,7 @@ from bousspec import analysis, experiments, jacobi, model, timestep
 from bousspec.analysis import NodalSolution, NormSpec
 from bousspec.experiments import PRESETS
 from bousspec.jacobi import build_basis, glj_rule
-from bousspec.timestep import IntegrationPlan, SdirkScheme
+from bousspec.timestep import GAMMA_ORDER3, IntegrationPlan
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -46,12 +46,12 @@ def report(criterion: str, ok: bool, detail: str):
 def _check_error_table(tag, result, reference, reference_rates):
     lines = []
     ok = True
-    for gamma, column in result["columns"].items():
-        for k, err, ref in zip(result["k_values"], column.errors, reference[gamma]):
+    for gamma, (errors, rates) in result["columns"].items():
+        for k, err, ref in zip(result["k_values"], errors, reference[gamma]):
             ratio = err / ref
             ok &= 0.5 <= ratio <= 2.0
             lines.append(f"g={gamma:.3g} k={k}: {err:.4e} ({ratio:.2f}x ref)")
-        for rate, ref in zip(column.rates, reference_rates[gamma]):
+        for rate, ref in zip(rates, reference_rates[gamma]):
             ok &= abs(rate - ref) <= 0.15
             lines.append(f"rate {rate:.2f} (ref {ref})")
     report(tag, ok, "; ".join(lines))
@@ -264,7 +264,7 @@ def test_criterion_9_residual_gates():
 
 def test_criterion_10a_midpoint_nondissipative():
     worst = max(
-        abs(abs(timestep.stability_function(SdirkScheme.midpoint(), 1j * y)) - 1.0)
+        abs(abs(timestep.stability_function(0.5, 1j * y)) - 1.0)
         for y in np.linspace(-10.0, 10.0, 401)
     )
     report("10a", worst <= 1e-13, f"max | |R(iy)|-1 | = {worst:.2e} (gamma=1/2)")
@@ -279,7 +279,7 @@ def test_criterion_10b_order3_nondissipative_claim_expected_fail():
     dissipative on the imaginary axis (still A-stable).
     """
     worst = max(
-        abs(abs(timestep.stability_function(SdirkScheme.order3(), 1j * y)) - 1.0)
+        abs(abs(timestep.stability_function(GAMMA_ORDER3, 1j * y)) - 1.0)
         for y in np.linspace(-10.0, 10.0, 401)
     )
     report("10b", worst <= 1e-13, f"max | |R(iy)|-1 | = {worst:.2e} (gamma order-3)")
@@ -287,20 +287,20 @@ def test_criterion_10b_order3_nondissipative_claim_expected_fail():
 
 def test_criterion_10c_consistency_orders():
     measured = {}
-    for scheme in (SdirkScheme.midpoint(), SdirkScheme.order3()):
+    for gamma, order in ((0.5, 2), (GAMMA_ORDER3, 3)):
         errs = []
         for k in (0.02, 0.01, 0.005):
             [(_, y, _, _)], _ = timestep.integrate(
-                lambda t, v: -v, np.array([1.0]), [(scheme, IntegrationPlan(k=k, t_end=1.0))]
+                lambda t, v: -v, np.array([1.0]), [(gamma, IntegrationPlan(k=k, t_end=1.0))]
             )
             errs.append(abs(y[0] - math.exp(-1.0)))
-        measured[scheme.order] = math.log2(errs[1] / errs[2])
+        measured[order] = math.log2(errs[1] / errs[2])
     ok = abs(measured[2] - 2) <= 0.05 and abs(measured[3] - 3) <= 0.05
     report("10c", ok, f"scalar-test orders {measured[2]:.3f}, {measured[3]:.3f}")
 
 
 def test_criterion_10d_midpoint_dispersion_slope():
-    slope = timestep.dispersion_slope(SdirkScheme.midpoint())
+    slope = timestep.dispersion_slope(0.5)
     report("10d", abs(slope - 3.0) <= 0.1, f"slope {slope:.3f} (q=2)")
 
 
@@ -312,5 +312,5 @@ def test_criterion_10e_order3_dispersion_slope_claim_expected_fail():
     y^5 coefficient is (5 sqrt(3)+9)/180, giving slope 5 (q = 4) - which
     also matches the even-stage DIRK dispersion theorem.
     """
-    slope = timestep.dispersion_slope(SdirkScheme.order3())
+    slope = timestep.dispersion_slope(GAMMA_ORDER3)
     report("10e", abs(slope - 4.0) <= 0.1, f"slope {slope:.3f} (true value 5, q=4)")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bousspec
 from bousspec import cli, experiments
 from bousspec.experiments import ConfigError, PRESETS, parse_config
 from bousspec.jacobi import build_basis
@@ -43,6 +44,11 @@ def test_presets_cover_documented_names():
     assert documented == set(experiments.CONFIG_KEYS) | {"include-preset"}
 
 
+def test_public_names_exist_sorted_and_unique():
+    assert all(hasattr(bousspec, name) for name in bousspec.__all__)
+    assert bousspec.__all__ == sorted(set(bousspec.__all__))
+
+
 def test_parse_config_overrides_preset():
     cfg = parse_config(QUICK_RATIO, name="quick")
     assert cfg.mode == "ratio_table"
@@ -67,6 +73,11 @@ def test_parse_config_fraction_and_gamma_aliases():
         ("bogus line", "key = value"),
         ("unknown-key = 3", "unknown key"),
         ("include-preset = nope", "unknown preset"),
+        # include-preset is the base every other key overrides, so it comes first
+        ("n = 32\nk-list = 0.5 0.25\ninclude-preset = table2",
+         "line 3: include-preset must be the first key"),
+        ("include-preset = table1\nn = 32\ninclude-preset = table2",
+         "line 3: include-preset must be the first key"),
         ("mode = ratio_table\nn = 16 32\nk = 0.1", "three N values"),
         ("mode = ratio_table\nn = 16 32 48\nk = 0.1", "doubling chain"),
         ("mode = snapshot\nn = 16\ninitial-data = tent\ntheta2 = 2/3", "exactly one"),
@@ -420,6 +431,12 @@ def test_cli_diagnose_quadrature(capsys):
     weights = [float(line.split(",")[1]) for line in out[1:]]
     assert nodes == [-1.0, 0.0, 1.0]
     assert weights == pytest.approx([1 / 3, 4 / 3, 1 / 3])
+
+
+def test_cli_diagnose_quadrature_refuses_n_past_n_max(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_basis", lambda *args: pytest.fail("a basis was built"))
+    assert cli.main(["diagnose", "quadrature", "--N", "4097"]) == cli.EXIT_CONFIG
+    assert "--N must lie in [2, 4096], got 4097" in capsys.readouterr().err
 
 
 def test_cli_diagnose_quadrature_matrices(capsys):

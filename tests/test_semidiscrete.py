@@ -368,7 +368,7 @@ def test_assembled_once_reuse_instrumentation(monkeypatch):
     y0 = semidiscrete.initial_state(basis, imap, lambda x: 0.1 * eta0(x / 8), lambda x: u0(x))
     field = semidiscrete.make_vector_field(sys_, bdata)
     timestep.integrate(
-        field, y0, [(timestep.SdirkScheme.order3(), timestep.IntegrationPlan(k=0.05, t_end=1.0))]
+        field, y0, [(timestep.GAMMA_ORDER3, timestep.IntegrationPlan(k=0.05, t_end=1.0))]
     )
     assert len(calls) == 1
 
@@ -408,7 +408,7 @@ def test_small_amplitude_energy_stays_bounded():
     y = y0.copy()
     e0 = energy(y)
     for step in range(10):
-        y = timestep.sdirk_step(field, 0.1 * step, y, 0.1, timestep.SdirkScheme.midpoint())
+        y = timestep.sdirk_step(field, 0.1 * step, y, 0.1, 0.5)
     assert energy(y) == pytest.approx(e0, rel=5 * amp)
 
 
@@ -441,17 +441,16 @@ def test_boundary_traces_evaluated_once_per_stage_time():
     )
     k = 0.05
     plan = timestep.IntegrationPlan(k=k, t_end=4 * k)
-    for schemes in ([timestep.SdirkScheme.order3()],
-                    [timestep.SdirkScheme.midpoint(), timestep.SdirkScheme.order3()]):
+    for gammas in ([timestep.GAMMA_ORDER3], [0.5, timestep.GAMMA_ORDER3]):
         field = semidiscrete.make_vector_field(sys_, bdata)
         del calls[:]
-        _, stats = timestep.integrate(field, y, [(s, plan) for s in schemes])
+        _, stats = timestep.integrate(field, y, [(g, plan) for g in gammas])
         # the midpoint member's two stages share one abscissa
-        stage_times = {step * k + a * k for s in schemes for step in range(4)
-                       for a in (s.gamma, 1.0 - s.gamma)}
+        stage_times = {step * k + a * k for g in gammas for step in range(4)
+                       for a in (g, 1.0 - g)}
         assert set(calls) == stage_times
         assert max(collections.Counter(calls).values()) <= 4
-        assert stats.steps == 4 * len(schemes)
+        assert stats.steps == 4 * len(gammas)
         assert stats.rhs_evals > 2 * 2 * stats.steps     # the stages did iterate
 
 

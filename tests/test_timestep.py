@@ -5,27 +5,27 @@ import pytest
 
 from bousspec import analysis, experiments, model, semidiscrete, timestep
 from bousspec.jacobi import build_basis
-from bousspec.timestep import IntegrationPlan, SdirkScheme
+from bousspec.timestep import GAMMA_ORDER3, IntegrationPlan
+
+# the second- and third-order members of the SDIRK family, by gamma
+ORDER = {0.5: 2, GAMMA_ORDER3: 3}
+SCHEMES = pytest.mark.parametrize("gamma", list(ORDER), ids=["scheme0", "scheme1"])
 
 
 def test_presets():
-    assert SdirkScheme.midpoint().order == 2
-    o3 = SdirkScheme.order3()
-    assert o3.order == 3
-    assert o3.gamma == pytest.approx((3 + math.sqrt(3)) / 6, rel=1e-15)
-    assert SdirkScheme.from_gamma(0.5).order == 2
+    assert GAMMA_ORDER3 == pytest.approx((3 + math.sqrt(3)) / 6, rel=1e-15)
 
 
 def test_zero_field_is_fixed_point():
     y0 = np.array([1.0, -2.0])
     f = lambda t, y: np.zeros_like(y)
-    y1 = timestep.sdirk_step(f, 0.0, y0, 0.3, SdirkScheme.midpoint())
+    y1 = timestep.sdirk_step(f, 0.0, y0, 0.3, 0.5)
     assert np.array_equal(y1, y0)
 
 
 def test_midpoint_scalar_amplification():
     # one step of y' = -y multiplies by R(-k) = (1 - k/2)/(1 + k/2)
-    y = timestep.sdirk_step(lambda t, v: -v, 0.0, np.array([1.0]), 0.1, SdirkScheme.midpoint())
+    y = timestep.sdirk_step(lambda t, v: -v, 0.0, np.array([1.0]), 0.1, 0.5)
     assert y[0] == pytest.approx(0.95 / 1.05, rel=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_plan_validation():
 def test_integrate_zero_time():
     y0 = np.array([2.0])
     [(tf, y, snaps, stats)], _ = timestep.integrate(
-        lambda t, v: -v, y0, [(SdirkScheme.midpoint(), IntegrationPlan(k=0.1, t_end=0.0))]
+        lambda t, v: -v, y0, [(0.5, IntegrationPlan(k=0.1, t_end=0.0))]
     )
     assert tf == 0.0 and np.array_equal(y, y0) and stats.steps == 0
 
@@ -54,7 +54,7 @@ def test_integrate_zero_time():
 def test_snapshots_at_step_boundaries():
     plan = IntegrationPlan(k=0.1, t_end=1.0, snapshot_times=(0.0, 0.5, 1.0))
     [(_, _, snaps, _)], _ = timestep.integrate(
-        lambda t, v: -v, np.array([1.0]), [(SdirkScheme.midpoint(), plan)]
+        lambda t, v: -v, np.array([1.0]), [(0.5, plan)]
     )
     times = [t for t, _ in snaps]
     assert times == pytest.approx([0.0, 0.5, 1.0])
@@ -66,29 +66,29 @@ def test_step_doubling_consistency_midpoint():
     f = lambda t, v: -v
     y0 = np.array([1.0])
     k = 0.1
-    one = timestep.sdirk_step(f, 0.0, y0, k, SdirkScheme.midpoint())
-    half = timestep.sdirk_step(f, 0.0, y0, k / 2, SdirkScheme.midpoint())
-    two = timestep.sdirk_step(f, k / 2, half, k / 2, SdirkScheme.midpoint())
+    one = timestep.sdirk_step(f, 0.0, y0, k, 0.5)
+    half = timestep.sdirk_step(f, 0.0, y0, k / 2, 0.5)
+    two = timestep.sdirk_step(f, k / 2, half, k / 2, 0.5)
     assert abs(one[0] - two[0]) < k**3
 
 
-@pytest.mark.parametrize("scheme", [SdirkScheme.midpoint(), SdirkScheme.order3()])
-def test_scalar_convergence_order(scheme):
+@SCHEMES
+def test_scalar_convergence_order(gamma):
     errs = []
     for k in (0.02, 0.01, 0.005):
         [(_, y, _, _)], _ = timestep.integrate(
-            lambda t, v: -v, np.array([1.0]), [(scheme, IntegrationPlan(k=k, t_end=1.0))]
+            lambda t, v: -v, np.array([1.0]), [(gamma, IntegrationPlan(k=k, t_end=1.0))]
         )
         errs.append(abs(y[0] - math.exp(-1.0)))
     rate = math.log2(errs[1] / errs[2])
-    assert rate == pytest.approx(scheme.order, abs=0.05)
+    assert rate == pytest.approx(ORDER[gamma], abs=0.05)
 
 
 def test_stage_divergence_detection():
     # Lipschitz constant far above 1/(gamma k): fixed point cannot contract
     stiff = lambda t, v: -1e9 * v
     with pytest.raises(timestep.StageDivergenceError):
-        timestep.sdirk_step(stiff, 0.0, np.array([1.0]), 0.1, SdirkScheme.midpoint())
+        timestep.sdirk_step(stiff, 0.0, np.array([1.0]), 0.1, 0.5)
 
 
 def test_stage_iteration_cap():
@@ -104,7 +104,7 @@ def test_stage_iteration_cap():
     cap = f"exceeded {timestep.MAX_STAGE_ITERS} iterations at step 0"
     with pytest.raises(timestep.StageDivergenceError, match=cap):
         timestep.integrate(f, np.array([1.0]),
-                           [(SdirkScheme.midpoint(), IntegrationPlan(k=1.0, t_end=1.0))])
+                           [(0.5, IntegrationPlan(k=1.0, t_end=1.0))])
     assert len(calls) == timestep.MAX_STAGE_ITERS
 
 
@@ -113,30 +113,30 @@ def test_stage_iteration_cap():
 _ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-@pytest.mark.parametrize("scheme", [SdirkScheme.midpoint(), SdirkScheme.order3()])
+@SCHEMES
 @pytest.mark.parametrize("lam, f, y0", [
     (-1.0, lambda t, v: -v, np.array([1.0])),
     # (x, y) as z = x + iy: the rotation is z' = i z, eigenvalues +-i
     (1j, lambda t, v: v @ _ROTATION.T, np.array([1.0, 0.0])),
 ])
-def test_integrate_matches_stability_function_power(scheme, lam, f, y0):
+def test_integrate_matches_stability_function_power(gamma, lam, f, y0):
     # predicted starting values change only where the stage iterations
     # begin; the converged steps still multiply by R(k lam)
     k, n = 0.1, 10
-    [(_, y, _, stats)], _ = timestep.integrate(f, y0, [(scheme, IntegrationPlan(k=k, t_end=n * k))])
-    z = timestep.stability_function(scheme, k * lam) ** n
+    [(_, y, _, stats)], _ = timestep.integrate(f, y0, [(gamma, IntegrationPlan(k=k, t_end=n * k))])
+    z = timestep.stability_function(gamma, k * lam) ** n
     want = np.array([z.real, z.imag]) if y0.size == 2 else np.array([z.real])
     assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
     assert stats.steps == n
 
 
-@pytest.mark.parametrize("scheme", [SdirkScheme.midpoint(), SdirkScheme.order3()])
-def test_first_integrate_step_is_sdirk_step(scheme):
+@SCHEMES
+def test_first_integrate_step_is_sdirk_step(gamma):
     f = lambda t, v: -v + np.cos(t) * v * v
     y0 = np.array([0.3, -0.2, 0.5])
     plan = IntegrationPlan(k=0.05, t_end=0.1, snapshot_times=(0.05,))
-    [(_, _, snaps, _)], _ = timestep.integrate(f, y0, [(scheme, plan)])
-    assert np.array_equal(snaps[0][1], timestep.sdirk_step(f, 0.0, y0, 0.05, scheme))
+    [(_, _, snaps, _)], _ = timestep.integrate(f, y0, [(gamma, plan)])
+    assert np.array_equal(snaps[0][1], timestep.sdirk_step(f, 0.0, y0, 0.05, gamma))
 
 
 def test_predictor_evaluation_count_table5():
@@ -152,18 +152,18 @@ def test_predictor_evaluation_count_table5():
 
 # different gamma and k, snapshots (one at t = 0) and a plan of zero steps
 _LOCKSTEP_RUNS = [
-    (SdirkScheme.midpoint(), IntegrationPlan(k=0.1, t_end=0.5, snapshot_times=(0.0, 0.2))),
-    (SdirkScheme.order3(), IntegrationPlan(k=0.05, t_end=0.5, snapshot_times=(0.25, 0.5))),
-    (SdirkScheme.order3(), IntegrationPlan(k=0.125, t_end=0.0, snapshot_times=(0.0,))),
-    (SdirkScheme.from_gamma(0.3), IntegrationPlan(k=0.125, t_end=0.25)),
+    (0.5, IntegrationPlan(k=0.1, t_end=0.5, snapshot_times=(0.0, 0.2))),
+    (GAMMA_ORDER3, IntegrationPlan(k=0.05, t_end=0.5, snapshot_times=(0.25, 0.5))),
+    (GAMMA_ORDER3, IntegrationPlan(k=0.125, t_end=0.0, snapshot_times=(0.0,))),
+    (0.3, IntegrationPlan(k=0.125, t_end=0.25)),
 ]
 
 
 def _assert_lockstep_matches_alone(f, y0, runs, atol):
     results, total = timestep.integrate(f, y0, runs)
     assert len(results) == len(runs)
-    for (scheme, plan), (t, y, snaps, stats) in zip(runs, results):
-        [(t1, y1, snaps1, stats1)], _ = timestep.integrate(f, y0, [(scheme, plan)])
+    for (gamma, plan), (t, y, snaps, stats) in zip(runs, results):
+        [(t1, y1, snaps1, stats1)], _ = timestep.integrate(f, y0, [(gamma, plan)])
         assert t == t1 and stats.steps == stats1.steps == plan.n_steps
         assert (stats.rhs_evals, stats.max_stage_iters) == (stats1.rhs_evals, stats1.max_stage_iters)
         assert stats.max_stage_residual == pytest.approx(stats1.max_stage_residual, rel=0, abs=atol)
@@ -206,7 +206,7 @@ def test_stage_divergence_names_the_run():
     # and 2.5 at k = 0.5, where it diverges in the first step
     f = lambda t, v: -10.0 * v
     small, large = (IntegrationPlan(k=k, t_end=1.0) for k in (0.05, 0.5))
-    runs = [(SdirkScheme.midpoint(), small), (SdirkScheme.midpoint(), large)]
+    runs = [(0.5, small), (0.5, large)]
     with pytest.raises(timestep.StageDivergenceError,
                        match=r"diverging .* at step 0 of the run gamma=0.5, k=0.5;") as info:
         timestep.integrate(f, np.array([1.0]), runs)
@@ -218,7 +218,7 @@ def test_stage_divergence_names_the_run():
 # --- stability function and dispersion --------------------------------------
 
 def test_stability_function_basics():
-    mid = SdirkScheme.midpoint()
+    mid = 0.5
     assert timestep.stability_function(mid, 0.0) == 1.0
     zs = [0.3 + 0.2j, -1.0 + 0.7j, 2.4j]
     for z in zs:
@@ -228,17 +228,17 @@ def test_stability_function_basics():
         timestep.stability_function(mid, 2.0)
 
 
-@pytest.mark.parametrize("scheme", [SdirkScheme.midpoint(), SdirkScheme.order3()])
-def test_stability_function_series_order(scheme):
+@SCHEMES
+def test_stability_function_series_order(gamma):
     # R(z) - e^z = O(z^{p+1}): halving z shrinks the defect by ~2^{p+1}
     h = 0.02
-    d1 = abs(timestep.stability_function(scheme, h) - math.exp(h))
-    d2 = abs(timestep.stability_function(scheme, h / 2) - math.exp(h / 2))
-    assert math.log2(d1 / d2) == pytest.approx(scheme.order + 1, abs=0.05)
+    d1 = abs(timestep.stability_function(gamma, h) - math.exp(h))
+    d2 = abs(timestep.stability_function(gamma, h / 2) - math.exp(h / 2))
+    assert math.log2(d1 / d2) == pytest.approx(ORDER[gamma] + 1, abs=0.05)
 
 
 def test_midpoint_nondissipative_on_imaginary_axis():
-    mid = SdirkScheme.midpoint()
+    mid = 0.5
     for y in np.linspace(-10.0, 10.0, 201):
         assert abs(abs(timestep.stability_function(mid, 1j * y)) - 1.0) <= 1e-13
 
@@ -247,8 +247,9 @@ def test_order3_scheme_is_dissipative_but_a_stable():
     # |R(iy)| < 1 for y != 0: numerator y^4 coefficient alpha^2 is below
     # the denominator's gamma^4, so the order-3 member damps on the
     # imaginary axis (it is not nondissipative).
-    o3 = SdirkScheme.order3()
-    assert o3._alpha**2 < o3.gamma**4
+    o3 = GAMMA_ORDER3
+    _, alpha = timestep._numerator(o3)
+    assert alpha**2 < o3**4
     mods = np.array(
         [abs(timestep.stability_function(o3, 1j * y)) for y in np.linspace(-10, 10, 401)]
     )
@@ -257,15 +258,15 @@ def test_order3_scheme_is_dissipative_but_a_stable():
 
 
 def test_dispersion_error_basics():
-    assert timestep.dispersion_error(SdirkScheme.midpoint(), 0.0) == 0.0
+    assert timestep.dispersion_error(0.5, 0.0) == 0.0
     # midpoint: Phi(y) = y^3/12 + O(y^5)
     y = 1e-2
-    got = timestep.dispersion_error(SdirkScheme.midpoint(), y)
+    got = timestep.dispersion_error(0.5, y)
     assert got == pytest.approx(y**3 / 12, rel=1e-3)
 
 
 def test_dispersion_error_is_odd():
-    o3 = SdirkScheme.order3()
+    o3 = GAMMA_ORDER3
     ys = np.linspace(-0.5, 0.5, 11)
     phi = timestep.dispersion_error(o3, ys)
     assert np.abs(phi + phi[::-1]).max() < 1e-16
@@ -274,13 +275,13 @@ def test_dispersion_error_is_odd():
 def test_dispersion_slopes_true_orders():
     # phase error is odd in y, so slopes are odd: 3 for the second-order
     # member (q = 2) and 5 for the third-order member (q = 4).
-    assert timestep.dispersion_slope(SdirkScheme.midpoint()) == pytest.approx(3.0, abs=0.1)
-    assert timestep.dispersion_slope(SdirkScheme.order3()) == pytest.approx(5.0, abs=0.1)
+    assert timestep.dispersion_slope(0.5) == pytest.approx(3.0, abs=0.1)
+    assert timestep.dispersion_slope(GAMMA_ORDER3) == pytest.approx(5.0, abs=0.1)
 
 
 def test_order3_dispersion_leading_coefficient():
     # Phi(y) = (5 sqrt(3) + 9)/180 * y^5 + O(y^7) up to sign
-    o3 = SdirkScheme.order3()
+    o3 = GAMMA_ORDER3
     y = 1e-2
     coeff = abs(timestep.dispersion_error(o3, y)) / y**5
     assert coeff == pytest.approx((5 * math.sqrt(3) + 9) / 180, rel=1e-3)
@@ -304,13 +305,12 @@ def truncated_solitary():
 
 def _run_with_mode(fixture, k, mode):
     sol, imap, basis, bdata, y0, field = fixture
-    scheme = SdirkScheme.order3()
     y = y0.copy()
     n = round(1.0 / k)
     for step in range(n):
         tn = step * k
         f = field if mode == "stage" else (lambda t, v, tn=tn: field(np.full_like(t, tn), v))
-        y = timestep.sdirk_step(f, tn, y, k, scheme)
+        y = timestep.sdirk_step(f, tn, y, k, GAMMA_ORDER3)
     ns = analysis.NodalSolution(basis, imap, *semidiscrete.nodal_values(y, bdata.at(1.0)), 1.0)
     return analysis.error_vs_exact([ns], sol, 1.0, analysis.NormSpec(1, 1))[0]
 
