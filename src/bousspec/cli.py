@@ -68,12 +68,15 @@ def _cmd_diagnose(args) -> int:
                 for row in np.atleast_2d(mat):
                     print(",".join(f"{v:.15E}" for v in row))
     elif args.sub == "dispersion":
-        ys = np.logspace(-3, -1, 25)
-        print("y,phase_error")
-        for y in ys:
-            print(f"{y:.6E},{timestep.dispersion_error(args.gamma, y):.15E}")
+        try:
+            experiments.check_gammas((args.gamma,))
+        except ConfigError as exc:
+            raise ConfigError(f"--gamma {args.gamma!r}: {exc}") from None
+        # every row and the slope before any output, so a failure prints nothing
+        rows = [f"{y:.6E},{timestep.dispersion_error(args.gamma, y):.15E}"
+                for y in np.logspace(-3, -1, 25)]
         slope = timestep.dispersion_slope(args.gamma)
-        print(f"# log-log slope = {slope:.4f}")
+        print("\n".join(["y,phase_error", *rows, f"# log-log slope = {slope:.4f}"]))
     elif args.sub == "residual":
         sol = _diagnose_solution(args)
         grid = np.linspace(-30.0, 30.0, 2001)

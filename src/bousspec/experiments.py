@@ -120,8 +120,7 @@ class ExperimentConfig:
             raise ConfigError(f"need left < right with a finite width, got {self.interval}")
         if self.theta2 is None and self.initial_data not in ("bbm-traveling", "bneqd-solitary"):
             raise ConfigError(f"{self.initial_data!r} needs theta2")
-        if not self.gammas or min(self.gammas) < GAMMA_MIN:
-            raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
+        check_gammas(self.gammas)
         # an error table has one column per gamma and one row per k, labelled
         # as the writers print them: gamma to 10 digits in errors.csv, k as
         # ``_fmt`` does, and both to 6 in table.md
@@ -481,6 +480,16 @@ _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
+def check_gammas(gammas) -> None:
+    """Refuse an empty list of gammas, a non-finite gamma or one below
+    ``GAMMA_MIN``, with the messages of ``ExperimentConfig.validate``."""
+    for gamma in gammas:
+        if not math.isfinite(gamma):
+            raise ConfigError(f"gammas must be finite, got {gamma!r}")
+    if not gammas or min(gammas) < GAMMA_MIN:
+        raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
+
+
 def _parse_gamma(token: str) -> float:
     token = token.strip().lower()
     return _GAMMA_ALIASES[token] if token in _GAMMA_ALIASES else float(token)
@@ -578,9 +587,7 @@ def _fmt(x: float) -> str:
     return f"{x:.11E}"
 
 
-def output_root(override: str | None = None) -> str:
-    if override:
-        return override
+def output_root() -> str:
     return os.environ.get("BOUSSPEC_OUTPUT_ROOT", "results")
 
 

@@ -45,6 +45,11 @@ rows are formed, from blocks of D1 (the basis keeps no dense matrix), and
 the mirror symmetry gives the rows below; each half block's mass block
 and right-hand sides are folded from them into fresh buffers that
 ``linalg`` factors and solves in place.
+
+The folded operators M_b^-1 G, M_d^-1 G and (when c != 0) -|c| M_d^-1 B2
+are stacked in one array, ``AssembledSystem.ops``, whose shape alone
+fixes which entries of a block of states feed which product
+(``AssembledSystem._layout``).
 """
 
 from __future__ import annotations
@@ -66,62 +71,58 @@ class AssembledSystem:
 
     Every operator already carries the inverse mass matrix of its equation
     (M_b = W + b B for eta, M_d = W + d B for u), in physical scaling, and
-    is held parity-folded: a (2, half, half) array whose slice 0 takes the
-    even fold of a vector to the top half of the odd part of the result and
-    slice 1 takes the odd fold to the top half of the even part, both
-    transposed for ``fold @ slice``.  The three operators are views into
-    ``ops``, the stack ``rhs_eval`` applies in one batched product to the
-    folds of a whole block of states, allocated on a 64-byte boundary; with
-    b == d both equations share one operator object (``op_u is op_eta``).
-    Immutable; reuse across the whole time integration.
+    is held parity-folded in ``ops``, on a 64-byte boundary: (2, width,
+    half) when b == d, one operator serving both equations, else (2, 2,
+    width, half) for (eta, u).  Slice 0 of the first axis takes the even
+    fold of a vector to the top half of the odd part of the result, slice
+    1 the odd fold to the top half of the even part, both transposed for
+    ``fold @ slice``.  Rows [:half] hold M^-1 G and act on the flux fold
+    (u + eta*u, eta + u*u/2); when c != 0 (width = 2 half) rows [half:]
+    hold -|c| M_d^-1 B2 and act on the eta fold, zero for the eta
+    equation.  Immutable; reuse across the whole time integration.
     """
 
     basis: JacobiBasis
-    half: int                       # fold length ceil((N-1)/2)
-    # (2, width, half) when b == d, else (2, 2, width, half) for (eta, u):
-    # rows [:half] act on a flux fold, rows [half:] (width = 2 half when
-    # c != 0) on the eta fold, zero for the eta equation
     ops: np.ndarray
-    fold_shape: tuple               # the folded inputs, (2, -1, width) or (2, 2, -1, width)
-    op_eta: np.ndarray              # M_b^-1 G, acts on the flux u + eta*u
-    op_u: np.ndarray                # M_d^-1 G, acts on the flux eta + u*u/2
-    stiff_u: np.ndarray | None      # -|c| M_d^-1 B2, acts on eta; None when c == 0
-    # for one state y: y.take(gather) is (eta, u) x (top, mirror halves);
-    # scatter, (1, 2(N-1)), takes the unfolded (top, mirror) x (eta, u) x
-    # half back to the order of y (``block_indices`` extends both to a block)
-    gather: np.ndarray
-    scatter: np.ndarray
     # solved boundary columns (left, right of each block), (N-1) rows:
     edge_eta: np.ndarray            # M_b^-1 [-b B | G], acts on (eta', u + eta*u)
     edge_u: np.ndarray              # M_d^-1 [-d B | G | -|c| B2], acts on (u', eta + u*u/2, eta)
-    _blocks: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+    _layouts: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.basis.n
 
-    def block_indices(self, rows: int):
-        """(gather, scatter) of a block of ``rows`` stacked states: those of
-        one state for one row, made once per height for more.
+    def _layout(self, rows: int):
+        """(gather, scatter, fold shape, c != 0) of a block of ``rows``
+        stacked states, made once per height from N and ``ops.shape``.
 
-        The gather reads the flattened block (and the zero after it, when
-        c != 0) as (eta, u) x (top, mirror) x rows x width, the layout one
-        state has with a single row, so the folds of all rows line up with
-        (eta, u) x rows as the rows of one product per parity; the scatter
-        takes the unfolded (top, mirror) x (eta, u) x rows x half to a
-        (rows, 2(N-1)) block.
+        The gather reads the flattened block (and, when c != 0, the zero
+        appended after it) as (eta, u) x (top, mirror) x rows x width: each
+        half of eta or u, followed when c != 0 by eta (the eta fold) and by
+        that zero (u = 0, so the fluxes there are 0 and eta).  The folds of
+        all rows then line up with (eta, u) x rows as the rows of one
+        product per parity.  The scatter takes the unfolded (top, mirror) x
+        (eta, u) x rows x half to a (rows, 2(N-1)) block; a centre node
+        (odd N-1) is read back from its top copy.
         """
-        if rows == 1:
-            return self.gather, self.scatter
-        found = self._blocks.get(rows)
+        found = self._layouts.get(rows)
         if found is None:
-            size, half = 2 * (self.n - 1), self.half
-            one = self.gather.reshape(2, 2, 1, -1)
-            gather = np.where(one == size, rows * size,
-                              one + size * np.arange(rows)[:, None]).reshape(2, -1)
-            side, eq, j = self.scatter // (2 * half), self.scatter // half % 2, self.scatter % half
-            scatter = (2 * side + eq) * rows * half + j + half * np.arange(rows)[:, None]
-            found = self._blocks[rows] = (gather, scatter)
+            m, (width, half) = self.n - 1, self.ops.shape[-2:]
+            stiff = width > half
+            top = np.arange(half)
+            # (top, mirror) x rows x half indices of eta in the block
+            eta = np.stack([top, m - 1 - top])[:, None] + 2 * m * np.arange(rows)[:, None]
+            u = eta + m
+            if stiff:
+                eta = np.concatenate([eta, eta], axis=-1)
+                u = np.concatenate([u, np.full_like(u, 2 * m * rows)], axis=-1)
+            gather = np.stack([eta, u]).reshape(2, -1)
+            eta_out = np.r_[top, 2 * rows * half + top[:m - half][::-1]]
+            eta_out = eta_out + half * np.arange(rows)[:, None]
+            scatter = np.hstack([eta_out, eta_out + rows * half])
+            fold_shape = self.ops.shape[:-2] + (-1, width)
+            found = self._layouts[rows] = (gather, scatter, fold_shape, stiff)
         return found
 
 
@@ -256,44 +257,13 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     width = 2 * half if absc else half
     if p.b == p.d:
         ops = _aligned_zeros((2, width, half))
-        fold_shape = (2, -1, width)
         edge_u = solve_folded(p.d, ops, *edge_rows(p.d, True))
         edge_eta = edge_u[:, :4]
-        op_eta = op_u = ops[:, :half]
-        u_ops = ops
     else:
         ops = _aligned_zeros((2, 2, width, half))
-        fold_shape = (2, 2, -1, width)
         edge_u = solve_folded(p.d, ops[:, 1], *edge_rows(p.d, True))
         edge_eta = solve_folded(p.b, ops[:, 0, :half], *edge_rows(p.b, False))
-        op_eta, op_u = ops[:, 0, :half], ops[:, 1, :half]
-        u_ops = ops[:, 1]
-    top = np.arange(half)
-    eta_top, eta_mirror = top, m - 1 - top
-    u_top, u_mirror = m + top, 2 * m - 1 - top
-    if absc:
-        # each flux half is followed by eta (for the eta fold) and u = 0,
-        # the appended entry 2 m, which make the fluxes 0 and eta there
-        zero = np.full(half, 2 * m)
-        eta_top, eta_mirror = np.r_[eta_top, eta_top], np.r_[eta_mirror, eta_mirror]
-        u_top, u_mirror = np.r_[u_top, zero], np.r_[u_mirror, zero]
-    gather = np.array([np.r_[eta_top, eta_mirror], np.r_[u_top, u_mirror]])
-    # a centre node (odd m) is read back from its top copy
-    scatter = np.concatenate([top, 2 * half + top[:pairs][::-1]])
-    scatter = np.concatenate([scatter, half + scatter])[None]
-    return AssembledSystem(
-        basis=basis,
-        half=half,
-        ops=ops,
-        fold_shape=fold_shape,
-        op_eta=op_eta,
-        op_u=op_u,
-        stiff_u=u_ops[:, half:] if absc else None,
-        gather=gather,
-        scatter=scatter,
-        edge_eta=edge_eta,
-        edge_u=edge_u,
-    )
+    return AssembledSystem(basis=basis, ops=ops, edge_eta=edge_eta, edge_u=edge_u)
 
 
 def boundary_rhs(sys: AssembledSystem, edges: np.ndarray) -> np.ndarray:
@@ -334,15 +304,15 @@ def rhs_eval(sys: AssembledSystem, t: np.ndarray, y: np.ndarray,
     even - odd and scatter back.  A block of one row takes the same array
     operations as one state.
     """
-    gather, scatter = sys.block_indices(len(y))
-    if sys.stiff_u is not None:
+    gather, scatter, fold_shape, stiff = sys._layout(len(y))
+    if stiff:
         y = np.concatenate((y, _ZERO), axis=None)      # u = 0 in the slots that carry eta
     sides = y.take(gather)                      # (eta, u) x (top, mirror) x rows halves
     flux = sides * _FLUX_SCALE
     flux *= sides[1]
     flux += sides[::-1]                         # u + eta*u, eta + u*u/2
     folds = (_FOLD @ flux.reshape(2, 2, -1)).transpose(1, 0, 2)    # (even, odd) x (eta, u)
-    parts = (folds.reshape(sys.fold_shape) @ sys.ops).reshape(2, -1)
+    parts = (folds.reshape(fold_shape) @ sys.ops).reshape(2, -1)
     dy = (_UNFOLD @ parts).take(scatter)
     dy += boundary
     # the sum of squares is finite unless an entry is not (or it overflows)

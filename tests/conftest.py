@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,11 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # ratio tables fork workers; every test must have reaped all of them
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

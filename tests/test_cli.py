@@ -463,6 +463,19 @@ def test_cli_diagnose_dispersion(capsys):
     assert slope == pytest.approx(3.0, abs=0.1)
 
 
+@pytest.mark.parametrize("gamma, code", [
+    ("nan", cli.EXIT_CONFIG), ("inf", cli.EXIT_CONFIG), ("0.1", cli.EXIT_CONFIG),
+    ("-1", cli.EXIT_CONFIG), ("1e300", cli.EXIT_NUMERICAL), ("0.25", cli.EXIT_OK),
+])
+def test_cli_diagnose_dispersion_checks_gamma_like_a_config(capsys, gamma, code):
+    # a failure names the value and leaves no partial CSV behind
+    assert cli.main(["diagnose", "dispersion", "--gamma", gamma]) == code
+    out, err = capsys.readouterr()
+    assert (out == "") == (code != cli.EXIT_OK)
+    if code == cli.EXIT_CONFIG:
+        assert f"--gamma {float(gamma)!r}" in err
+
+
 def test_cli_diagnose_residual(capsys):
     assert cli.main(
         ["diagnose", "residual", "--preset", "bs-solitary", "--theta2", "9/11"]
@@ -475,7 +488,6 @@ def test_cli_diagnose_residual(capsys):
 def test_output_root_env_override(monkeypatch):
     monkeypatch.setenv("BOUSSPEC_OUTPUT_ROOT", "/tmp/elsewhere")
     assert experiments.output_root() == "/tmp/elsewhere"
-    assert experiments.output_root("explicit") == "explicit"
 
 
 EDGES = ("nan", "inf", "-inf", "0", "-1", "1e308")

@@ -117,10 +117,12 @@ def test_degenerate_mass_is_diagonal():
     sys_ = semidiscrete.assemble(basis, params, imap)
     _, g, _, _, _ = full_blocks(basis, params, imap)
     w = imap.scale * basis.weights[1:-1]
-    # M = W: the solution operator is the test matrix divided by the weights
-    op = dense_operator(sys_.op_eta, basis.n - 1)
+    # M = W: the solution operator is the test matrix divided by the weights;
+    # b == d and c == 0 leave one operator with no stiffness rows
+    half = basis.n // 2
+    assert sys_.ops.shape == (2, half, half)
+    op = dense_operator(sys_.ops, basis.n - 1)
     assert np.abs(w[:, None] * op - g[:, 1:-1]).max() < 1e-13 * np.abs(g).max()
-    assert sys_.op_u is sys_.op_eta and sys_.stiff_u is None
 
 
 def test_mass_matrix_spd_for_bbm(setup_mu):
@@ -128,14 +130,14 @@ def test_mass_matrix_spd_for_bbm(setup_mu):
     params = model.SystemParams(b=1 / 6, c=0.0, d=1 / 6)
     sys_ = semidiscrete.assemble(basis, params, imap)
     # equal mass coefficients share one solution operator
-    assert sys_.op_u is sys_.op_eta
+    assert sys_.ops.ndim == 3
     w, g, mass, _, _ = full_blocks(basis, params, imap)
     n = basis.n
     lhs = np.diag(w[1:n]) + params.b * mass[:, 1:n]
     eig = np.linalg.eigvalsh(0.5 * (lhs + lhs.T))
     assert eig.min() > 0
     # and the folded operator solves that mass system against G
-    op = dense_operator(sys_.op_eta, n - 1)
+    op = dense_operator(sys_.ops, n - 1)
     assert np.abs(lhs @ op - g[:, 1:n]).max() < 1e-13 * np.abs(g).max()
 
 
@@ -158,12 +160,13 @@ def test_interval_scaling_factors():
     # the assembled operators solve the physically scaled mass systems
     n = basis.n
     phys = semidiscrete.assemble(basis, params, IntervalMap(-8.0, 8.0))
-    for op, coeff in ((phys.op_eta, params.b), (phys.op_u, params.d)):
+    half = n // 2
+    for eq, coeff in ((0, params.b), (1, params.d)):
         lhs = np.diag(w_phys[1:n]) + coeff * mass_phys[:, 1:n]
-        op = dense_operator(op, n - 1)
+        op = dense_operator(phys.ops[:, eq, :half], n - 1)
         assert np.abs(lhs @ op - g_phys[:, 1:n]).max() < 1e-13 * np.abs(g_phys).max()
-    # the stiffness block holds -|c| M_d^-1 B2
-    stiff = dense_operator(phys.stiff_u, n - 1)
+    # the stiffness rows of the u equation hold -|c| M_d^-1 B2
+    stiff = dense_operator(phys.ops[:, 1, half:], n - 1)
     third = abs(params.c) * third_phys[:, 1:n]
     assert np.abs(lhs @ stiff + third).max() < 1e-13 * np.abs(third).max()
 
@@ -184,10 +187,10 @@ def test_assembled_system_holds_no_full_operator(n, params):
     assert "ops" in arrays
     for name, a in arrays.items():
         assert not (a.ndim >= 2 and a.shape[-2:] == (m, m) and m > 1), name
-    for op in (sys_.op_eta, sys_.op_u, sys_.stiff_u):
-        assert op is None or op.shape == (2, half, half)
-    assert (sys_.op_u is sys_.op_eta) == (params.b == params.d)
-    assert (sys_.stiff_u is None) == (params.c == 0.0)
+    # one operator stack when b == d; stiffness rows below the flux rows iff c != 0
+    width = half if params.c == 0.0 else 2 * half
+    shared = params.b == params.d
+    assert sys_.ops.shape == ((2, width, half) if shared else (2, 2, width, half))
     assert sys_.edge_eta.shape == (m, 4) and sys_.edge_u.shape == (m, 6)
 
 
@@ -454,26 +457,30 @@ def test_boundary_traces_evaluated_once_per_stage_time():
         assert stats.rhs_evals > 2 * 2 * stats.steps     # the stages did iterate
 
 
-def _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t):
-    """Max relative difference of the assembled field from numpy.linalg.solve
-    of the unsolved G-NI blocks (advection kept as K D1)."""
+def _field_against_direct_solve(basis, params, imap, bdata, rows):
+    """Max relative difference of the assembled field on a block, one row
+    per (eta0, u0, t) of ``rows``, from numpy.linalg.solve of the unsolved
+    G-NI blocks (advection kept as K D1), row by row."""
     n = basis.n
     sys_ = semidiscrete.assemble(basis, params, imap)
     field = semidiscrete.make_vector_field(sys_, bdata)
     x = imap.to_physical(basis.nodes)
-    edges = bdata.at(t)
-    y = np.concatenate([eta0(x)[1:-1], u0(x)[1:-1]])
     w, g, mass, third, kd1 = full_blocks(basis, params, imap)
-    eta_full, u_full = semidiscrete.nodal_values(y, edges)
-    rhs1 = (-params.b * mass[:, [0, n]] @ edges[2]
-            - kd1 @ u_full + g @ (eta_full * u_full))
-    rhs2 = (-params.d * mass[:, [0, n]] @ edges[3]
-            - (kd1 + abs(params.c) * third) @ eta_full + g @ (0.5 * u_full * u_full))
-    ref = np.concatenate([
-        np.linalg.solve(np.diag(w[1:n]) + params.b * mass[:, 1:n], rhs1),
-        np.linalg.solve(np.diag(w[1:n]) + params.d * mass[:, 1:n], rhs2),
-    ])
-    return np.abs(field(np.full((1, 1), t), y[None])[0] - ref).max() / np.abs(ref).max()
+    lhs_eta = np.diag(w[1:n]) + params.b * mass[:, 1:n]
+    lhs_u = np.diag(w[1:n]) + params.d * mass[:, 1:n]
+    y = np.array([np.concatenate([eta0(x)[1:-1], u0(x)[1:-1]]) for eta0, u0, _ in rows])
+    block = field(np.array([[t] for *_, t in rows]), y)
+    rel = 0.0
+    for got, state, (_, _, t) in zip(block, y, rows):
+        edges = bdata.at(t)
+        eta_full, u_full = semidiscrete.nodal_values(state, edges)
+        rhs1 = (-params.b * mass[:, [0, n]] @ edges[2]
+                - kd1 @ u_full + g @ (eta_full * u_full))
+        rhs2 = (-params.d * mass[:, [0, n]] @ edges[3]
+                - (kd1 + abs(params.c) * third) @ eta_full + g @ (0.5 * u_full * u_full))
+        ref = np.concatenate([np.linalg.solve(lhs_eta, rhs1), np.linalg.solve(lhs_u, rhs2)])
+        rel = max(rel, np.abs(got - ref).max() / np.abs(ref).max())
+    return rel
 
 
 @pytest.mark.parametrize(
@@ -512,9 +519,34 @@ def test_field_matches_direct_solve_of_assembled_blocks(case):
         bdata = BoundaryData.from_exact(sol, imap.left, imap.right)
         eta0, u0 = (lambda x: sol.eta(x, t)), (lambda x: sol.u(x, t))
     basis = jacobi.build_basis(mu, n)
-    rel = _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, t)
+    rel = _field_against_direct_solve(basis, params, imap, bdata, [(eta0, u0, t)])
     print(f"{case}: N={n} max relative difference {rel:.2e}")
     assert rel <= 1e-9
+
+
+@pytest.mark.parametrize("data", ["constant", "table2-traces"])
+@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("params", [
+    model.SystemParams(b=0.2, c=-0.15, d=0.35),
+    model.SystemParams(b=0.3, c=-0.1, d=0.3),
+], ids=["bneqd-c", "beqd-c"])
+def test_field_block_rows_match_direct_solve(params, n, data):
+    # every row of a three-row block, each a different state (and, for
+    # traced data, at a different time), against a dense solve of its own;
+    # odd N - 1 has a centre node, and c != 0 puts eta after each flux
+    if data == "constant":
+        imap = IntervalMap(-3.0, 5.0)
+        rows = [(lambda x, a=a: a * np.sin(0.7 * x) + 0.1,
+                 lambda x, a=a: a * np.cos(0.5 * x), 0.0) for a in (0.3, -0.2, 0.45)]
+        eta0, u0, _ = rows[0]
+        bdata = BoundaryData.constant(eta0(-3.0), eta0(5.0), u0(-3.0), u0(5.0))
+    else:
+        sol, imap = model.traveling_bbm(2.0, 1.0), IntervalMap(-16.0, 16.0)
+        bdata = BoundaryData.from_exact(sol, imap.left, imap.right)
+        rows = [(lambda x, t=t: sol.eta(x, t), lambda x, t=t: sol.u(x, t), t)
+                for t in (0.7, 0.85, 1.3)]
+    basis = jacobi.build_basis(0.0, n)
+    assert _field_against_direct_solve(basis, params, imap, bdata, rows) <= 1e-9
 
 
 @st.composite
@@ -546,4 +578,4 @@ def test_general_mu_path_builds_and_matches_direct_solve(system):
     eta0 = lambda x: 0.3 * np.sin(0.7 * x) + 0.1
     u0 = lambda x: 0.2 * np.cos(0.5 * x)
     bdata = BoundaryData.constant(eta0(-3.0), eta0(5.0), u0(-3.0), u0(5.0))
-    assert _field_against_direct_solve(basis, params, imap, bdata, eta0, u0, 0.0) <= 1e-9
+    assert _field_against_direct_solve(basis, params, imap, bdata, [(eta0, u0, 0.0)]) <= 1e-9

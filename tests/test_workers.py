@@ -27,13 +27,6 @@ def test_exceptions_survive_pickling(exc):
     assert vars(copy) == vars(exc)
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("weights, processes, shares", [
     ((16, 32, 64, 128), 2, [[3], [0, 1, 2]]),
     ((128, 256, 512), 2, [[2], [0, 1]]),
