@@ -33,9 +33,13 @@ def _load_config(target: str) -> ExperimentConfig:
         return PRESETS[target]
     if not os.path.exists(target):
         raise ConfigError(f"no preset or config file named {target!r}")
-    with open(target) as fh:
-        name = os.path.splitext(os.path.basename(target))[0]
-        return experiments.parse_config(fh.read(), name=name)
+    try:
+        with open(target) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {target!r}: {reason}") from exc
+    return experiments.parse_config(text, name=os.path.splitext(os.path.basename(target))[0])
 
 
 def _cmd_run(args) -> int:

@@ -40,8 +40,10 @@ BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
 # one-step N = 4096 bore run (c = 0) peaked at 0.33 GB of RSS.  The largest
 # preset N is 1024.
 N_MAX = 4096
-# the two-stage SDIRK family is stable on the imaginary axis only for gamma >= 1/4
+# the two-stage SDIRK family is stable on the imaginary axis only for gamma >= 1/4,
+# and its stage abscissae gamma k and (1 - gamma) k lie in the step only for gamma <= 1
 GAMMA_MIN = 0.25
+GAMMA_MAX = 1.0
 _K_SWEEP = (0.125, 0.0625, 0.03125)
 
 DATA_PRESETS = ("bs-solitary", "bbm-traveling", "bneqd-solitary",  # the closed forms
@@ -113,6 +115,8 @@ class ExperimentConfig:
                 raise ConfigError("give exactly one of k or k_per_h")
             if self.k_values != _K_SWEEP:
                 raise ConfigError("k-list applies to error tables only")
+        if self.mode != "snapshot" and self.snapshot_times:
+            raise ConfigError("snapshot-times applies to snapshot runs only")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         if not (self.interval[0] < self.interval[1]
@@ -481,13 +485,16 @@ _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 
 def check_gammas(gammas) -> None:
-    """Refuse an empty list of gammas, a non-finite gamma or one below
-    ``GAMMA_MIN``, with the messages of ``ExperimentConfig.validate``."""
+    """Refuse an empty list of gammas, a non-finite gamma or one outside
+    [``GAMMA_MIN``, ``GAMMA_MAX``], with the messages of
+    ``ExperimentConfig.validate``."""
     for gamma in gammas:
         if not math.isfinite(gamma):
             raise ConfigError(f"gammas must be finite, got {gamma!r}")
     if not gammas or min(gammas) < GAMMA_MIN:
         raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
+    if max(gammas) > GAMMA_MAX:
+        raise ConfigError(f"gamma values must be <= {GAMMA_MAX} (stage times inside the step)")
 
 
 def _parse_gamma(token: str) -> float:
@@ -602,7 +609,6 @@ def _write_csv(path: str, header: list, rows) -> str:
 def _write_tables(outdir: str, csvs, title: str, head: list, rows) -> list[str]:
     """Write the (file name, header, rows) triples ``csvs`` as CSV files and
     ``rows`` under ``title`` and ``head`` as ``table.md``; return the paths."""
-    os.makedirs(outdir, exist_ok=True)
     written = [_write_csv(os.path.join(outdir, name), header, body) for name, header, body in csvs]
     path = os.path.join(outdir, "table.md")
     with open(path, "w") as fh:
@@ -673,7 +679,6 @@ def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
     ``_solve_record``) becomes one ``solve = {...}`` line with the
     integration statistics of that solve.
     """
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "run.meta")
     with open(path, "w") as fh:
         fh.write(f"version = {__version__}\n")
@@ -692,6 +697,11 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     """Run one experiment end to end and write its artifact files."""
     cfg = cfg.validate()
     outdir = outdir or cfg.output_dir or os.path.join(output_root(), cfg.name)
+    # before any basis is built, so an unusable path costs no solve
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir!r}: {exc.strerror or exc}") from exc
     started = time.time()
     if cfg.mode == "error_table":
         result = run_error_table(cfg)

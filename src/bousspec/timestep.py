@@ -15,14 +15,16 @@ The vector field acts on a block: F(t, Y) takes a (rows, m) block Y of
 states and the (rows, 1) column t of their times and returns the (rows, m)
 block of derivatives, so a field written elementwise for one state serves
 a block unchanged.  ``integrate`` advances one or more (gamma, plan) runs
-from one initial state as rows of such a block.  Each round makes one field
-call on the rows that are still iterating a stage, and every row runs its
-own stage machine: its predictor, the ``STAGE_TOL`` stop, the growth and
-``MAX_STAGE_ITERS`` checks and its own ``IntegrationStats``.  A row leaves
-the block when its plan ends.  A row's arithmetic does not depend on the
-other rows, so a run alone is the batch of one row, and in a batch it
-differs from that only by how the field's products round at another block
-height (not at all for an elementwise field).
+from one initial state as rows of such a block.  Each run's steps are one
+generator, ``_steps``, that yields the stage systems in turn and forms the
+step from their solutions.  ``integrate`` owns the stage iteration: each
+round makes one field call on the rows still iterating a stage and applies
+each row's ``STAGE_TOL`` stop, its growth and ``MAX_STAGE_ITERS`` checks and
+its own ``IntegrationStats``.  A row leaves the block when its run's
+generator returns.  A row's arithmetic does not depend on the other rows,
+so a run alone is the batch of one row, and in a batch it differs from that
+only by how the field's products round at another block height (not at all
+for an elementwise field).
 """
 
 from __future__ import annotations
@@ -100,116 +102,49 @@ class IntegrationStats:
     max_stage_residual: float = 0.0
 
 
-class _Run:
-    """Stage machine of one (gamma, plan) run.
+def _steps(gamma: float, plan: IntegrationPlan, y: np.ndarray, snapshots: list,
+           stats: IntegrationStats):
+    """The steps of one (gamma, plan) run from y, as a generator of stage
+    systems; returns the final y.
 
-    While the run iterates a stage, row ``row`` of the block holds its
-    iterate, the stage's base value and time, and the run holds what the
-    next stage needs.  Stage i solves Y_i = base_i + gamma k f_i with f_i
-    the derivative at its abscissa, so its iteration starts from base_i +
-    gamma k p(abscissa), p extrapolating known stage derivatives linearly in
-    time.  ``prev`` holds the (f1, f2) of the previous step, at t - k +
-    gamma k and t - k + (1 - gamma) k.  Stage 1 takes p through both (p = f2
-    when gamma = 1/2 puts them at one abscissa), or starts from y without
-    history.  Stage 2 takes p through the previous f2 and the current f1
-    (p = f1 when gamma = 1/2 or without history: an explicit Euler step,
-    O(k^2) from the stage where Y1 is O(k)).  Only the starting point
-    differs from a cold start; the stopping rule is the same.  The converged
-    stage values recover the stage derivatives exactly from the fixed-point
-    relations, so the final combination needs no further evaluation.
+    Stage i solves Y_i = base_i + gamma k f_i with f_i the derivative at its
+    abscissa t_i.  The generator yields (base_i, start, t_i) and is sent the
+    converged Y_i, from which the fixed-point relation recovers f_i exactly,
+    so the final combination needs no further evaluation.  The iteration
+    starts from base_i + gamma k p(t_i), p extrapolating known stage
+    derivatives linearly in time; the previous step's (f1, f2) lie at
+    t - k + gamma k and t - k + (1 - gamma) k.  Stage 1 takes p through both
+    (p = f2 when gamma = 1/2 puts them at one abscissa), or starts from y
+    without history.  Stage 2 takes p through the previous f2 and the
+    current f1 (p = f1 when gamma = 1/2 or without history: an explicit
+    Euler step, O(k^2) from the stage where Y1 is O(k)).  Only the starting
+    point differs from a cold start; the stopping rule is the same.  Each
+    step counts in ``stats.steps``; y is appended to ``snapshots`` at the
+    step boundary nearest each of the plan's snapshot times.
     """
-
-    __slots__ = ("gamma", "k", "gk", "n", "step", "y", "prev", "f1", "base2",
-                 "started", "last", "growth", "stats", "want", "snapshots")
-
-    def __init__(self, gamma: float, plan: IntegrationPlan, y0: np.ndarray):
-        self.gamma, self.k = gamma, plan.k
-        self.gk = gamma * plan.k
-        self.n = plan.n_steps
-        self.step = 0
-        self.y = y0
-        self.prev = None
-        self.stats = IntegrationStats()
-        self.want = sorted(set(min(self.n, round(s / self.k)) for s in plan.snapshot_times))
-        self.snapshots = []
-        if self.want and self.want[0] == 0:
-            self.snapshots.append((0.0, y0.copy()))
-            self.want.pop(0)
-
-    def _restart(self, row: int, t_stage: float, block, rnd: int) -> None:
-        block[2][row, 0] = t_stage
-        self.started = rnd
-        self.last = math.inf
-        self.growth = 0
-
-    def begin_step(self, row: int, block, rnd: int) -> None:
-        """Load stage 1 of the current step into ``row`` of the block.
-
-        The stage values are computed into the row (y + gamma k p as
-        ``add(y, gamma k p, out=row)``: the same roundings, no copy).
-        """
-        g, gk, y, prev = self.gamma, self.gk, self.y, self.prev
-        block[0][row] = y
-        guess = block[1][row]
-        if prev is None:
-            guess[:] = y
+    k, n = plan.k, plan.n_steps
+    gk = gamma * k
+    want = {min(n, round(s / k)) for s in plan.snapshot_times}
+    if 0 in want:
+        snapshots.append((0.0, y.copy()))
+    f2 = None
+    for step in range(n):
+        t = step * k
+        if f2 is None:
+            start = y
+        elif gamma == 0.5:
+            start = y + gk * f2
         else:
-            if g == 0.5:
-                np.multiply(gk, prev[1], out=guess)
-            else:
-                pf1, pf2 = prev
-                np.multiply(gk, pf1 + (pf2 - pf1) / (1.0 - 2.0 * g), out=guess)
-            np.add(y, guess, out=guess)
-        self.f1 = None
-        self._restart(row, self.step * self.k + gk, block, rnd)
-
-    def accept(self, row: int, diff: float, block, rnd: int) -> bool:
-        """Take the converged stage in ``row``; load the next stage there and
-        return False, or return True when the plan has ended."""
-        stats = self.stats
-        if rnd - self.started > stats.max_stage_iters:
-            stats.max_stage_iters = rnd - self.started
-        if diff > stats.max_stage_residual:
-            stats.max_stage_residual = diff
-        g, k, gk, y = self.gamma, self.k, self.gk, self.y
-        stage_value = block[1][row]
-        if self.f1 is None:
-            f1 = (stage_value - y) / gk
-            # base2 = y + (1 - 2 gamma) k f1 lives in the row of stage bases,
-            # which keeps it until the stage is accepted
-            base2 = np.multiply((1.0 - 2.0 * g) * k, f1, out=block[0][row])
-            np.add(y, base2, out=base2)
-            if self.prev is None:
-                slope2 = f1
-            else:
-                slope2 = f1 + (2.0 * g - 1.0) / (2.0 * g) * (self.prev[1] - f1)
-            np.multiply(gk, slope2, out=stage_value)
-            np.add(base2, stage_value, out=stage_value)
-            self.f1, self.base2 = f1, base2
-            self._restart(row, self.step * k + (1.0 - g) * k, block, rnd)
-            return False
-        f1, f2 = self.f1, (stage_value - self.base2) / gk
-        self.y = y + 0.5 * k * (f1 + f2)
-        self.prev = (f1, f2)
-        self.step += 1
+            start = y + gk * (f1 + (f2 - f1) / (1.0 - 2.0 * gamma))
+        f1 = ((yield y, start, t + gk) - y) / gk
+        base2 = y + ((1.0 - 2.0 * gamma) * k) * f1
+        slope2 = f1 if f2 is None else f1 + (2.0 * gamma - 1.0) / (2.0 * gamma) * (f2 - f1)
+        f2 = ((yield base2, base2 + gk * slope2, t + (1.0 - gamma) * k) - base2) / gk
+        y = y + 0.5 * k * (f1 + f2)
         stats.steps += 1
-        if self.want and self.want[0] == self.step:
-            self.snapshots.append((self.step * k, self.y.copy()))
-            self.want.pop(0)
-        if self.step == self.n:
-            stats.rhs_evals = rnd      # a row evaluates once in every round it is in
-            return True
-        self.begin_step(row, block, rnd)
-        return False
-
-    def failure(self, diff: float) -> StageDivergenceError:
-        """The error for a stage iteration that has grown five times running
-        (``growth``) or used up its iterations."""
-        if self.growth >= 5:
-            return StageDivergenceError(f"diverging (residual {diff:.3e})",
-                                        self.gamma, self.k, self.step)
-        return StageDivergenceError(f"exceeded {MAX_STAGE_ITERS} iterations",
-                                    self.gamma, self.k, self.step)
+        if step + 1 in want:
+            snapshots.append(((step + 1) * k, y.copy()))
+    return y
 
 
 def integrate(f, y0: np.ndarray, runs):
@@ -223,46 +158,69 @@ def integrate(f, y0: np.ndarray, runs):
     sums the steps and evaluations of the runs and keeps their maxima.
     """
     y0 = np.asarray(y0, dtype=float)
-    machines = [_Run(gamma, plan, y0) for gamma, plan in runs]
-    active = [run for run in machines if run.n]
+    results, rows, stages = [], [], []
+    for gamma, plan in runs:
+        result = [plan.n_steps * plan.k, y0, [], IntegrationStats()]
+        results.append(result)
+        steps = _steps(gamma, plan, y0, result[2], result[3])
+        stage = next(steps, None)
+        if stage is not None:           # a plan of no steps ends at y0
+            stages.append(stage)
+            rows.append((steps, result, gamma, plan.k))
     # rows of the stage bases, the iterates and the stage times
-    block = [np.empty((len(active), y0.size)), np.empty((len(active), y0.size)),
-             np.empty((len(active), 1))]
+    block = [np.empty((len(rows), y0.size)), np.empty((len(rows), y0.size)),
+             np.empty((len(rows), 1))]
+    for row, stage in enumerate(stages):
+        block[0][row], block[1][row], block[2][row, 0] = stage
     # gamma k of each row, spread along the row (a same-shape product is the
     # cheapest for a block of one row)
-    coeff = np.repeat([run.gk for run in active], y0.size).reshape(-1, y0.size)
-    for row, run in enumerate(active):
-        run.begin_step(row, block, 0)
+    coeff = np.repeat([gamma * k for _, _, gamma, k in rows], y0.size).reshape(-1, y0.size)
+    # per row: the round its stage began, its last change, rounds of growth
+    started, last, growth = [0] * len(rows), [math.inf] * len(rows), [0] * len(rows)
     rnd = 0
-    while active:
+    while rows:
         base, y, times = block
         block[1] = y_next = base + coeff * f(times, y)
         diffs = np.abs(y_next - y).max(axis=1).tolist()
         rnd += 1
         ended = []
         for row, diff in enumerate(diffs):
-            run = active[row]
             if diff <= STAGE_TOL:
-                if run.accept(row, diff, block, rnd):
+                steps, result, _, _ = rows[row]
+                stats = result[3]
+                if rnd - started[row] > stats.max_stage_iters:
+                    stats.max_stage_iters = rnd - started[row]
+                if diff > stats.max_stage_residual:
+                    stats.max_stage_residual = diff
+                try:
+                    base[row], y_next[row], times[row, 0] = steps.send(y_next[row])
+                    started[row], last[row], growth[row] = rnd, math.inf, 0
+                except StopIteration as done:
+                    # a row evaluates once in every round it is in
+                    result[1], stats.rhs_evals = done.value, rnd
                     ended.append(row)
                 continue
-            run.growth = run.growth + 1 if diff > run.last else 0
-            run.last = diff
-            if run.growth >= 5 or rnd - run.started >= MAX_STAGE_ITERS:
-                raise run.failure(diff)
+            grown = growth[row] = growth[row] + 1 if diff > last[row] else 0
+            last[row] = diff
+            if grown >= 5 or rnd - started[row] >= MAX_STAGE_ITERS:
+                _, result, gamma, k = rows[row]
+                problem = (f"diverging (residual {diff:.3e})" if grown >= 5
+                           else f"exceeded {MAX_STAGE_ITERS} iterations")
+                raise StageDivergenceError(problem, gamma, k, result[3].steps)
         if ended:
-            keep = [row for row in range(len(active)) if row not in ended]
-            active = [active[row] for row in keep]
+            keep = [row for row in range(len(rows)) if row not in ended]
+            rows, started, last, growth = ([a[row] for row in keep]
+                                           for a in (rows, started, last, growth))
             block = [a[keep] for a in block]
             coeff = coeff[keep]
-    stats = [run.stats for run in machines]
+    stats = [result[3] for result in results]
     total = IntegrationStats(
         steps=sum(s.steps for s in stats),
         max_stage_iters=max((s.max_stage_iters for s in stats), default=0),
         rhs_evals=sum(s.rhs_evals for s in stats),
         max_stage_residual=max((s.max_stage_residual for s in stats), default=0.0),
     )
-    return [(run.n * run.k, run.y, run.snapshots, run.stats) for run in machines], total
+    return [tuple(result) for result in results], total
 
 
 def sdirk_step(f, t: float, y: np.ndarray, k: float, gamma: float) -> np.ndarray:

@@ -88,6 +88,9 @@ def test_parse_config_fraction_and_gamma_aliases():
         ("include-preset = bore\nn = 1000000000000", r"n values must lie in \[2, 4096\]"),
         (QUICK_RATIO + "k = inf", "k must be finite"),
         (QUICK_RATIO + "gamma = 1e-9", "gamma values must be >= 0.25"),
+        # past gamma = 1 a stage time leaves the step
+        (QUICK_RATIO + "gamma = 1.5", r"gamma values must be <= 1.0 \(stage times inside the step\)"),
+        (QUICK_RATIO + "gamma = 1e30", r"gamma values must be <= 1.0"),
         (QUICK_RATIO + "b-neq-d = maybe", "bad value for 'b-neq-d'"),
         (QUICK_RATIO + "theta2 = 1/0", "bad value for 'theta2': float division by zero"),
         (QUICK_RATIO + "gamma = nan", "gammas must be finite"),
@@ -99,6 +102,8 @@ def test_parse_config_fraction_and_gamma_aliases():
         (QUICK_RATIO + "left = -inf", "interval must be finite"),
         ("include-preset = table2\nk-list = 0.5", "k-list needs at least two entries"),
         ("include-preset = table2\nk = 0.01", "give k-list instead of k"),
+        ("include-preset = table1\nn = 32\nk-list = 0.5 0.25\nsnapshot-times = 1",
+         "snapshot-times applies to snapshot runs only"),
         # an error table has one column per gamma and one row per k
         ("include-preset = table2\ngamma = 0.5 midpoint", "gamma values must be distinct; 0.5 is repeated"),
         ("include-preset = table2\nk-list = 0.5 0.25 0.5", "k-list values must be distinct; 0.5 is repeated"),
@@ -128,6 +133,32 @@ def test_cli_malformed_config_exits_2_without_traceback(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"n = 16\n\xd0\n"), "can't decode byte 0xd0"),
+])
+def test_cli_unreadable_config_exits_2_without_traceback(tmp_path, capsys, make, reason):
+    # the path exists but cannot be read as a text config
+    target = tmp_path / "run.cfg"
+    make(target)
+    assert cli.main(["run", str(target)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {str(target)!r}: ")
+    assert reason in err and "Traceback" not in err
+
+
+def test_cli_uncreatable_output_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "build_basis", lambda *args: pytest.fail("a basis was built"))
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text(QUICK_RATIO)
+    (tmp_path / "plain").write_text("")
+    out = str(tmp_path / "plain" / "out")
+    assert cli.main(["run", str(cfg), "--output", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out!r}")
+    assert "Traceback" not in err
 
 
 def test_step_for_mesh_multiple():
@@ -465,7 +496,8 @@ def test_cli_diagnose_dispersion(capsys):
 
 @pytest.mark.parametrize("gamma, code", [
     ("nan", cli.EXIT_CONFIG), ("inf", cli.EXIT_CONFIG), ("0.1", cli.EXIT_CONFIG),
-    ("-1", cli.EXIT_CONFIG), ("1e300", cli.EXIT_NUMERICAL), ("0.25", cli.EXIT_OK),
+    ("-1", cli.EXIT_CONFIG), ("1e300", cli.EXIT_CONFIG), ("1.5", cli.EXIT_CONFIG),
+    ("0.25", cli.EXIT_OK), ("1", cli.EXIT_OK),
 ])
 def test_cli_diagnose_dispersion_checks_gamma_like_a_config(capsys, gamma, code):
     # a failure names the value and leaves no partial CSV behind

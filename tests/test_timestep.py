@@ -215,6 +215,28 @@ def test_stage_divergence_names_the_run():
     assert stats.steps == 20 and 0.0 < y[0] < 1.0
 
 
+def test_later_failure_after_the_block_shrank_names_its_run():
+    # the decay rate jumps from 1 to 50 after t = 0.33: the one-step run
+    # leaves the block, then the k = 0.1 run's first stage at 0.35 contracts
+    # by 50 gamma k = 2.5 and diverges in its fourth step, while the k = 0.01
+    # run's contracts by 0.39
+    heights = []
+
+    def f(t, v):
+        heights.append(len(t))
+        return -np.where(t > 0.33, 50.0, 1.0) * v
+
+    runs = [(GAMMA_ORDER3, IntegrationPlan(k=0.05, t_end=0.05)),
+            (0.5, IntegrationPlan(k=0.1, t_end=1.0)),
+            (GAMMA_ORDER3, IntegrationPlan(k=0.01, t_end=1.0))]
+    with pytest.raises(timestep.StageDivergenceError,
+                       match=r"diverging .* at step 3 of the run gamma=0.5, k=0.1;") as info:
+        timestep.integrate(f, np.array([1.0, -0.5]), runs)
+    assert info.value.step == 3
+    # the one-step run's two stages end in round 17; the failure is in round 37
+    assert heights == [3] * 17 + [2] * 20
+
+
 # --- stability function and dispersion --------------------------------------
 
 def test_stability_function_basics():
