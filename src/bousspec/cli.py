@@ -2,7 +2,9 @@
 
     solver run <config|preset>       execute an experiment, write artifacts
     solver compare <config|preset>   refinement-quotient table (doubling chain)
-    solver diagnose <sub> [flags]    quadrature / dispersion / residual dumps
+    solver diagnose quadrature [--mu M] [--N N] [--matrices]   Lobatto rule (and matrices)
+    solver diagnose dispersion [--gamma G]      SDIRK phase error y - arg R(iy)
+    solver diagnose residual <config|preset>    PDE residual of its closed form
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
 output root defaults to ./results, overridable with --output or the
@@ -57,50 +59,47 @@ def _cmd_compare(args) -> int:
     return _cmd_run(args)
 
 
-def _cmd_diagnose(args) -> int:
-    if args.sub == "quadrature":
-        # the node search is O(N^2) and --matrices forms dense (N+1)^2 arrays
-        if not 2 <= args.n <= experiments.N_MAX:
-            raise ConfigError(f"--N must lie in [2, {experiments.N_MAX}], got {args.n}")
-        basis = build_basis(args.mu, args.n)
-        print("node,weight")
-        for x, w in zip(basis.nodes, basis.weights):
-            print(f"{x:.15E},{w:.15E}")
-        if args.matrices:
-            for label, mat in (("d1", basis.d1), ("d2", basis.d2), ("psi", basis.psi)):
-                print(f"# {label}")
-                for row in np.atleast_2d(mat):
-                    print(",".join(f"{v:.15E}" for v in row))
-    elif args.sub == "dispersion":
-        try:
-            experiments.check_gammas((args.gamma,))
-        except ConfigError as exc:
-            raise ConfigError(f"--gamma {args.gamma!r}: {exc}") from None
-        # every row and the slope before any output, so a failure prints nothing
-        rows = [f"{y:.6E},{timestep.dispersion_error(args.gamma, y):.15E}"
-                for y in np.logspace(-3, -1, 25)]
-        slope = timestep.dispersion_slope(args.gamma)
-        print("\n".join(["y,phase_error", *rows, f"# log-log slope = {slope:.4f}"]))
-    elif args.sub == "residual":
-        sol = _diagnose_solution(args)
-        grid = np.linspace(-30.0, 30.0, 2001)
-        r1, r2 = model.pde_residual(sol, sol.params, grid, 0.0)
-        print("equation,max_residual")
-        print(f"eta,{r1:.6E}")
-        print(f"u,{r2:.6E}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown diagnose subcommand {args.sub!r}")
+def _cmd_quadrature(args) -> int:
+    # the node search is O(N^2) and --matrices forms dense (N+1)^2 arrays
+    if not 2 <= args.n <= experiments.N_MAX:
+        raise ConfigError(f"--N must lie in [2, {experiments.N_MAX}], got {args.n}")
+    basis = build_basis(args.mu, args.n)
+    print("node,weight")
+    for x, w in zip(basis.nodes, basis.weights):
+        print(f"{x:.15E},{w:.15E}")
+    if args.matrices:
+        for label, mat in (("d1", basis.d1), ("d2", basis.d2), ("psi", basis.psi)):
+            print(f"# {label}")
+            for row in np.atleast_2d(mat):
+                print(",".join(f"{v:.15E}" for v in row))
     return EXIT_OK
 
 
-def _diagnose_solution(args) -> model.ExactSolution:
-    """The closed form of the config that the diagnose flags spell."""
-    theta2 = args.theta2 or ("9/11" if args.preset == "bs-solitary" else None)
-    flags = [("--preset", "initial-data", args.preset), ("--theta2", "theta2", theta2),
-             ("--amplitude", "amplitude", args.amplitude), ("--rho", "rho", args.rho),
-             ("--cs", "c-s", args.cs)]
-    cfg = experiments.config_from_items([f for f in flags if f[2] is not None])
-    return experiments.closed_form(cfg)
+def _cmd_dispersion(args) -> int:
+    try:
+        experiments.check_gammas((args.gamma,))
+    except ConfigError as exc:
+        raise ConfigError(f"--gamma {args.gamma!r}: {exc}") from None
+    # every row and the slope before any output, so a failure prints nothing
+    rows = [f"{y:.6E},{timestep.dispersion_error(args.gamma, y):.15E}"
+            for y in np.logspace(-3, -1, 25)]
+    slope = timestep.dispersion_slope(args.gamma)
+    print("\n".join(["y,phase_error", *rows, f"# log-log slope = {slope:.4f}"]))
+    return EXIT_OK
+
+
+def _cmd_residual(args) -> int:
+    cfg = _load_config(args.config)
+    sol = experiments.closed_form(cfg)
+    if sol is None:
+        raise ConfigError(f"{args.config!r} has initial-data {cfg.initial_data!r}, "
+                          "which has no closed form")
+    grid = np.linspace(sol.x0 - 30.0, sol.x0 + 30.0, 2001)
+    r1, r2 = model.pde_residual(sol, sol.params, grid, 0.0)
+    print("equation,max_residual")
+    print(f"eta,{r1:.6E}")
+    print(f"u,{r2:.6E}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,18 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_diag = sub.add_parser("diagnose", help="dump module diagnostics as CSV")
-    p_diag.add_argument("sub", choices=("quadrature", "dispersion", "residual"))
-    p_diag.add_argument("--mu", type=float, default=0.0)
-    p_diag.add_argument("--N", dest="n", type=int, default=8)
-    p_diag.add_argument("--matrices", action="store_true",
-                        help="also dump d1/d2/psi matrices")
-    p_diag.add_argument("--gamma", type=experiments._parse_gamma, default=0.5)
-    p_diag.add_argument("--preset", default="bs-solitary", help="closed-form family to validate")
-    p_diag.add_argument("--theta2", help="theta^2, fractions allowed (default 9/11 for bs-solitary)")
-    p_diag.add_argument("--amplitude", default="1.0")
-    p_diag.add_argument("--rho", default="2.0")
-    p_diag.add_argument("--cs", default="1.0")
-    p_diag.set_defaults(func=_cmd_diagnose)
+    diag = p_diag.add_subparsers(dest="diagnostic", required=True)
+    p_quad = diag.add_parser("quadrature", help="Gauss-Lobatto nodes and weights")
+    p_quad.add_argument("--mu", type=float, default=0.0)
+    p_quad.add_argument("--N", dest="n", type=int, default=8)
+    p_quad.add_argument("--matrices", action="store_true", help="also dump d1/d2/psi matrices")
+    p_quad.set_defaults(func=_cmd_quadrature)
+    p_disp = diag.add_parser("dispersion", help="phase error y - arg R(iy) of the SDIRK member")
+    p_disp.add_argument("--gamma", type=experiments._parse_gamma, default=0.5)
+    p_disp.set_defaults(func=_cmd_dispersion)
+    p_res = diag.add_parser("residual", help="PDE residual of a config's closed form")
+    p_res.add_argument("config", help="config file path or preset name")
+    p_res.set_defaults(func=_cmd_residual)
     return parser
 
 

@@ -96,6 +96,10 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"expected one of {', '.join(allowed)}")
+        if self.boundary != "auto" and self.initial_data not in _CLOSED_FORMS:
+            # the bore and nonsmooth data bring their own boundary values
+            raise ConfigError(f"boundary {self.boundary!r} applies to closed-form data only, "
+                              f"got initial-data {self.initial_data!r}")
         if not self.n_values or any(not 2 <= n <= N_MAX for n in self.n_values):
             raise ConfigError(f"n values must lie in [2, {N_MAX}]")
         if self.mode != "ratio_table" and len(self.n_values) > 1:
@@ -386,25 +390,19 @@ def run_ratio_table(cfg: ExperimentConfig) -> dict:
     """Refinement quotients E_N along the doubling chain, all requested norms.
 
     The solves are independent, so they run in up to one process per
-    available CPU (``fork_map``, weighted by N).  Every basis is built here
-    first: the workers inherit it and the norms reuse it.
+    available CPU (``fork_map``, weighted by N).  Each sends back the
+    ``RunResult`` of its solve, and the norms read the basis that came with it.
     """
     problem = _resolve_problem(cfg)
     specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
         analysis.NormSpec(*pair) for pair in cfg.extra_norms
     ]
     n_values, gamma = cfg.n_values, cfg.gammas[0]
-    bases = {n: build_basis(0.0, n) for n in n_values}
-
-    def solve(n):
-        run = solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end)
-        return run.solution.eta, run.solution.u, run.solution.t, run.stats
-
     processes = min(available_cpus(), len(n_values))   # every N > 0: fork_map uses them all
-    sols, solves = {}, []
-    for n, (eta, u, t, stats) in zip(n_values, fork_map(solve, n_values, n_values, processes)):
-        sols[n] = analysis.NodalSolution(bases[n], problem.imap, eta, u, t)
-        solves.append(_solve_record(n, cfg.step_for(n), gamma, stats))
+    runs = fork_map(lambda n: solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end),
+                    n_values, n_values, processes)
+    sols = {n: run.solution for n, run in zip(n_values, runs)}
+    solves = [_solve_record(n, cfg.step_for(n), gamma, run.stats) for n, run in zip(n_values, runs)]
     rows = []
     for n in n_values[:-2]:
         chain = [sols[n], sols[2 * n], sols[4 * n]]
@@ -547,11 +545,13 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     """Parse the flat key = value config format.
 
     Lines are ``key = value`` with ``#`` comments; lists are whitespace
-    separated.  ``include-preset``, allowed only as the first key, starts
-    from a named preset; later keys override.  Unknown keys, a later
-    ``include-preset`` and bad values are errors naming the line.
+    separated and read through ``CONFIG_KEYS``.  ``include-preset``, allowed
+    only as the first key, starts from a named preset; later keys override.
+    Unknown keys, a later ``include-preset`` and bad values are errors naming
+    the line.  A written ``k-list`` outside error tables is refused too:
+    ``validate`` cannot tell it from the default sweep.
     """
-    items = []
+    base, updates, written = ExperimentConfig(name=name), {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -559,32 +559,28 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        items.append((f"line {lineno}", key.strip().lower().replace("_", "-"), value.strip()))
-    return config_from_items(items, name)
-
-
-def config_from_items(items, name: str = "run") -> ExperimentConfig:
-    """Build and validate a config from (where, key, value) string triples,
-    read through ``CONFIG_KEYS``; ``where`` labels errors."""
-    base, updates = ExperimentConfig(name=name), {}
-    for i, (where, key, value) in enumerate(items):
+        key, value = key.strip().lower().replace("_", "-"), value.strip()
         if key == "include-preset":
-            if i:
-                raise ConfigError(f"{where}: include-preset must be the first key")
+            if written:
+                raise ConfigError(f"line {lineno}: include-preset must be the first key")
             if value not in PRESETS:
-                raise ConfigError(f"{where}: unknown preset {value!r}")
+                raise ConfigError(f"line {lineno}: unknown preset {value!r}")
             base = replace(PRESETS[value], name=name)
-            continue
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        convert, *names = CONFIG_KEYS[key]
-        try:
-            values = convert(value)
-        except (ValueError, KeyError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-        updates.update(zip(names, values if len(names) > 1 else (values,)))
+        elif key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        else:
+            convert, *names = CONFIG_KEYS[key]
+            try:
+                values = convert(value)
+            except (ValueError, KeyError, ZeroDivisionError) as exc:
+                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+            updates.update(zip(names, values if len(names) > 1 else (values,)))
+        written.add(key)
     interval = (updates.pop("left", base.interval[0]), updates.pop("right", base.interval[1]))
-    return replace(base, interval=interval, **updates).validate()
+    cfg = replace(base, interval=interval, **updates).validate()
+    if "k-list" in written and cfg.mode != "error_table":
+        raise ConfigError(f"k-list applies to error tables only, got mode {cfg.mode!r}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,14 @@ def test_parse_config_fraction_and_gamma_aliases():
         (QUICK_RATIO + "t-end = -1", "t_end must be positive"),
         (QUICK_RATIO + "left = 1", r"need left < right with a finite width, got \(1.0, 1.0\)"),
         ("mode = snapshot\nn = 16\nk = 0.1\ninitial-data = tent", "'tent' needs theta2"),
+        # a k-list written outside error tables is refused even when it is the default sweep
+        ("include-preset = table5\nn = 8 16 32\nk-list = 0.125 0.0625 0.03125",
+         "k-list applies to error tables only, got mode 'ratio_table'"),
+        # the bore and nonsmooth data bring their own boundary values
+        ("include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\nboundary = homogeneous",
+         "boundary 'homogeneous' applies to closed-form data only, got initial-data 'bore'"),
+        ("include-preset = table6\nn = 8 16 32\nboundary = exact",
+         "boundary 'exact' applies to closed-form data only, got initial-data 'tent'"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -509,12 +517,45 @@ def test_cli_diagnose_dispersion_checks_gamma_like_a_config(capsys, gamma, code)
 
 
 def test_cli_diagnose_residual(capsys):
-    assert cli.main(
-        ["diagnose", "residual", "--preset", "bs-solitary", "--theta2", "9/11"]
-    ) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert float(out[1].split(",")[1]) <= 1e-8
-    assert float(out[2].split(",")[1]) <= 1e-8
+    for preset in ("table1", "table2", "table3"):
+        assert cli.main(["diagnose", "residual", preset]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "equation,max_residual"
+        assert float(out[1].split(",")[1]) <= 1e-8, preset
+        assert float(out[2].split(",")[1]) <= 1e-8, preset
+
+
+def test_cli_diagnose_residual_refuses_data_without_closed_form(capsys):
+    assert cli.main(["diagnose", "residual", "table5"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'table5'" in err and "'piecewise-quadratic'" in err
+    assert "error tables" not in err
+
+
+def test_cli_diagnose_residual_centres_the_grid_on_x0(tmp_path, monkeypatch, capsys):
+    # a config's x0 moves the wave and the grid with it
+    cfg = tmp_path / "moved.cfg"
+    cfg.write_text("include-preset = table1\nx0 = 25\n")
+    grids = []
+    monkeypatch.setattr(cli.model, "pde_residual",
+                        lambda sol, params, grid, t: grids.append(grid) or (0.0, 0.0))
+    assert cli.main(["diagnose", "residual", str(cfg)]) == 0
+    assert grids[-1][[0, 1000, -1]].tolist() == [-5.0, 25.0, 55.0]   # [0]: the closed form's gate
+
+
+@pytest.mark.parametrize("argv", [
+    "quadrature --N 3 --gamma 7 --preset nonsense --theta2 abc",
+    "dispersion --N 999999 --mu 5",
+    "residual --N 0 --mu 9 --matrices",
+    "residual --preset bbm-traveling --theta2 0.9",
+])
+def test_cli_diagnose_refuses_other_diagnostics_flags(capsys, argv):
+    # each diagnostic parses only its own flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diagnose", *argv.split()])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 def test_output_root_env_override(monkeypatch):
