@@ -13,7 +13,7 @@ the per-component quadrature Sobolev norms, which is what the reference
 tables use.  Error tables sweep the time steps ``k_values``; the other runs
 take one step, absolute (``k``) or a multiple of the mesh width
 h = (right - left)/N (``k_per_h``).  ``CONFIG_KEYS`` maps the config keys to
-fields, and ``ExperimentConfig.validate`` checks every value.
+fields, and ``ExperimentConfig.validate`` checks every value and that the run reads it.
 
 Every run style solves through ``_solve`` (one N, its (gamma, k) runs in
 lockstep) and writes its tables through ``_write_tables``.
@@ -44,17 +44,23 @@ N_MAX = 4096
 # and its stage abscissae gamma k and (1 - gamma) k lie in the step only for gamma <= 1
 GAMMA_MIN = 0.25
 GAMMA_MAX = 1.0
-_K_SWEEP = (0.125, 0.0625, 0.03125)
 
 DATA_PRESETS = ("bs-solitary", "bbm-traveling", "bneqd-solitary",  # the closed forms
                 "bore", "piecewise-quadratic", "tent")
 _CLOSED_FORMS = DATA_PRESETS[:3]
-_CHOICES = {"mode": ("error_table", "ratio_table", "snapshot"),
+_RUNS = {"error_table": "error tables", "ratio_table": "ratio tables", "snapshot": "snapshot runs"}
+_CHOICES = {"mode": tuple(_RUNS),
             "boundary": ("auto", "homogeneous", "exact"), "initial_data": DATA_PRESETS}
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _read_by(*readers, default=None):
+    """A field that only the modes, or only the initial-data presets, ``readers``
+    read: ``validate`` refuses it set (changed, or its key written) for others."""
+    return field(default=default, metadata={"readers": readers})
 
 
 @dataclass(frozen=True)
@@ -63,64 +69,61 @@ class ExperimentConfig:
 
     name: str = "run"
     mode: str = "error_table"          # error_table | ratio_table | snapshot
-    theta2: float | None = None
-    b_neq_d: bool = False
+    theta2: float | None = _read_by(*(d for d in DATA_PRESETS if d != "bbm-traveling"))
+    b_neq_d: bool = _read_by(*DATA_PRESETS[3:], default=False)   # the data with no closed form
     interval: tuple = (-1.0, 1.0)
     n_values: tuple = (16,)
-    k: float | None = None             # ratio and snapshot runs: one of k, k_per_h
-    k_per_h: float | None = None
-    k_values: tuple = _K_SWEEP         # error tables sweep these and only these
+    k: float | None = _read_by("ratio_table", "snapshot")   # one of k, k_per_h
+    k_per_h: float | None = _read_by("ratio_table", "snapshot")
+    k_values: tuple = _read_by("error_table", default=(0.125, 0.0625, 0.03125))
     gammas: tuple = (0.5, timestep.GAMMA_ORDER3)
     t_end: float = 1.0
     initial_data: str = "bs-solitary"  # data preset name
-    boundary: str = "auto"             # auto | homogeneous | exact
-    eta_order: int = 0
-    u_order: int = 0
-    extra_norms: tuple = ()            # additional (eta_order, u_order) pairs
-    amplitude: float = 1.0             # eta0 for solitary/bore data
-    kappa: float = 0.7
-    rho: float = 2.0
-    c_s: float = 1.0
-    x0: float = 0.0
-    snapshot_times: tuple = ()
+    boundary: str = _read_by(*_CLOSED_FORMS, default="auto")   # auto | homogeneous | exact
+    eta_order: int = _read_by("error_table", "ratio_table", default=0)
+    u_order: int = _read_by("error_table", "ratio_table", default=0)
+    extra_norms: tuple = _read_by("ratio_table", default=())   # more (eta_order, u_order) pairs
+    amplitude: float = _read_by("bneqd-solitary", "bore", default=1.0)   # eta0
+    kappa: float = _read_by("bore", default=0.7)
+    rho: float = _read_by("bbm-traveling", default=2.0)
+    c_s: float = _read_by("bbm-traveling", default=1.0)
+    x0: float = _read_by(*_CLOSED_FORMS, default=0.0)
+    snapshot_times: tuple = _read_by("snapshot", default=())
     output_dir: str | None = None
 
-    def validate(self) -> "ExperimentConfig":
-        """Check every value, so a bad config fails before anything is built."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for x in value if isinstance(value, tuple) else (value,):
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ConfigError(f"{f.name} must be finite, got {x!r}")
+    def validate(self, written=()) -> "ExperimentConfig":
+        """Check every value, so a bad config fails before anything is built;
+        ``written`` holds the keys that a config file wrote (see ``_read_by``)."""
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"expected one of {', '.join(allowed)}")
-        if self.boundary != "auto" and self.initial_data not in _CLOSED_FORMS:
-            # the bore and nonsmooth data bring their own boundary values
-            raise ConfigError(f"boundary {self.boundary!r} applies to closed-form data only, "
-                              f"got initial-data {self.initial_data!r}")
+        for f in fields(self):
+            value, readers = getattr(self, f.name), f.metadata.get("readers", tuple(_RUNS))
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ConfigError(f"{f.name} must be finite, got {x!r}")
+            # the key that sets the field: a written one first, then the one named after it
+            key = min((k for k, (_, *names) in CONFIG_KEYS.items() if f.name in names),
+                      key=lambda k: (k not in written, k.replace("-", "_") != f.name),
+                      default=f.name)
+            dim = "mode" if readers[0] in _RUNS else "initial-data"
+            got = getattr(self, dim.replace("-", "_"))
+            if got not in readers and (key in written or value != f.default):
+                raise ConfigError(f"{key} applies to {', '.join(_RUNS.get(r, r) for r in readers)} "
+                                  f"only, got {dim} {got!r}")
         if not self.n_values or any(not 2 <= n <= N_MAX for n in self.n_values):
             raise ConfigError(f"n values must lie in [2, {N_MAX}]")
-        if self.mode != "ratio_table" and len(self.n_values) > 1:
-            raise ConfigError(f"{self.mode} runs use one N; got n = {self.n_values}")
         if self.mode == "ratio_table" and (len(self.n_values) < 3 or any(
                 b != 2 * a for a, b in zip(self.n_values, self.n_values[1:]))):
             raise ConfigError("ratio_table needs a doubling chain of at least three N values")
         if self.mode == "error_table":
-            if self.k is not None or self.k_per_h is not None:
-                raise ConfigError("error tables sweep k-list; give k-list instead of k or k-per-h")
             if len(self.k_values) < 2:
                 raise ConfigError("k-list needs at least two entries")
             if self.initial_data not in _CLOSED_FORMS:
                 raise ConfigError(f"error tables need closed-form data, got {self.initial_data!r}")
-        else:
-            if (self.k is None) == (self.k_per_h is None):
-                raise ConfigError("give exactly one of k or k_per_h")
-            if self.k_values != _K_SWEEP:
-                raise ConfigError("k-list applies to error tables only")
-        if self.mode != "snapshot" and self.snapshot_times:
-            raise ConfigError("snapshot-times applies to snapshot runs only")
+        elif (self.k is None) == (self.k_per_h is None):
+            raise ConfigError("give exactly one of k or k_per_h")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         if not (self.interval[0] < self.interval[1]
@@ -128,6 +131,10 @@ class ExperimentConfig:
             raise ConfigError(f"need left < right with a finite width, got {self.interval}")
         if self.theta2 is None and self.initial_data not in ("bbm-traveling", "bneqd-solitary"):
             raise ConfigError(f"{self.initial_data!r} needs theta2")
+        if self.mode != "ratio_table" and len(self.n_values) > 1:
+            raise ConfigError(f"{self.mode} runs use one N; got n = {self.n_values}")
+        if self.mode != "error_table" and len(self.gammas) > 1:
+            raise ConfigError(f"{self.mode} runs use one gamma; got gamma = {self.gammas}")
         check_gammas(self.gammas)
         # an error table has one column per gamma and one row per k, labelled
         # as the writers print them: gamma to 10 digits in errors.csv, k as
@@ -199,10 +206,7 @@ def _resolve_problem(cfg: ExperimentConfig) -> Problem:
         return Problem(exact.params, imap, lambda x: exact.eta(x, 0.0),
                        lambda x: exact.u(x, 0.0), bdata, exact)
 
-    params = (
-        model.params_b_neq_d(cfg.theta2) if cfg.b_neq_d
-        else model.params_from_theta(cfg.theta2)
-    )
+    params = (model.params_b_neq_d if cfg.b_neq_d else model.params_from_theta)(cfg.theta2)
     if cfg.initial_data == "bore":
         eta_init, u_init, bdata = model.bore_data(cfg.amplitude, cfg.kappa)
     else:
@@ -548,8 +552,7 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     separated and read through ``CONFIG_KEYS``.  ``include-preset``, allowed
     only as the first key, starts from a named preset; later keys override.
     Unknown keys, a later ``include-preset`` and bad values are errors naming
-    the line.  A written ``k-list`` outside error tables is refused too:
-    ``validate`` cannot tell it from the default sweep.
+    the line.  ``validate`` is told which keys the text wrote.
     """
     base, updates, written = ExperimentConfig(name=name), {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -577,10 +580,7 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
             updates.update(zip(names, values if len(names) > 1 else (values,)))
         written.add(key)
     interval = (updates.pop("left", base.interval[0]), updates.pop("right", base.interval[1]))
-    cfg = replace(base, interval=interval, **updates).validate()
-    if "k-list" in written and cfg.mode != "error_table":
-        raise ConfigError(f"k-list applies to error tables only, got mode {cfg.mode!r}")
-    return cfg
+    return replace(base, interval=interval, **updates).validate(written)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import glob
 import math
 import os
@@ -101,7 +102,8 @@ def test_parse_config_fraction_and_gamma_aliases():
         ("include-preset = bore\nkappa = nan", "kappa must be finite"),
         (QUICK_RATIO + "left = -inf", "interval must be finite"),
         ("include-preset = table2\nk-list = 0.5", "k-list needs at least two entries"),
-        ("include-preset = table2\nk = 0.01", "give k-list instead of k"),
+        ("include-preset = table2\nk = 0.01",
+         "k applies to ratio tables, snapshot runs only, got mode 'error_table'"),
         ("include-preset = table1\nn = 32\nk-list = 0.5 0.25\nsnapshot-times = 1",
          "snapshot-times applies to snapshot runs only"),
         # an error table has one column per gamma and one row per k
@@ -123,9 +125,11 @@ def test_parse_config_fraction_and_gamma_aliases():
          "k-list applies to error tables only, got mode 'ratio_table'"),
         # the bore and nonsmooth data bring their own boundary values
         ("include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\nboundary = homogeneous",
-         "boundary 'homogeneous' applies to closed-form data only, got initial-data 'bore'"),
+         "boundary applies to bs-solitary, bbm-traveling, bneqd-solitary only, "
+         "got initial-data 'bore'"),
         ("include-preset = table6\nn = 8 16 32\nboundary = exact",
-         "boundary 'exact' applies to closed-form data only, got initial-data 'tent'"),
+         "boundary applies to bs-solitary, bbm-traveling, bneqd-solitary only, "
+         "got initial-data 'tent'"),
     ],
 )
 def test_parse_config_rejects(text, fragment):
@@ -167,6 +171,99 @@ def test_cli_uncreatable_output_exits_2_before_any_solve(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot create output directory {out!r}")
     assert "Traceback" not in err
+
+
+SMALL_TABLE1 = "include-preset = table1\nn = 32\nk-list = 0.5 0.25\n"
+SMALL_BORE = "include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # keys that the data does not read, written defaults included
+    (SMALL_TABLE1 + "b-neq-d = true",
+     "b-neq-d applies to bore, piecewise-quadratic, tent only, got initial-data 'bs-solitary'"),
+    (SMALL_TABLE1 + "b-neq-d = false", "b-neq-d applies to bore, piecewise-quadratic, tent only"),
+    (SMALL_TABLE1 + "amplitude = 7",
+     "amplitude applies to bneqd-solitary, bore only, got initial-data 'bs-solitary'"),
+    (SMALL_TABLE1 + "kappa = 3", "kappa applies to bore only, got initial-data 'bs-solitary'"),
+    (SMALL_TABLE1 + "rho = 9", "rho applies to bbm-traveling only, got initial-data 'bs-solitary'"),
+    (SMALL_BORE + "x0 = 5",
+     "x0 applies to bs-solitary, bbm-traveling, bneqd-solitary only, got initial-data 'bore'"),
+    ("include-preset = table6\nn = 8 16 32\nx0 = 0.5",
+     "x0 applies to bs-solitary, bbm-traveling, bneqd-solitary only, got initial-data 'tent'"),
+    ("include-preset = table2\nn = 32\nk-list = 0.5 0.25\ntheta2 = 0.8",
+     "theta2 applies to bs-solitary, bneqd-solitary, bore, piecewise-quadratic, tent only, "
+     "got initial-data 'bbm-traveling'"),
+    # keys that the mode does not read
+    (SMALL_BORE + "norm = H2xH2", "norm applies to error tables, ratio tables only, got mode 'snapshot'"),
+    (SMALL_BORE + "norm = L2xL2", "norm applies to error tables, ratio tables only, got mode 'snapshot'"),
+    (SMALL_TABLE1 + "snapshot-times = 1",
+     "snapshot-times applies to snapshot runs only, got mode 'error_table'"),
+    (SMALL_TABLE1 + "k-per-h = 0.1",
+     "k-per-h applies to ratio tables, snapshot runs only, got mode 'error_table'"),
+    # a preset's field that the new mode does not read, named by its key
+    ("include-preset = table5\nmode = error_table\ninitial-data = bs-solitary\nn = 32",
+     "k-per-h applies to ratio tables, snapshot runs only, got mode 'error_table'"),
+    # ratio tables and snapshot runs solve with one gamma
+    ("include-preset = table5\nn = 8 16 32\ngamma = order3 midpoint",
+     f"ratio_table runs use one gamma; got gamma = ({GAMMA_ORDER3!r}, 0.5)"),
+    (SMALL_BORE + "gamma = midpoint order3",
+     f"snapshot runs use one gamma; got gamma = (0.5, {GAMMA_ORDER3!r})"),
+])
+def test_cli_run_refuses_what_it_would_ignore_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                               text, message):
+    monkeypatch.setattr(experiments, "build_basis", lambda *args: pytest.fail("a basis was built"))
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# a changed value for each field that only some initial data read
+DATA_FIELD_CHANGES = {"theta2": 0.85, "b_neq_d": True, "amplitude": 0.3, "kappa": 1.0,
+                      "rho": 1.5, "c_s": 1.2, "x0": 0.25, "boundary": "homogeneous"}
+
+
+def _resolved(cfg):
+    """What the run reads of the data: coefficients, initial data at sample
+    points and boundary data at t = 0 and 0.5, or the resolver's refusal (the
+    b != d solitary wave holds at theta2 = 7/9 only)."""
+    try:
+        problem = experiments._resolve_problem(cfg)
+    except ValueError as exc:
+        return [str(exc)]
+    x = np.linspace(*cfg.interval, 9)
+    return [problem.params, problem.eta_init(x), problem.u_init(x),
+            problem.bdata.at(0.0), problem.bdata.at(0.5)]
+
+
+@pytest.mark.parametrize("data", experiments.DATA_PRESETS)
+def test_reader_table_matches_the_resolved_problem(data):
+    # a field marked unread for the data leaves the resolved problem as it
+    # is; one marked read changes it
+    readers = {f.name: f.metadata["readers"] for f in dataclasses.fields(experiments.ExperimentConfig)
+               if set(f.metadata.get("readers", ())) & set(experiments.DATA_PRESETS)}
+    assert set(readers) == set(DATA_FIELD_CHANGES)
+    base = experiments.ExperimentConfig(
+        initial_data=data, interval=(-14.0, 50.0) if data == "bore" else (-1.0, 1.0),
+        theta2=None if data in ("bbm-traveling", "bneqd-solitary") else 9 / 11)
+    expected = _resolved(base)
+    for name, value in DATA_FIELD_CHANGES.items():
+        got = _resolved(dataclasses.replace(base, **{name: value}))
+        same = len(got) == len(expected) and all(map(np.array_equal, got, expected))
+        assert same == (data not in readers[name]), (name, got)
+
+
+def test_workload_configs_and_readme_example_parse():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = sorted(glob.glob(os.path.join(root, "perfbench", "workloads", "*", "*.cfg")))
+    assert len(paths) >= 7
+    texts = [open(path).read() for path in paths]
+    readme = open(os.path.join(root, "README.md")).read()
+    texts.append(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    for text in texts:
+        parse_config(text)
 
 
 def test_step_for_mesh_multiple():
@@ -378,7 +475,7 @@ def test_cli_snapshot_run(tmp_path):
     cfg_file.write_text(
         "mode = snapshot\ntheta2 = 2/3\nleft = -14\nright = 50\nn = 64\n"
         "k-per-h = 0.1\nt-end = 1.0\ninitial-data = bore\namplitude = 0.25\n"
-        "kappa = 0.7\nsnapshot-times = 0.5 1.0\n"
+        "kappa = 0.7\nsnapshot-times = 0.5 1.0\ngamma = midpoint\n"
     )
     out = tmp_path / "snap"
     assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0

@@ -44,13 +44,19 @@ def test_b_neq_d_coefficients():
     (0.1, 0.1, 0.1, "c must be <= 0"),
     (-0.1, 0.0, 0.1, "b and d must be >= 0"),
     (0.1, 0.0, -0.1, "b and d must be >= 0"),
-    # no u-mass smoothing for the c eta_xxx term
-    (0.1, -0.1, 0.0, "c < 0 needs d > 0"),
-    (0.0, -5e-324, 0.0, "c < 0 needs d > 0"),
+    # no u-mass smoothing for the c eta_xxx term, or too little of it
+    (0.1, -0.1, 0.0, "must not exceed d"),
+    (0.0, -5e-324, 0.0, "must not exceed d"),
+    (0.0, -1.0, 1e-12, "must not exceed d, got c = -1.0, d = 1e-12"),
 ])
 def test_system_params_rejects(b, c, d, fragment):
     with pytest.raises(ValueError, match=fragment):
         model.SystemParams(b=b, c=c, d=d)
+
+
+def test_system_params_accepts_c_down_to_minus_d():
+    p = model.SystemParams(b=0.0, c=-0.5, d=0.5)
+    assert -p.c == p.d
 
 
 @pytest.mark.parametrize("c", [0.0, -0.0])

@@ -553,7 +553,7 @@ def test_field_block_rows_match_direct_solve(params, n, data):
 def general_mu_systems(draw):
     """(mu, N, b, c, d): any weight exponent, odd and even N, b = d in some
     draws, and |c| <= d as in the Bona-Smith and b != d families.  With d = 0
-    the draw of c is 0.0 or -0.0: ``SystemParams`` refuses c < 0 there, where
+    the draw of c is 0.0 or -0.0: ``SystemParams`` refuses |c| > d, so c < 0 there, where
     the term |c| B2 eta is not smoothed by a mass matrix and a float64
     evaluation of it is off by about 1e-9 relative at N >= 54."""
     mu = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
