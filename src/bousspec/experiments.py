@@ -69,7 +69,8 @@ class ExperimentConfig:
 
     name: str = "run"
     mode: str = "error_table"          # error_table | ratio_table | snapshot
-    theta2: float | None = _read_by(*(d for d in DATA_PRESETS if d != "bbm-traveling"))
+    # not the BBM wave, which has its own coefficients, nor the b != d wave (theta^2 = 7/9 only)
+    theta2: float | None = _read_by("bs-solitary", *DATA_PRESETS[3:])
     b_neq_d: bool = _read_by(*DATA_PRESETS[3:], default=False)   # the data with no closed form
     interval: tuple = (-1.0, 1.0)
     n_values: tuple = (16,)
@@ -151,7 +152,7 @@ class ExperimentConfig:
         steps = self.k_values if self.mode == "error_table" else map(self.step_for, self.n_values)
         for k in steps:
             try:
-                timestep.IntegrationPlan(k, self.t_end, self.snapshot_times).n_steps
+                timestep.IntegrationPlan(k, self.t_end, self.snapshot_times).snapshot_steps
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         return self
@@ -192,8 +193,7 @@ def closed_form(cfg: ExperimentConfig) -> model.ExactSolution | None:
     if cfg.initial_data == "bbm-traveling":
         return model.traveling_bbm(cfg.rho, cfg.c_s, cfg.x0)
     if cfg.initial_data == "bneqd-solitary":
-        theta2 = cfg.theta2 if cfg.theta2 is not None else 7.0 / 9.0
-        return model.solitary_b_neq_d(cfg.amplitude, theta2, cfg.x0)
+        return model.solitary_b_neq_d(cfg.amplitude, cfg.x0)
     return None
 
 
@@ -225,9 +225,12 @@ def _resolve_problem(cfg: ExperimentConfig) -> Problem:
 
 @dataclass
 class RunResult:
+    """One (N, k, gamma) solve; ``record`` is its entry in run.json's ``solves``."""
+
     solution: analysis.NodalSolution
     snapshots: list
     stats: timestep.IntegrationStats
+    record: dict
 
 
 def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
@@ -240,11 +243,12 @@ def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
     y0.flags.writeable = False
     results, _ = timestep.integrate(semidiscrete.make_vector_field(sys_, problem.bdata), y0, runs)
     wrapped = []
-    for tf, y, raw_snaps, stats in results:
+    for (gamma, plan), (tf, y, raw_snaps, stats) in zip(runs, results):
         sols = [analysis.NodalSolution(basis, problem.imap,
                                        *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts)
                 for ts, ys in [(tf, y)] + raw_snaps]
-        wrapped.append(RunResult(solution=sols[0], snapshots=sols[1:], stats=stats))
+        wrapped.append(RunResult(solution=sols[0], snapshots=sols[1:], stats=stats,
+                                 record={"n": n, "k": plan.k, "gamma": gamma, **asdict(stats)}))
     return wrapped
 
 
@@ -253,11 +257,6 @@ def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
     """Solve one (N, k, gamma) run."""
     plan = timestep.IntegrationPlan(k=k, t_end=t_end, snapshot_times=tuple(snapshot_times))
     return _solve(problem, n, [(gamma, plan)])[0]
-
-
-def _solve_record(n: int, k: float, gamma: float, stats: timestep.IntegrationStats) -> dict:
-    """The integration statistics of one (N, k, gamma) solve, for run.meta."""
-    return {"n": n, "k": k, "gamma": gamma, **asdict(stats)}
 
 
 def run_error_table(cfg: ExperimentConfig) -> dict:
@@ -272,13 +271,12 @@ def run_error_table(cfg: ExperimentConfig) -> dict:
                                for gamma, k in pairs])
     errors = analysis.error_vs_exact([run.solution for run in runs], problem.exact,
                                      cfg.t_end, spec)
-    solves = [_solve_record(n, k, gamma, run.stats) for (gamma, k), run in zip(pairs, runs)]
     columns = {}   # gamma -> (errors, rates)
     for i, gamma in enumerate(cfg.gammas):
         errs = errors[i * nk:(i + 1) * nk]
         columns[gamma] = (errs, analysis.rate_table(cfg.k_values, errs, f"gamma={gamma:.10g}"))
     return {"k_values": list(cfg.k_values), "columns": columns, "norm": spec.label,
-            "solves": solves, "boundary_mismatch": problem.boundary_mismatch}
+            "solves": [run.record for run in runs], "boundary_mismatch": problem.boundary_mismatch}
 
 
 def available_cpus() -> int:
@@ -406,23 +404,20 @@ def run_ratio_table(cfg: ExperimentConfig) -> dict:
     runs = fork_map(lambda n: solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end),
                     n_values, n_values, processes)
     sols = {n: run.solution for n, run in zip(n_values, runs)}
-    solves = [_solve_record(n, cfg.step_for(n), gamma, run.stats) for n, run in zip(n_values, runs)]
     rows = []
     for n in n_values[:-2]:
         chain = [sols[n], sols[2 * n], sols[4 * n]]
         rows.append({"n": n, **{s.label: analysis.convergence_ratio(chain, s) for s in specs}})
-    return {"rows": rows, "norms": [s.label for s in specs], "solves": solves,
+    return {"rows": rows, "norms": [s.label for s in specs], "solves": [run.record for run in runs],
             "workers": processes, "boundary_mismatch": problem.boundary_mismatch}
 
 
 def run_snapshot(cfg: ExperimentConfig) -> dict:
     problem = _resolve_problem(cfg)
     n = cfg.n_values[0]
-    k, gamma = cfg.step_for(n), cfg.gammas[0]
-    times = cfg.snapshot_times or (cfg.t_end,)
-    run = solve_once(problem, n, k, gamma, cfg.t_end, snapshot_times=times)
-    return {"run": run, "solves": [_solve_record(n, k, gamma, run.stats)],
-            "boundary_mismatch": problem.boundary_mismatch}
+    run = solve_once(problem, n, cfg.step_for(n), cfg.gammas[0], cfg.t_end,
+                     snapshot_times=cfg.snapshot_times or (cfg.t_end,))
+    return {"run": run, "solves": [run.record], "boundary_mismatch": problem.boundary_mismatch}
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +438,7 @@ PRESETS: dict[str, ExperimentConfig] = {
     ),
     "table3": ExperimentConfig(
         name="table3", mode="error_table", interval=(-32.0, 32.0),
-        n_values=(512,), t_end=2.0, amplitude=1.0, theta2=7.0 / 9.0,
+        n_values=(512,), t_end=2.0, amplitude=1.0,
         initial_data="bneqd-solitary", boundary="homogeneous",
         eta_order=2, u_order=2,
     ),
@@ -667,25 +662,18 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
 
 def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
                    boundary_mismatch: float, solves=(), *, workers: int) -> str:
-    """Run metadata; lives outside the CSVs so those stay byte-reproducible.
-
-    Records the numpy version (its BLAS does every product and solve), the
-    boundary compatibility mismatch of the problem (``Problem``) and the
-    number of processes that ran the solves.  Each entry of ``solves`` (see
-    ``_solve_record``) becomes one ``solve = {...}`` line with the
-    integration statistics of that solve.
-    """
-    path = os.path.join(outdir, "run.meta")
+    """Write the run record ``run.json``, apart from the byte-reproducible CSVs:
+    the versions (numpy's BLAS does every product and solve), the wall time,
+    the problem's boundary mismatch (``Problem``), the processes that ran the
+    solves, the config and each solve's ``RunResult.record`` in solve order."""
+    import json   # lazily, like fork_map's signal: the CLI's import path stays as it was
+    record = {"version": __version__, "numpy": np.__version__,
+              "wall_time_seconds": round(wall_time, 3), "boundary_mismatch": boundary_mismatch,
+              "workers": workers, "config": asdict(cfg), "solves": list(solves)}
+    path = os.path.join(outdir, "run.json")
     with open(path, "w") as fh:
-        fh.write(f"version = {__version__}\n")
-        fh.write(f"numpy = {np.__version__}\n")
-        fh.write(f"wall_time_seconds = {wall_time:.3f}\n")
-        fh.write(f"boundary_mismatch = {boundary_mismatch!r}\n")
-        fh.write(f"workers = {workers}\n")
-        for key, value in sorted(vars(cfg).items()):
-            fh.write(f"{key} = {value!r}\n")
-        for record in solves:
-            fh.write(f"solve = {record!r}\n")
+        json.dump(record, fh, indent=1, allow_nan=False)
+        fh.write("\n")
     return path
 
 
@@ -699,15 +687,11 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {outdir!r}: {exc.strerror or exc}") from exc
     started = time.time()
-    if cfg.mode == "error_table":
-        result = run_error_table(cfg)
-        written = write_error_table(result, outdir, cfg)
-    elif cfg.mode == "ratio_table":
-        result = run_ratio_table(cfg)
-        written = write_ratio_table(result, outdir, cfg)
-    else:
-        result = run_snapshot(cfg)
-        written = write_snapshots(result, outdir, cfg)
+    run, write = {"error_table": (run_error_table, write_error_table),
+                  "ratio_table": (run_ratio_table, write_ratio_table),
+                  "snapshot": (run_snapshot, write_snapshots)}[cfg.mode]
+    result = run(cfg)
+    written = write(result, outdir, cfg)
     write_metadata(outdir, cfg, time.time() - started, result["boundary_mismatch"],
                    result["solves"], workers=result.get("workers", 1))
     return written

@@ -291,8 +291,9 @@ def traveling_bbm(rho: float, cs: float, x0: float = 0.0) -> ExactSolution:
     return _validated(sol, params, halfwidth=30.0 / lam)
 
 
-def solitary_b_neq_d(eta0: float, theta2: float = 7.0 / 9.0, x0: float = 0.0) -> ExactSolution:
-    """Solitary wave of the a = c = 0, b != d system.
+def solitary_b_neq_d(eta0: float, x0: float = 0.0) -> ExactSolution:
+    """Solitary wave of the a = c = 0, b != d system at theta^2 = 7/9, where
+    b = 2d; it solves no other member of the family.
 
     u0 = eta0 sqrt(3/(3+eta0)), c_s = (3+2 eta0)/sqrt(3(3+eta0)),
     lam = (1/2) sqrt(2 eta0 / (b (3 + 2 eta0))); requires eta0 > -3 with
@@ -301,7 +302,7 @@ def solitary_b_neq_d(eta0: float, theta2: float = 7.0 / 9.0, x0: float = 0.0) ->
     eta0 = float(eta0)
     if eta0 <= -3.0 or 1.0 <= 3.0 / (eta0 + 3.0) <= 2.0:
         raise ValueError(f"amplitude {eta0} outside the admissible range")
-    params = params_b_neq_d(theta2)
+    params = params_b_neq_d(7.0 / 9.0)
     u0 = eta0 * math.sqrt(3.0 / (3.0 + eta0))
     cs = (3.0 + 2.0 * eta0) / math.sqrt(3.0 * (3.0 + eta0))
     lam2 = 2.0 * eta0 / (params.b * (3.0 + 2.0 * eta0))

@@ -89,6 +89,20 @@ class IntegrationPlan:
             )
         return n
 
+    @property
+    def snapshot_steps(self) -> set:
+        """The step nearest each snapshot time; refuses two times that land on
+        one step, or on steps whose times print as one ``t{:.6g}`` label."""
+        n, seen = self.n_steps, {}
+        for s in self.snapshot_times:
+            step = min(n, round(s / self.k))
+            label = f"t{step * self.k:.6g}"
+            if label in seen:
+                raise ValueError(f"snapshot times {seen[label][0]!r} and {s!r} both give the "
+                                 f"snapshot {label} at time step {self.k!r}")
+            seen[label] = s, step
+        return {step for _, step in seen.values()}
+
 
 @dataclass
 class IntegrationStats:
@@ -122,9 +136,8 @@ def _steps(gamma: float, plan: IntegrationPlan, y: np.ndarray, snapshots: list,
     step counts in ``stats.steps``; y is appended to ``snapshots`` at the
     step boundary nearest each of the plan's snapshot times.
     """
-    k, n = plan.k, plan.n_steps
+    k, n, want = plan.k, plan.n_steps, plan.snapshot_steps
     gk = gamma * k
-    want = {min(n, round(s / k)) for s in plan.snapshot_times}
     if 0 in want:
         snapshots.append((0.0, y.copy()))
     f2 = None

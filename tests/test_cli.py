@@ -1,7 +1,7 @@
-import ast
 import csv
 import dataclasses
 import glob
+import json
 import math
 import os
 import re
@@ -191,8 +191,12 @@ SMALL_BORE = "include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\n
     ("include-preset = table6\nn = 8 16 32\nx0 = 0.5",
      "x0 applies to bs-solitary, bbm-traveling, bneqd-solitary only, got initial-data 'tent'"),
     ("include-preset = table2\nn = 32\nk-list = 0.5 0.25\ntheta2 = 0.8",
-     "theta2 applies to bs-solitary, bneqd-solitary, bore, piecewise-quadratic, tent only, "
+     "theta2 applies to bs-solitary, bore, piecewise-quadratic, tent only, "
      "got initial-data 'bbm-traveling'"),
+    # the b != d solitary wave exists at theta2 = 7/9 only
+    ("include-preset = table3\nn = 32\nk-list = 0.5 0.25\ntheta2 = 0.85",
+     "theta2 applies to bs-solitary, bore, piecewise-quadratic, tent only, "
+     "got initial-data 'bneqd-solitary'"),
     # keys that the mode does not read
     (SMALL_BORE + "norm = H2xH2", "norm applies to error tables, ratio tables only, got mode 'snapshot'"),
     (SMALL_BORE + "norm = L2xL2", "norm applies to error tables, ratio tables only, got mode 'snapshot'"),
@@ -208,6 +212,13 @@ SMALL_BORE = "include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\n
      f"ratio_table runs use one gamma; got gamma = ({GAMMA_ORDER3!r}, 0.5)"),
     (SMALL_BORE + "gamma = midpoint order3",
      f"snapshot runs use one gamma; got gamma = (0.5, {GAMMA_ORDER3!r})"),
+    # snapshot times that would give one file: one step, or steps printed alike
+    ("include-preset = bore\nn = 16\nk = 0.1\nt-end = 0.8\nsnapshot-times = 0.4 0.4",
+     "snapshot times 0.4 and 0.4 both give the snapshot t0.4 at time step 0.1"),
+    ("include-preset = bore\nn = 16\nk = 0.1\nt-end = 0.8\nsnapshot-times = 0.41 0.42",
+     "snapshot times 0.41 and 0.42 both give the snapshot t0.4 at time step 0.1"),
+    ("include-preset = bore\nn = 16\nk = 1e-7\nt-end = 1\nsnapshot-times = 0.5 0.5000001",
+     "snapshot times 0.5 and 0.5000001 both give the snapshot t0.5 at time step 1e-07"),
 ])
 def test_cli_run_refuses_what_it_would_ignore_before_any_solve(tmp_path, capsys, monkeypatch,
                                                                text, message):
@@ -227,8 +238,7 @@ DATA_FIELD_CHANGES = {"theta2": 0.85, "b_neq_d": True, "amplitude": 0.3, "kappa"
 
 def _resolved(cfg):
     """What the run reads of the data: coefficients, initial data at sample
-    points and boundary data at t = 0 and 0.5, or the resolver's refusal (the
-    b != d solitary wave holds at theta2 = 7/9 only)."""
+    points and boundary data at t = 0 and 0.5, or the resolver's refusal."""
     try:
         problem = experiments._resolve_problem(cfg)
     except ValueError as exc:
@@ -280,7 +290,7 @@ def test_cli_run_writes_artifacts(tmp_path):
     assert rc == 0
     assert (out / "ratios.csv").exists()
     assert (out / "table.md").exists()
-    assert (out / "run.meta").exists()
+    assert (out / "run.json").exists() and not (out / "run.meta").exists()
     header, row = (out / "ratios.csv").read_text().splitlines()
     assert header == "n,E_H1xH1,log2_E_H1xH1"
     assert row.startswith("16,2.63624")
@@ -323,10 +333,9 @@ def test_cli_rerun_reproduces_identical_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _meta_solves(path):
-    prefix = "solve = "
-    lines = path.read_text().splitlines()
-    return [ast.literal_eval(line[len(prefix):]) for line in lines if line.startswith(prefix)]
+def _run_record(out):
+    with open(out / "run.json") as fh:
+        return json.load(fh)
 
 
 @pytest.mark.parametrize("text, t_end, solves, workers", [
@@ -336,16 +345,16 @@ def _meta_solves(path):
      [(32, k, g) for g in (0.5, GAMMA_ORDER3) for k in (0.5, 0.25)], 1),
 ])
 def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves, workers):
-    # one run.meta line per (N, k, gamma) solve, in solve order, and the
+    # one run.json record per (N, k, gamma) solve, in solve order, and the
     # number of processes that ran them: one per CPU, at most one per N
     cfg_file = tmp_path / "quick.cfg"
     cfg_file.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
-    meta = (out / "run.meta").read_text().splitlines()
-    assert f"numpy = {np.__version__}" in meta
-    assert [line for line in meta if line.startswith("workers = ")] == [f"workers = {workers}"]
-    records = _meta_solves(out / "run.meta")
+    meta = _run_record(out)
+    assert meta["numpy"] == np.__version__
+    assert meta["workers"] == workers
+    records = meta["solves"]
     assert [(r["n"], r["k"], r["gamma"]) for r in records] == pytest.approx(solves)
     for rec in records:
         assert rec["steps"] == round(t_end / rec["k"])
@@ -367,11 +376,8 @@ def test_cli_run_records_boundary_mismatch(tmp_path, text, window):
     cfg_file.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
-    prefix = "boundary_mismatch = "
-    lines = [line for line in (out / "run.meta").read_text().splitlines()
-             if line.startswith(prefix)]
-    assert len(lines) == 1
-    value = float(lines[0][len(prefix):])
+    value = _run_record(out)["boundary_mismatch"]
+    assert isinstance(value, float)
     if window is None:
         assert value == 0.0
     else:
@@ -386,7 +392,41 @@ def test_cli_run_warns_of_a_bore_boundary_mismatch(tmp_path):
     out = tmp_path / "out"
     with pytest.warns(UserWarning, match="disagree by 1.43e-02 at the endpoints"):
         assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
-    assert "boundary_mismatch = 0.0143" in (out / "run.meta").read_text()
+    assert repr(_run_record(out)["boundary_mismatch"]).startswith("0.0143")
+
+
+def test_run_json_round_trips_k_gamma_and_mismatch_exactly(tmp_path):
+    # a 16-digit k, the order-3 gamma and the bore's tanh-tail mismatch
+    # come back from JSON as the very floats of the run
+    k = 0.1 / 3
+    text = f"include-preset = bore\nn = 16\nk = {k!r}\nt-end = 0.2\nsnapshot-times = 0.2\n"
+    cfg_file = tmp_path / "bore.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    cfg = parse_config(text)
+    meta = _run_record(out)
+    [solve] = meta["solves"]
+    assert solve["k"] == k and solve["steps"] == 6 and solve["gamma"] == GAMMA_ORDER3
+    assert meta["boundary_mismatch"] == experiments._resolve_problem(cfg).boundary_mismatch != 0.0
+    assert meta["config"]["gammas"] == [GAMMA_ORDER3]
+
+
+def test_readme_lists_the_run_json_keys(tmp_path):
+    # the README's "Run record keys:" list, and its `solves` bullet's keys
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("\nRun record keys:\n", 1)[1].split("\n\n", 1)[0]
+    bullets = {line[3:].split("`", 1)[0]: line for line in block.splitlines()
+               if line.startswith("- `")}
+    cfg_file = tmp_path / "quick.cfg"
+    cfg_file.write_text(QUICK_RATIO)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    meta = _run_record(out)
+    assert set(bullets) == set(meta)
+    solve_keys = set(re.findall(r"`([^`]+)`", bullets["solves"].split(":", 1)[1]))
+    assert all(set(solve) == solve_keys for solve in meta["solves"])
+    assert set(meta["config"]) == {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
 
 
 NO_SCIPY_RUN = """
@@ -447,13 +487,12 @@ def test_ratio_table_bytes_do_not_depend_on_worker_count(tmp_path, preset):
         done = _run_solver(cfg_file, tmp_path / label, cpus,
                            OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         assert done.returncode == 0, done.stderr
-        meta = (tmp_path / label / "run.meta").read_text().splitlines()
+        meta = _run_record(tmp_path / label)
         outs[label] = ((tmp_path / label / "ratios.csv").read_bytes(),
                        (tmp_path / label / "table.md").read_bytes(),
-                       [line for line in meta if line.startswith("solve = ")],
-                       [line for line in meta if line.startswith("workers = ")])
-    assert outs["pinned"][3] == ["workers = 1"]
-    assert outs["default"][3] == [f"workers = {min(len(os.sched_getaffinity(0)), 4)}"]
+                       meta["solves"], meta["workers"])
+    assert outs["pinned"][3] == 1
+    assert outs["default"][3] == min(len(os.sched_getaffinity(0)), 4)
     assert outs["default"][:3] == outs["pinned"][:3]
     assert len(outs["default"][2]) == 4
 

@@ -41,6 +41,11 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="not finite"):
         IntegrationPlan(k=0.125, t_end=1e308).n_steps
     assert IntegrationPlan(k=0.1, t_end=1.0).n_steps == 10
+    # snapshot times map to the nearest step, and two may not give one snapshot
+    assert IntegrationPlan(k=0.1, t_end=0.8, snapshot_times=(0.8, 0.0, 0.44)).snapshot_steps == {
+        0, 4, 8}
+    with pytest.raises(ValueError, match="0.41 and 0.42 both give the snapshot t0.4"):
+        IntegrationPlan(k=0.1, t_end=0.8, snapshot_times=(0.41, 0.42)).snapshot_steps
 
 
 def test_integrate_zero_time():
