@@ -21,6 +21,7 @@ from .jacobi import JacobiBasis, d1_matmul, glj_rule, nodal_eval
 from .model import ExactSolution, IntervalMap
 
 _MIN_GRID_DEGREE = 64
+_ORDER_NAMES = ("L2", "H1", "H2")   # the name of each component order in a norm label
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,17 @@ class NormSpec:
             if k not in (0, 1, 2):
                 raise ValueError("component orders must be 0, 1 or 2")
 
+    @classmethod
+    def parse(cls, label: str) -> "NormSpec":
+        """The spec whose ``label`` is ``label``, in any case (``h2xh1``)."""
+        parts = label.upper().split("X")
+        if len(parts) != 2 or any(p not in _ORDER_NAMES for p in parts):
+            raise ValueError(f"norm must look like 'H2xH1', got {label!r}")
+        return cls(*map(_ORDER_NAMES.index, parts))
+
     @property
     def label(self) -> str:
-        names = {0: "L2", 1: "H1", 2: "H2"}
-        return f"{names[self.eta_order]}x{names[self.u_order]}"
+        return f"{_ORDER_NAMES[self.eta_order]}x{_ORDER_NAMES[self.u_order]}"
 
 
 @dataclass(frozen=True)

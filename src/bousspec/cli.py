@@ -6,9 +6,10 @@
     solver diagnose dispersion [--gamma G]      SDIRK phase error y - arg R(iy)
     solver diagnose residual <config|preset>    PDE residual of its closed form
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
-output root defaults to ./results, overridable with --output or the
-BOUSSPEC_OUTPUT_ROOT environment variable.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+ratio-table worker process that died included).  The output root defaults
+to ./results, overridable with --output or the BOUSSPEC_OUTPUT_ROOT
+environment variable.
 """
 
 from __future__ import annotations
@@ -141,8 +142,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # SingularMatrixError is a ValueError, so it must be caught first;
-    # ArithmeticError covers overflow and division by zero
-    except (StageDivergenceError, QuadratureError, SingularMatrixError, ArithmeticError) as exc:
+    # ArithmeticError covers overflow and division by zero, ChildProcessError
+    # a fork_map worker that died
+    except (StageDivergenceError, QuadratureError, SingularMatrixError, ArithmeticError,
+            ChildProcessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

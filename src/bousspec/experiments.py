@@ -50,7 +50,7 @@ DATA_PRESETS = ("bs-solitary", "bbm-traveling", "bneqd-solitary",  # the closed 
 _CLOSED_FORMS = DATA_PRESETS[:3]
 _RUNS = {"error_table": "error tables", "ratio_table": "ratio tables", "snapshot": "snapshot runs"}
 _CHOICES = {"mode": tuple(_RUNS),
-            "boundary": ("auto", "homogeneous", "exact"), "initial_data": DATA_PRESETS}
+            "boundary": ("homogeneous", "exact"), "initial_data": DATA_PRESETS}
 
 
 class ConfigError(ValueError):
@@ -59,8 +59,14 @@ class ConfigError(ValueError):
 
 def _read_by(*readers, default=None):
     """A field that only the modes, or only the initial-data presets, ``readers``
-    read: ``validate`` refuses it set (changed, or its key written) for others."""
+    read (``_reads``): others refuse it set (``validate``) or drop a preset's value."""
     return field(default=default, metadata={"readers": readers})
+
+
+def _reads(cfg: "ExperimentConfig", f) -> bool:
+    """Whether ``cfg``'s mode or initial data reads its field ``f``; all do if ``f`` names none."""
+    readers = f.metadata.get("readers")
+    return readers is None or cfg.mode in readers or cfg.initial_data in readers
 
 
 @dataclass(frozen=True)
@@ -80,10 +86,9 @@ class ExperimentConfig:
     gammas: tuple = (0.5, timestep.GAMMA_ORDER3)
     t_end: float = 1.0
     initial_data: str = "bs-solitary"  # data preset name
-    boundary: str = _read_by(*_CLOSED_FORMS, default="auto")   # auto | homogeneous | exact
-    eta_order: int = _read_by("error_table", "ratio_table", default=0)
-    u_order: int = _read_by("error_table", "ratio_table", default=0)
-    extra_norms: tuple = _read_by("ratio_table", default=())   # more (eta_order, u_order) pairs
+    boundary: str = _read_by(*_CLOSED_FORMS, default="exact")   # homogeneous | exact
+    # one per table column group; an error table measures one
+    norms: tuple = _read_by("error_table", "ratio_table", default=(analysis.NormSpec(),))
     amplitude: float = _read_by("bneqd-solitary", "bore", default=1.0)   # eta0
     kappa: float = _read_by("bore", default=0.7)
     rho: float = _read_by("bbm-traveling", default=2.0)
@@ -100,19 +105,21 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"expected one of {', '.join(allowed)}")
         for f in fields(self):
-            value, readers = getattr(self, f.name), f.metadata.get("readers", tuple(_RUNS))
+            value = getattr(self, f.name)
             for x in value if isinstance(value, tuple) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ConfigError(f"{f.name} must be finite, got {x!r}")
+            if _reads(self, f):
+                continue
             # the key that sets the field: a written one first, then the one named after it
             key = min((k for k, (_, *names) in CONFIG_KEYS.items() if f.name in names),
                       key=lambda k: (k not in written, k.replace("-", "_") != f.name),
                       default=f.name)
-            dim = "mode" if readers[0] in _RUNS else "initial-data"
-            got = getattr(self, dim.replace("-", "_"))
-            if got not in readers and (key in written or value != f.default):
+            if key in written or value != f.default:
+                readers = f.metadata["readers"]
+                dim = "mode" if readers[0] in _RUNS else "initial_data"
                 raise ConfigError(f"{key} applies to {', '.join(_RUNS.get(r, r) for r in readers)} "
-                                  f"only, got {dim} {got!r}")
+                                  f"only, got {dim.replace('_', '-')} {getattr(self, dim)!r}")
         if not self.n_values or any(not 2 <= n <= N_MAX for n in self.n_values):
             raise ConfigError(f"n values must lie in [2, {N_MAX}]")
         if self.mode == "ratio_table" and (len(self.n_values) < 3 or any(
@@ -136,6 +143,12 @@ class ExperimentConfig:
             raise ConfigError(f"{self.mode} runs use one N; got n = {self.n_values}")
         if self.mode != "error_table" and len(self.gammas) > 1:
             raise ConfigError(f"{self.mode} runs use one gamma; got gamma = {self.gammas}")
+        labels = [spec.label for spec in self.norms]
+        if not labels or len(set(labels)) < len(labels):
+            raise ConfigError("norm needs one or more distinct values; "
+                              f"got norm = {' '.join(labels)}")
+        if self.mode == "error_table" and len(labels) > 1:
+            raise ConfigError(f"error_table runs use one norm; got norm = {' '.join(labels)}")
         check_gammas(self.gammas)
         # an error table has one column per gamma and one row per k, labelled
         # as the writers print them: gamma to 10 digits in errors.csv, k as
@@ -202,7 +215,7 @@ def _resolve_problem(cfg: ExperimentConfig) -> Problem:
     exact = closed_form(cfg)
     if exact is not None:
         bdata = (BoundaryData.homogeneous() if cfg.boundary == "homogeneous"
-                 else BoundaryData.from_exact(exact, imap.left, imap.right))  # auto: exact traces
+                 else BoundaryData.from_exact(exact, imap.left, imap.right))
         return Problem(exact.params, imap, lambda x: exact.eta(x, 0.0),
                        lambda x: exact.u(x, 0.0), bdata, exact)
 
@@ -259,12 +272,11 @@ def solve_once(problem: Problem, n: int, k: float, gamma: float, t_end: float,
     return _solve(problem, n, [(gamma, plan)])[0]
 
 
-def run_error_table(cfg: ExperimentConfig) -> dict:
+def run_error_table(cfg: ExperimentConfig, problem: Problem) -> dict:
     """Errors and observed rates over the time steps ``cfg.k_values``, one
     column per gamma; every (gamma, k) run is integrated in one lockstep batch
     and measured in one ``error_vs_exact`` call."""
-    problem = _resolve_problem(cfg)
-    spec = analysis.NormSpec(cfg.eta_order, cfg.u_order)
+    [spec] = cfg.norms
     n, nk = cfg.n_values[0], len(cfg.k_values)
     pairs = [(gamma, k) for gamma in cfg.gammas for k in cfg.k_values]
     runs = _solve(problem, n, [(gamma, timestep.IntegrationPlan(k=k, t_end=cfg.t_end))
@@ -276,7 +288,7 @@ def run_error_table(cfg: ExperimentConfig) -> dict:
         errs = errors[i * nk:(i + 1) * nk]
         columns[gamma] = (errs, analysis.rate_table(cfg.k_values, errs, f"gamma={gamma:.10g}"))
     return {"k_values": list(cfg.k_values), "columns": columns, "norm": spec.label,
-            "solves": [run.record for run in runs], "boundary_mismatch": problem.boundary_mismatch}
+            "solves": [run.record for run in runs]}
 
 
 def available_cpus() -> int:
@@ -388,17 +400,13 @@ def fork_map(fn, items, weights, processes: int) -> list:
     return [outcome[i][1] for i in range(len(items))]
 
 
-def run_ratio_table(cfg: ExperimentConfig) -> dict:
-    """Refinement quotients E_N along the doubling chain, all requested norms.
+def run_ratio_table(cfg: ExperimentConfig, problem: Problem) -> dict:
+    """Refinement quotients E_N along the doubling chain, in each norm of ``cfg.norms``.
 
     The solves are independent, so they run in up to one process per
     available CPU (``fork_map``, weighted by N).  Each sends back the
     ``RunResult`` of its solve, and the norms read the basis that came with it.
     """
-    problem = _resolve_problem(cfg)
-    specs = [analysis.NormSpec(cfg.eta_order, cfg.u_order)] + [
-        analysis.NormSpec(*pair) for pair in cfg.extra_norms
-    ]
     n_values, gamma = cfg.n_values, cfg.gammas[0]
     processes = min(available_cpus(), len(n_values))   # every N > 0: fork_map uses them all
     runs = fork_map(lambda n: solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end),
@@ -407,17 +415,16 @@ def run_ratio_table(cfg: ExperimentConfig) -> dict:
     rows = []
     for n in n_values[:-2]:
         chain = [sols[n], sols[2 * n], sols[4 * n]]
-        rows.append({"n": n, **{s.label: analysis.convergence_ratio(chain, s) for s in specs}})
-    return {"rows": rows, "norms": [s.label for s in specs], "solves": [run.record for run in runs],
-            "workers": processes, "boundary_mismatch": problem.boundary_mismatch}
+        rows.append({"n": n, **{s.label: analysis.convergence_ratio(chain, s) for s in cfg.norms}})
+    return {"rows": rows, "norms": [s.label for s in cfg.norms],
+            "solves": [run.record for run in runs], "workers": processes}
 
 
-def run_snapshot(cfg: ExperimentConfig) -> dict:
-    problem = _resolve_problem(cfg)
+def run_snapshot(cfg: ExperimentConfig, problem: Problem) -> dict:
     n = cfg.n_values[0]
     run = solve_once(problem, n, cfg.step_for(n), cfg.gammas[0], cfg.t_end,
                      snapshot_times=cfg.snapshot_times or (cfg.t_end,))
-    return {"run": run, "solves": [run.record], "boundary_mismatch": problem.boundary_mismatch}
+    return {"run": run, "solves": [run.record]}
 
 
 # ---------------------------------------------------------------------------
@@ -427,45 +434,41 @@ PRESETS: dict[str, ExperimentConfig] = {
     "table1": ExperimentConfig(
         name="table1", mode="error_table", theta2=9.0 / 11.0,
         interval=(-32.0, 32.0), n_values=(512,), t_end=2.0,
-        initial_data="bs-solitary", boundary="homogeneous",
-        eta_order=2, u_order=1,
+        initial_data="bs-solitary", boundary="homogeneous", norms=(analysis.NormSpec(2, 1),),
     ),
     "table2": ExperimentConfig(
         name="table2", mode="error_table", interval=(-16.0, 16.0),
         n_values=(256,), t_end=2.0, rho=2.0, c_s=1.0,
-        initial_data="bbm-traveling", boundary="exact",
-        eta_order=2, u_order=2,
+        initial_data="bbm-traveling", norms=(analysis.NormSpec(2, 2),),
     ),
     "table3": ExperimentConfig(
         name="table3", mode="error_table", interval=(-32.0, 32.0),
         n_values=(512,), t_end=2.0, amplitude=1.0,
-        initial_data="bneqd-solitary", boundary="homogeneous",
-        eta_order=2, u_order=2,
+        initial_data="bneqd-solitary", boundary="homogeneous", norms=(analysis.NormSpec(2, 2),),
     ),
     "table4": ExperimentConfig(
         name="table4", mode="ratio_table", theta2=2.0 / 3.0,
         interval=(-14.0, 50.0), n_values=(64, 128, 256, 512, 1024),
         k=6.25e-4, t_end=20.0, initial_data="bore", amplitude=0.25, kappa=0.7,
-        gammas=(timestep.GAMMA_ORDER3,), eta_order=0, u_order=0,
+        gammas=(timestep.GAMMA_ORDER3,),
     ),
     "table5": ExperimentConfig(
         name="table5", mode="ratio_table", theta2=2.0 / 3.0,
         interval=(-1.0, 1.0), n_values=(16, 32, 64, 128, 256, 512),
         k_per_h=0.1, t_end=1.0, initial_data="piecewise-quadratic",
-        gammas=(timestep.GAMMA_ORDER3,), eta_order=1, u_order=1,
+        gammas=(timestep.GAMMA_ORDER3,), norms=(analysis.NormSpec(1, 1),),
     ),
     "table5b": ExperimentConfig(
         name="table5b", mode="ratio_table", theta2=9.0 / 11.0,
         interval=(-1.0, 1.0), n_values=(16, 32, 64, 128, 256, 512),
         k_per_h=0.1, t_end=1.0, initial_data="piecewise-quadratic",
-        gammas=(timestep.GAMMA_ORDER3,), eta_order=1, u_order=0,
+        gammas=(timestep.GAMMA_ORDER3,), norms=(analysis.NormSpec(1, 0),),
     ),
     "table6": ExperimentConfig(
         name="table6", mode="ratio_table", theta2=2.0 / 3.0,
         interval=(-1.0, 1.0), n_values=(16, 32, 64, 128, 256, 512, 1024),
         k_per_h=0.1, t_end=1.0, initial_data="tent",
-        gammas=(timestep.GAMMA_ORDER3,), eta_order=0, u_order=0,
-        extra_norms=((1, 1),),
+        gammas=(timestep.GAMMA_ORDER3,), norms=(analysis.NormSpec(0, 0), analysis.NormSpec(1, 1)),
     ),
     "bore": ExperimentConfig(
         name="bore", mode="snapshot", theta2=2.0 / 3.0,
@@ -504,14 +507,6 @@ def _parse_fraction(value: str) -> float:
     return float(num) / float(den) if slash else float(num)
 
 
-def _parse_norm(value: str):
-    names = {"l2": 0, "h1": 1, "h2": 2}
-    parts = value.lower().replace("x", " ").split()
-    if len(parts) != 2 or any(p not in names for p in parts):
-        raise ValueError(f"norm must look like 'H2xH1', got {value!r}")
-    return names[parts[0]], names[parts[1]]
-
-
 # key -> (converter, field, ...): a key that sets several fields has a
 # converter that returns one value per field; ``left``/``right`` set the
 # ends of ``interval``.  ``validate`` checks the values.
@@ -529,7 +524,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "t-end": (float, "t_end"),
     "initial-data": (str, "initial_data"),
     "boundary": (str, "boundary"),
-    "norm": (_parse_norm, "eta_order", "u_order"),
+    "norm": (lambda v: tuple(map(analysis.NormSpec.parse, v.split())), "norms"),
     "amplitude": (float, "amplitude"),
     "kappa": (float, "kappa"),
     "rho": (float, "rho"),
@@ -547,7 +542,8 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     separated and read through ``CONFIG_KEYS``.  ``include-preset``, allowed
     only as the first key, starts from a named preset; later keys override.
     Unknown keys, a later ``include-preset`` and bad values are errors naming
-    the line.  ``validate`` is told which keys the text wrote.
+    the line.  A preset's value that the run does not read is dropped for the
+    default; ``validate`` is told which keys the text wrote.
     """
     base, updates, written = ExperimentConfig(name=name), {}, set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -575,7 +571,9 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
             updates.update(zip(names, values if len(names) > 1 else (values,)))
         written.add(key)
     interval = (updates.pop("left", base.interval[0]), updates.pop("right", base.interval[1]))
-    return replace(base, interval=interval, **updates).validate(written)
+    cfg = replace(base, interval=interval, **updates)
+    unread = {f.name: f.default for f in fields(cfg) if f.name not in updates and not _reads(cfg, f)}
+    return replace(cfg, **unread).validate(written)
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +679,18 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     """Run one experiment end to end and write its artifact files."""
     cfg = cfg.validate()
     outdir = outdir or cfg.output_dir or os.path.join(output_root(), cfg.name)
-    # before any basis is built, so an unusable path costs no solve
+    started = time.time()
+    # before any basis is built, and refused data leave no output directory
+    problem = _resolve_problem(cfg)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {outdir!r}: {exc.strerror or exc}") from exc
-    started = time.time()
     run, write = {"error_table": (run_error_table, write_error_table),
                   "ratio_table": (run_ratio_table, write_ratio_table),
                   "snapshot": (run_snapshot, write_snapshots)}[cfg.mode]
-    result = run(cfg)
+    result = run(cfg, problem)
     written = write(result, outdir, cfg)
-    write_metadata(outdir, cfg, time.time() - started, result["boundary_mismatch"],
+    write_metadata(outdir, cfg, time.time() - started, problem.boundary_mismatch,
                    result["solves"], workers=result.get("workers", 1))
     return written

@@ -286,8 +286,6 @@ def traveling_bbm(rho: float, cs: float, x0: float = 0.0) -> ExactSolution:
         return (u_base if d == 0 else 0.0) + u_amp * w
 
     sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bbm-traveling")
-    sol.far_field_eta = -1.0 + amp * 4.0 / 9.0
-    sol.far_field_u = u_base
     return _validated(sol, params, halfwidth=30.0 / lam)
 
 
@@ -318,7 +316,6 @@ def solitary_b_neq_d(eta0: float, x0: float = 0.0) -> ExactSolution:
 
     sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bneqd-solitary")
     sol.amplitude = eta0
-    sol.u_amplitude = u0
     return _validated(sol, params, halfwidth=30.0 / lam)
 
 

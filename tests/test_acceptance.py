@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from bousspec import analysis, experiments, jacobi, model, timestep
-from bousspec.analysis import NodalSolution, NormSpec
+from bousspec.analysis import NodalSolution
 from bousspec.experiments import PRESETS
 from bousspec.jacobi import build_basis, glj_rule
 from bousspec.timestep import GAMMA_ORDER3, IntegrationPlan
@@ -57,17 +57,24 @@ def _check_error_table(tag, result, reference, reference_rates):
     report(tag, ok, "; ".join(lines))
 
 
+def _error_table(preset):
+    """The result of ``preset``'s error table."""
+    cfg = PRESETS[preset]
+    return experiments.run_error_table(cfg, experiments._resolve_problem(cfg))
+
+
 def _ratio_rows(preset, n_values):
     """The rows of ``preset``'s ratio table on the chain ``n_values``, by N."""
     cfg = dataclasses.replace(PRESETS[preset], n_values=n_values).validate()
-    return {row["n"]: row for row in experiments.run_ratio_table(cfg)["rows"]}
+    rows = experiments.run_ratio_table(cfg, experiments._resolve_problem(cfg))["rows"]
+    return {row["n"]: row for row in rows}
 
 
 # --- criterion 1: solitary-wave error table ---------------------------------
 
 @pytest.fixture(scope="module")
 def table1_result():
-    return experiments.run_error_table(PRESETS["table1"])
+    return _error_table("table1")
 
 
 def test_criterion_1_table1(table1_result):
@@ -92,7 +99,7 @@ def test_criterion_2_table2():
         timestep.GAMMA_ORDER3: (6.8554e-3, 8.6027e-4, 1.0989e-4),
     }
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.99, 2.98)}
-    _check_error_table("2", experiments.run_error_table(PRESETS["table2"]), reference, rates)
+    _check_error_table("2", _error_table("table2"), reference, rates)
 
 
 # --- criterion 3: unequal mass coefficients ----------------------------------
@@ -103,7 +110,7 @@ def test_criterion_3_table3():
         timestep.GAMMA_ORDER3: (1.0898e-2, 1.4150e-3, 1.7802e-4),
     }
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.95, 2.99)}
-    _check_error_table("3", experiments.run_error_table(PRESETS["table3"]), reference, rates)
+    _check_error_table("3", _error_table("table3"), reference, rates)
 
 
 # --- criteria 4-6: refinement quotients --------------------------------------
@@ -174,7 +181,7 @@ def test_criterion_7_spatial_spectral_convergence():
     cfg = PRESETS["table1"]
     problem = experiments._resolve_problem(cfg)
     exact, imap, t_end = problem.exact, problem.imap, cfg.t_end
-    spec = NormSpec(cfg.eta_order, cfg.u_order)
+    [spec] = cfg.norms
     errors = []
     for n in (32, 64, 128, 256):
         run = experiments.solve_once(problem, n, 1e-3, timestep.GAMMA_ORDER3, t_end)

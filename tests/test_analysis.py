@@ -26,6 +26,14 @@ def test_norm_spec_validation():
     assert analysis._grid(imap, 8)[0].size == 65
 
 
+def test_norm_spec_parses_its_labels():
+    for spec in (NormSpec(i, j) for i in range(3) for j in range(3)):
+        assert NormSpec.parse(spec.label) == NormSpec.parse(spec.label.lower()) == spec
+    for label in ("H2", "H3xH1", "H2xH1xL2", "H2 x H1", "xH1", ""):
+        with pytest.raises(ValueError, match="norm must look like 'H2xH1'"):
+            NormSpec.parse(label)
+
+
 def test_eval_solution_at_own_nodes_and_outside():
     imap = IntervalMap(-3.0, 9.0)
     sol = poly_solution(imap, 12, lambda x: x**2, lambda x: np.zeros_like(x))

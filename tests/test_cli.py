@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import bousspec
 from bousspec import cli, experiments
+from bousspec.analysis import NormSpec
 from bousspec.experiments import ConfigError, PRESETS, parse_config
 from bousspec.jacobi import build_basis
 from bousspec.timestep import GAMMA_ORDER3, STAGE_TOL
@@ -65,7 +67,7 @@ def test_parse_config_fraction_and_gamma_aliases():
     assert cfg.theta2 == pytest.approx(9 / 11)
     assert cfg.gammas[0] == 0.5
     assert cfg.gammas[1] == pytest.approx(0.7886751345948129)
-    assert (cfg.eta_order, cfg.u_order) == (2, 1)
+    assert cfg.norms == (NormSpec(2, 1),)
 
 
 @pytest.mark.parametrize(
@@ -83,6 +85,9 @@ def test_parse_config_fraction_and_gamma_aliases():
         ("mode = ratio_table\nn = 16 32 48\nk = 0.1", "doubling chain"),
         ("mode = snapshot\nn = 16\ninitial-data = tent\ntheta2 = 2/3", "exactly one"),
         ("norm = H3xH1", "norm must look like"),
+        # norm labels are whitespace separated, so a label holds no spaces
+        ("norm = H2 x H1", "norm must look like 'H2xH1', got 'H2'"),
+        ("include-preset = table5\nn = 8 16 32\nnorm =", "norm needs one or more distinct values"),
         # every malformed value fails at parse time, before any basis is built
         (QUICK_RATIO + "t-end = inf", "t_end must be finite"),
         (QUICK_RATIO + "t-end = 1e308", "t_end / k = inf is not finite"),
@@ -204,9 +209,10 @@ SMALL_BORE = "include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\n
      "snapshot-times applies to snapshot runs only, got mode 'error_table'"),
     (SMALL_TABLE1 + "k-per-h = 0.1",
      "k-per-h applies to ratio tables, snapshot runs only, got mode 'error_table'"),
-    # a preset's field that the new mode does not read, named by its key
-    ("include-preset = table5\nmode = error_table\ninitial-data = bs-solitary\nn = 32",
-     "k-per-h applies to ratio tables, snapshot runs only, got mode 'error_table'"),
+    # an error table measures one norm, and a ratio table each norm once
+    (SMALL_TABLE1 + "norm = H2xH1 H1xH1", "error_table runs use one norm; got norm = H2xH1 H1xH1"),
+    ("include-preset = table5\nn = 8 16 32\nnorm = L2xL2 H1xH1 l2xl2",
+     "norm needs one or more distinct values; got norm = L2xL2 H1xH1 L2xL2"),
     # ratio tables and snapshot runs solve with one gamma
     ("include-preset = table5\nn = 8 16 32\ngamma = order3 midpoint",
      f"ratio_table runs use one gamma; got gamma = ({GAMMA_ORDER3!r}, 0.5)"),
@@ -228,6 +234,38 @@ def test_cli_run_refuses_what_it_would_ignore_before_any_solve(tmp_path, capsys,
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [
+    # a preset's value of a field that the new mode or data does not read is dropped
+    "include-preset = table6\nmode = snapshot\nn = 32\nt-end = 0.1\n",
+    SMALL_TABLE1 + "initial-data = bbm-traveling\n",
+    "include-preset = table5\nmode = error_table\ninitial-data = bs-solitary\ntheta2 = 9/11\nn = 32\n",
+])
+def test_cli_run_drops_preset_values_that_the_run_does_not_read(tmp_path, text):
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_OK
+    # each field that the run does not read is echoed at its default
+    defaults = json.loads(json.dumps(dataclasses.asdict(experiments.ExperimentConfig())))
+    parsed, record = parse_config(text), _run_record(tmp_path / "out")["config"]
+    unread = [f.name for f in dataclasses.fields(parsed) if not experiments._reads(parsed, f)]
+    assert unread and all(record[name] == defaults[name] for name in unread)
+
+
+@pytest.mark.parametrize("text, message", [
+    # data that the closed forms refuse
+    ("include-preset = table2\nrho = -1\n", "need rho > 0 and c_s != 0"),
+    (SMALL_TABLE1 + "theta2 = 0.7\n", "theta^2 must lie in (7/9, 1), got 0.7"),
+])
+def test_cli_run_refuses_bad_data_before_writing_anything(tmp_path, capsys, monkeypatch,
+                                                         text, message):
+    monkeypatch.setattr(experiments, "build_basis", lambda *args: pytest.fail("a basis was built"))
+    cfg = tmp_path / "data.cfg"
+    cfg.write_text(text)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -294,6 +332,19 @@ def test_cli_run_writes_artifacts(tmp_path):
     header, row = (out / "ratios.csv").read_text().splitlines()
     assert header == "n,E_H1xH1,log2_E_H1xH1"
     assert row.startswith("16,2.63624")
+
+
+def test_cli_ratio_table_writes_one_column_group_per_norm(tmp_path):
+    cfg_file = tmp_path / "two.cfg"
+    cfg_file.write_text(QUICK_RATIO + "norm = L2xL2 H1xH1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
+    header, row = (out / "ratios.csv").read_text().splitlines()
+    assert header == "n,E_L2xL2,log2_E_L2xL2,E_H1xH1,log2_E_H1xH1"
+    assert row.startswith("16,5.34628") and row.split(",")[3].startswith("2.63624")
+    assert "| N | E_N (L2xL2) | log2 | E_N (H1xH1) | log2 |" in (out / "table.md").read_text()
+    assert _run_record(out)["config"]["norms"] == [{"eta_order": 0, "u_order": 0},
+                                                   {"eta_order": 1, "u_order": 1}]
 
 
 def test_cli_error_table_artifact_layout(tmp_path):
@@ -509,6 +560,27 @@ def test_cli_ratio_divergence_reports_the_serial_first_failure(tmp_path, capsys)
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_cli_dead_ratio_worker_exits_3(tmp_path, capsys, monkeypatch):
+    # a worker killed before it sends its results is a numerical failure,
+    # reported in one line
+    here, solve_once = os.getpid(), experiments.solve_once
+
+    def killed_in_a_worker(*args, **kwargs):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solve_once(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "solve_once", killed_in_a_worker)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("include-preset = table5\nn = 8 16 32\n")
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: worker process \d+ was killed by signal SIGKILL "
+                        r"before sending its results\n", err)
+    assert "Traceback" not in err
+
+
 def test_cli_snapshot_run(tmp_path):
     cfg_file = tmp_path / "snap.cfg"
     cfg_file.write_text(
@@ -715,8 +787,8 @@ FUZZ_VALUES = {
     "gamma": ("0.5", "order3", "midpoint order3"),
     "t-end": ("0.5", "1"),
     "initial-data": experiments.DATA_PRESETS,
-    "boundary": ("auto", "homogeneous", "exact"),
-    "norm": ("L2xL2", "H1xH1", "H2xH1"),
+    "boundary": ("homogeneous", "exact"),
+    "norm": ("L2xL2", "H1xH1", "H2xH1", "L2xL2 H1xH1"),
     "amplitude": ("0.25", "1"),
     "kappa": ("0.7",),
     "rho": ("2",),

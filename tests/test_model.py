@@ -89,7 +89,7 @@ def test_solitary_bona_smith_parameters():
 
 def test_solitary_b_neq_d_parameters():
     sol = model.solitary_b_neq_d(1.0)
-    assert sol.u_amplitude == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert sol.u(0.0, 0.0) == pytest.approx(math.sqrt(3) / 2, rel=1e-12)   # the crest's u0
     assert sol.speed == pytest.approx(5 / math.sqrt(12), rel=1e-12)
     # lam = (1/2) sqrt(2 / ((2/9) * 5))
     lam_ref = 0.5 * math.sqrt(9 / 5)
@@ -103,7 +103,6 @@ def test_traveling_bbm_far_field():
     sol = model.traveling_bbm(2.0, 1.0)
     far = -1.0 + (1.0 * (1 / 6) * 2.0) ** 2 * 4 / 9
     assert sol.eta(40.0, 0.0) == pytest.approx(far, abs=1e-12)
-    assert sol.far_field_eta == pytest.approx(far, rel=1e-15)
 
 
 def test_traveling_bbm_translation_property(rng):
