@@ -12,6 +12,11 @@ for ``table5``, ``table5b``, ``table6`` and ``table4``, each on the
 doubling chain its criterion reads.  Criterion 7 solves the ``table1``
 problem at several N.
 
+Criteria 1-5 also compare their cells with ``golden_cells.json``: the
+errors and rates of ``table1``-``table3``, and the quotient rows that
+criteria 4 and 5 read, computed at one OpenBLAS thread by the tree that
+still factored the mass blocks with its own recursive LU.
+
 Three sub-criteria encode reference targets that the governing equations
 themselves contradict; they are kept failing on purpose and document the
 measured values:
@@ -26,7 +31,9 @@ measured values:
 """
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +64,39 @@ def _check_error_table(tag, result, reference, reference_rates):
     report(tag, ok, "; ".join(lines))
 
 
+GOLDEN = json.loads(Path(__file__).with_name("golden_cells.json").read_text())
+# per cell, relative, with a floor of CELL_FLOOR x the column's largest value
+# (an error near the round-off of its column); two BLAS threads moved the
+# error tables by at most 2.4e-10
+CELL_RTOL, CELL_FLOOR = 1e-9, 1e-12
+# a quotient row carries fewer digits than it prints: FOUND 32 in CHANGES.md
+# saw table5b's N = 128 row move by 2e-8 under one rounding change
+RATIO_RTOL = 1e-7
+
+
+def _match_golden(what, cells, golden, rtol):
+    floor = CELL_FLOOR * max(abs(g) for g in golden)
+    off = [f"{c!r} (golden {g!r})" for c, g in zip(cells, golden, strict=True)
+           if not abs(c - g) <= max(rtol * abs(g), floor)]
+    assert not off, f"{what}: {', '.join(off)}"
+
+
+def _match_golden_table(preset, result):
+    golden = GOLDEN[preset]
+    assert list(golden) == [f"{g:.10g}" for g in result["columns"]]
+    for gamma, (errors, rates) in result["columns"].items():
+        label = f"{gamma:.10g}"
+        _match_golden(f"{preset} errors, gamma={label}", errors, golden[label]["errors"], CELL_RTOL)
+        _match_golden(f"{preset} rates, gamma={label}", rates, golden[label]["rates"], CELL_RTOL)
+
+
+def _match_golden_row(preset, row):
+    golden = dict(GOLDEN[preset])
+    assert row["n"] == golden.pop("n")
+    for label, value in golden.items():
+        _match_golden(f"{preset} E_{row['n']}({label})", [row[label]], [value], RATIO_RTOL)
+
+
 def _error_table(preset):
     """The result of ``preset``'s error table."""
     cfg = PRESETS[preset]
@@ -84,6 +124,7 @@ def test_criterion_1_table1(table1_result):
     }
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.96, 2.99)}
     _check_error_table("1", table1_result, reference, rates)
+    _match_golden_table("table1", table1_result)
 
 
 def test_stage_iteration_regression_guard(table1_result):
@@ -99,7 +140,9 @@ def test_criterion_2_table2():
         timestep.GAMMA_ORDER3: (6.8554e-3, 8.6027e-4, 1.0989e-4),
     }
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.99, 2.98)}
-    _check_error_table("2", _error_table("table2"), reference, rates)
+    result = _error_table("table2")
+    _check_error_table("2", result, reference, rates)
+    _match_golden_table("table2", result)
 
 
 # --- criterion 3: unequal mass coefficients ----------------------------------
@@ -110,14 +153,17 @@ def test_criterion_3_table3():
         timestep.GAMMA_ORDER3: (1.0898e-2, 1.4150e-3, 1.7802e-4),
     }
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.95, 2.99)}
-    _check_error_table("3", _error_table("table3"), reference, rates)
+    result = _error_table("table3")
+    _check_error_table("3", result, reference, rates)
+    _match_golden_table("table3", result)
 
 
 # --- criteria 4-6: refinement quotients --------------------------------------
 
 def test_criterion_4_table5():
-    e_a = _ratio_rows("table5", (128, 256, 512))[128]["H1xH1"]
-    e_b = _ratio_rows("table5b", (128, 256, 512))[128]["H1xL2"]
+    row_a = _ratio_rows("table5", (128, 256, 512))[128]
+    row_b = _ratio_rows("table5b", (128, 256, 512))[128]
+    e_a, e_b = row_a["H1xH1"], row_b["H1xL2"]
     ok = abs(e_a - 2.818) <= 0.05 and abs(e_b - 2.823) <= 0.05
     ok &= 1.485 <= math.log2(e_a) <= 1.505 and 1.485 <= math.log2(e_b) <= 1.505
     report(
@@ -126,6 +172,8 @@ def test_criterion_4_table5():
         f"E_128(H1xL2, theta2=9/11)={e_b:.4f} (want 2.823+-0.05); "
         f"log2 {math.log2(e_a):.4f}, {math.log2(e_b):.4f}",
     )
+    _match_golden_row("table5", row_a)
+    _match_golden_row("table5b", row_b)
 
 
 def test_criterion_5_table6():
@@ -138,6 +186,7 @@ def test_criterion_5_table6():
         f"E_256(L2xL2)={e_l2:.4f} (want 2.813+-0.05), "
         f"E_256(H1xH1)={e_h1:.4f} (want 1.413+-0.03)",
     )
+    _match_golden_row("table6", row)
 
 
 @pytest.fixture(scope="module")
