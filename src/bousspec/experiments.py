@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__, analysis, model, semidiscrete, timestep
 from .jacobi import build_basis
+from .linalg import SingularMatrixError
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
@@ -249,12 +250,20 @@ class RunResult:
 def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
     """Build the basis at N, assemble, and integrate the (gamma, plan)
     ``runs`` in lockstep from one read-only initial state; one RunResult
-    per run, in order.  The solution operators are freed on return."""
-    basis = build_basis(0.0, n)
-    sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
-    y0 = semidiscrete.initial_state(basis, problem.imap, problem.eta_init, problem.u_init)
-    y0.flags.writeable = False
-    results, _ = timestep.integrate(semidiscrete.make_vector_field(sys_, problem.bdata), y0, runs)
+    per run, in order.  The solution operators are freed on return.  A
+    numerical failure of the solve is raised again, of the same type,
+    with N in its message."""
+    try:
+        basis = build_basis(0.0, n)
+        sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
+        y0 = semidiscrete.initial_state(basis, problem.imap, problem.eta_init, problem.u_init)
+        y0.flags.writeable = False
+        field = semidiscrete.make_vector_field(sys_, problem.bdata)
+        results, _ = timestep.integrate(field, y0, runs)
+    except timestep.StageDivergenceError as exc:
+        raise timestep.StageDivergenceError(exc.problem, exc.gamma, exc.k, exc.step, n) from exc
+    except (FloatingPointError, SingularMatrixError) as exc:
+        raise type(exc)(f"N={n}: {exc}") from exc
     wrapped = []
     for (gamma, plan), (tf, y, raw_snaps, stats) in zip(runs, results):
         sols = [analysis.NodalSolution(basis, problem.imap,
@@ -682,6 +691,7 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     started = time.time()
     # before any basis is built, and refused data leave no output directory
     problem = _resolve_problem(cfg)
+    made = not os.path.isdir(outdir)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -689,7 +699,12 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     run, write = {"error_table": (run_error_table, write_error_table),
                   "ratio_table": (run_ratio_table, write_ratio_table),
                   "snapshot": (run_snapshot, write_snapshots)}[cfg.mode]
-    result = run(cfg, problem)
+    try:
+        result = run(cfg, problem)
+    except BaseException:
+        if made:
+            os.rmdir(outdir)    # still empty: the solves write nothing
+        raise
     written = write(result, outdir, cfg)
     write_metadata(outdir, cfg, time.time() - started, problem.boundary_mismatch,
                    result["solves"], workers=result.get("workers", 1))

@@ -43,8 +43,8 @@ factored once and solved against the folded G (and |c| B2), and the full
 (N-1)^2 operators are never formed.  Of G, B and B2 only the top half
 rows are formed, from blocks of D1 (the basis keeps no dense matrix), and
 the mirror symmetry gives the rows below; each half block's mass block
-and right-hand sides are folded from them into fresh buffers that
-``linalg`` factors and solves in place.
+and right-hand sides are folded from them into fresh buffers and solved
+by one LAPACK call (``linalg``).
 
 The folded operators M_b^-1 G, M_d^-1 G and (when c != 0) -|c| M_d^-1 B2
 are stacked in one array, ``AssembledSystem.ops``, whose shape alone
@@ -189,8 +189,8 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     with b == d one pair of half-size factorizations and solves serves both
     equations.  Only the top half rows of G, B and B2 are formed
     (``_top_rows``); each half block's mass block and right-hand sides are
-    folded from them into fresh buffers, which ``linalg`` factors and
-    solves in place, and are freed before the next half block.
+    folded from them into fresh buffers, solved by one LAPACK call
+    (``linalg``) and freed before the next half block.
     """
     n = basis.n
     m = n - 1

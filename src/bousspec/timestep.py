@@ -41,19 +41,20 @@ MAX_STAGE_ITERS = 100    # iterations before a stage solve is abandoned
 
 class StageDivergenceError(RuntimeError):
     """Fixed-point stage iteration failed to contract; ``gamma``, ``k`` and
-    ``step`` name the run and the step that failed."""
+    ``step`` name the run and the step that failed, and ``n``, when the
+    caller knows it, the polynomial degree of the solve."""
 
-    def __init__(self, problem: str, gamma: float, k: float, step: int):
+    def __init__(self, problem: str, gamma: float, k: float, step: int, n: int | None = None):
         super().__init__(
-            f"stage iteration {problem} at step {step} of the run "
-            f"gamma={gamma:.10g}, k={k:.10g}; reduce the time step"
+            ("" if n is None else f"N={n}: ") + f"stage iteration {problem} at step {step} "
+            f"of the run gamma={gamma:.10g}, k={k:.10g}; reduce the time step"
         )
-        self.problem, self.gamma, self.k, self.step = problem, gamma, k, step
+        self.problem, self.gamma, self.k, self.step, self.n = problem, gamma, k, step, n
 
     def __reduce__(self):
         # rebuild through __init__ so the copy keeps its message (ratio
         # tables send a worker's failure back pickled)
-        return type(self), (self.problem, self.gamma, self.k, self.step), vars(self)
+        return type(self), (self.problem, self.gamma, self.k, self.step, self.n), vars(self)
 
 
 def _numerator(gamma: float) -> tuple[float, float]:

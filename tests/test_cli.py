@@ -555,9 +555,23 @@ def test_cli_ratio_divergence_reports_the_serial_first_failure(tmp_path, capsys)
     cfg.write_text("include-preset = table5\nn = 16 32 64\nk-per-h = 8\n")
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
+    assert err.startswith("numerical failure: N=16: stage iteration ")
     assert f"at step 0 of the run gamma={GAMMA_ORDER3:.10g}, k=1; reduce the time step" in err
     with pytest.raises(ChildProcessError):   # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_cli_failed_run_removes_only_an_output_directory_it_made(tmp_path, existed):
+    # the k = 8h run exits 3 after the output directory is made; a directory
+    # the run made is removed, and one that was there (here empty) stays
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("include-preset = table5\nn = 16 32 64\nk-per-h = 8\n")
+    out = tmp_path / "out"
+    if existed:
+        out.mkdir()
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == cli.EXIT_NUMERICAL
+    assert out.is_dir() == existed
 
 
 def test_cli_dead_ratio_worker_exits_3(tmp_path, capsys, monkeypatch):
@@ -667,7 +681,23 @@ def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(semidiscrete, "_top_rows", singular)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
-    assert "singular" in capsys.readouterr().err
+    # the serial loop's first failure: N = 8
+    assert capsys.readouterr().err == "numerical failure: N=8: matrix is singular\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_cli_non_finite_field_names_n_and_exits_3(tmp_path, monkeypatch, capsys):
+    from bousspec import semidiscrete
+
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("include-preset = table2\nn = 16\nk-list = 0.5 0.25\n")
+    initial_state = semidiscrete.initial_state
+    # fluxes such as u + eta*u overflow in the first evaluation of the field
+    monkeypatch.setattr(semidiscrete, "initial_state", lambda *args: 1e200 * initial_state(*args))
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: N=16: semidiscrete vector field produced non-finite values at t=")
 
 
 def test_cli_diagnose_quadrature(capsys):

@@ -14,10 +14,10 @@ from bousspec.timestep import StageDivergenceError
 
 
 @pytest.mark.parametrize("exc", [
-    StageDivergenceError("diverging (residual 1.0e+01)", 0.5, 0.1, 3),
+    StageDivergenceError("diverging (residual 1.0e+01)", 0.5, 0.1, 3, 16),
     QuadratureError("Newton node search exceeded its cap"),
     ConfigError("t_end must be positive"),
-    SingularMatrixError(4),
+    SingularMatrixError("matrix is singular"),
 ], ids=lambda exc: type(exc).__name__)
 def test_exceptions_survive_pickling(exc):
     copy = pickle.loads(pickle.dumps(exc))
