@@ -557,21 +557,20 @@ def test_cli_ratio_divergence_reports_the_serial_first_failure(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: N=16: stage iteration ")
     assert f"at step 0 of the run gamma={GAMMA_ORDER3:.10g}, k=1; reduce the time step" in err
+    assert not (tmp_path / "out").exists()   # the run made it, and removed it again
     with pytest.raises(ChildProcessError):   # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
-def test_cli_failed_run_removes_only_an_output_directory_it_made(tmp_path, existed):
-    # the k = 8h run exits 3 after the output directory is made; a directory
-    # the run made is removed, and one that was there (here empty) stays
+def test_cli_failed_run_keeps_an_output_directory_that_existed(tmp_path):
+    # the k = 8h run exits 3 after the output directory is made; one that
+    # was there before the run, even empty, stays
     cfg = tmp_path / "coarse.cfg"
     cfg.write_text("include-preset = table5\nn = 16 32 64\nk-per-h = 8\n")
     out = tmp_path / "out"
-    if existed:
-        out.mkdir()
+    out.mkdir()
     assert cli.main(["run", str(cfg), "--output", str(out)]) == cli.EXIT_NUMERICAL
-    assert out.is_dir() == existed
+    assert out.is_dir()
 
 
 def test_cli_dead_ratio_worker_exits_3(tmp_path, capsys, monkeypatch):
@@ -593,6 +592,7 @@ def test_cli_dead_ratio_worker_exits_3(tmp_path, capsys, monkeypatch):
     assert re.fullmatch(r"numerical failure: worker process \d+ was killed by signal SIGKILL "
                         r"before sending its results\n", err)
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_snapshot_run(tmp_path):

@@ -3,9 +3,10 @@
 Measured with tracemalloc (numpy reports its array buffers to it), in units
 of one dense (N+1) x (N+1) float64 matrix.  The basis keeps O(N) data, D1
 is formed in blocks, the assembly keeps the top half rows of G, B and B2
-and factors and solves each half block in place, and interpolation runs
-in blocks of 2^16 entries.  Each bound is the measured
-value plus about 25 %; a miss reports the measured value.
+and solves each half block with one LAPACK call (whose internal copies
+tracemalloc does not see), and interpolation runs in blocks of 2^16
+entries.  Each bound is the measured value plus about 25 %; a miss
+reports the measured value.
 """
 
 import tracemalloc
@@ -31,7 +32,8 @@ def _traced(fn):
     return result, (peak - base) / UNIT, (kept - base) / UNIT
 
 
-# (peak, kept) bounds; measured: table1 3.53 and 1.03, table5 2.28 and 0.52
+# (peak, kept) bounds, set from table1 3.53 and 1.03, table5 2.28 and 0.52;
+# measured now: table1 3.79 and 1.02, table5 2.29 and 0.51
 SETUP_BOUNDS = {"table1": (4.4, 1.28), "table5": (2.8, 0.65)}
 
 
