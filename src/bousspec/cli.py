@@ -1,15 +1,13 @@
 """Command-line experiment runner.
 
-    solver run <config|preset>       execute an experiment, write artifacts
-    solver compare <config|preset>   refinement-quotient table (doubling chain)
+    solver run <config|preset> [--output DIR]   execute an experiment, write artifacts
     solver diagnose quadrature [--mu M] [--N N] [--matrices]   Lobatto rule (and matrices)
     solver diagnose dispersion [--gamma G]      SDIRK phase error y - arg R(iy)
     solver diagnose residual <config|preset>    PDE residual of its closed form
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
-ratio-table worker process that died included).  The output root defaults
-to ./results, overridable with --output or the BOUSSPEC_OUTPUT_ROOT
-environment variable.
+ratio-table worker process that died included).  A run writes to
+--output DIR, or to results/<name> under the working directory.
 """
 
 from __future__ import annotations
@@ -51,13 +49,6 @@ def _cmd_run(args) -> int:
     for path in written:
         print(path)
     return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    if cfg.mode != "ratio_table":
-        raise ConfigError("compare needs a ratio_table config (doubling N chain)")
-    return _cmd_run(args)
 
 
 def _cmd_quadrature(args) -> int:
@@ -112,13 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment config or preset")
     p_run.add_argument("config", help="config file path or preset name")
-    p_run.add_argument("--output", help="output directory override")
+    p_run.add_argument("--output", metavar="DIR", help="output directory (default results/<name>)")
     p_run.set_defaults(func=_cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="refinement-quotient study")
-    p_cmp.add_argument("config", help="config file path or preset name")
-    p_cmp.add_argument("--output", help="output directory override")
-    p_cmp.set_defaults(func=_cmd_compare)
 
     p_diag = sub.add_parser("diagnose", help="dump module diagnostics as CSV")
     diag = p_diag.add_subparsers(dest="diagnostic", required=True)

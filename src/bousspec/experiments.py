@@ -96,7 +96,6 @@ class ExperimentConfig:
     c_s: float = _read_by("bbm-traveling", default=1.0)
     x0: float = _read_by(*_CLOSED_FORMS, default=0.0)
     snapshot_times: tuple = _read_by("snapshot", default=())
-    output_dir: str | None = None
 
     def validate(self, written=()) -> "ExperimentConfig":
         """Check every value, so a bad config fails before anything is built;
@@ -488,7 +487,7 @@ PRESETS: dict[str, ExperimentConfig] = {
 }
 
 
-_GAMMA_ALIASES = {"midpoint": 0.5, "order2": 0.5, "order3": timestep.GAMMA_ORDER3}
+_GAMMA_ALIASES = {"midpoint": 0.5, "order3": timestep.GAMMA_ORDER3}
 _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
@@ -540,7 +539,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "c-s": (float, "c_s"),
     "x0": (float, "x0"),
     "snapshot-times": (lambda v: tuple(map(float, v.split())), "snapshot_times"),
-    "output-dir": (str, "output_dir"),
 }
 
 
@@ -590,10 +588,6 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
 
 def _fmt(x: float) -> str:
     return f"{x:.11E}"
-
-
-def output_root() -> str:
-    return os.environ.get("BOUSSPEC_OUTPUT_ROOT", "results")
 
 
 def _write_csv(path: str, header: list, rows) -> str:
@@ -685,9 +679,10 @@ def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
 
 
 def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
-    """Run one experiment end to end and write its artifact files."""
+    """Run one experiment end to end and write its artifact files to
+    ``outdir``, by default ``results/<name>`` under the working directory."""
     cfg = cfg.validate()
-    outdir = outdir or cfg.output_dir or os.path.join(output_root(), cfg.name)
+    outdir = outdir or os.path.join("results", cfg.name)
     started = time.time()
     # before any basis is built, and refused data leave no output directory
     problem = _resolve_problem(cfg)

@@ -29,7 +29,6 @@ class SystemParams:
     b: float
     c: float
     d: float
-    theta2: float | None = None
 
     def __post_init__(self):
         if self.c > 0.0:
@@ -56,7 +55,7 @@ def params_from_theta(theta2: float) -> SystemParams:
     b = (3.0 * theta2 - 1.0) / 6.0
     c = 0.0 if theta2 == 2.0 / 3.0 else (2.0 - 3.0 * theta2) / 3.0
     c = min(c, 0.0)
-    return SystemParams(b=b, c=c, d=b, theta2=theta2)
+    return SystemParams(b=b, c=c, d=b)
 
 
 def params_b_neq_d(theta2: float) -> SystemParams:
@@ -64,9 +63,7 @@ def params_b_neq_d(theta2: float) -> SystemParams:
     theta2 = float(theta2)
     if not 1.0 / 3.0 < theta2 < 1.0:
         raise ValueError(f"theta^2 must lie in (1/3, 1), got {theta2}")
-    return SystemParams(
-        b=0.5 * (theta2 - 1.0 / 3.0), c=0.0, d=0.5 * (1.0 - theta2), theta2=theta2
-    )
+    return SystemParams(b=0.5 * (theta2 - 1.0 / 3.0), c=0.0, d=0.5 * (1.0 - theta2))
 
 
 @dataclass(frozen=True)
@@ -206,11 +203,12 @@ def pde_residual(sol: ExactSolution, params: SystemParams, grid, t: float):
 
 def _validated(sol: ExactSolution, params: SystemParams, halfwidth: float) -> ExactSolution:
     grid = np.linspace(sol.x0 - halfwidth, sol.x0 + halfwidth, 2001)
-    worst = 0.0
-    for t in (0.0, 0.5, 1.0):
-        r1, r2 = pde_residual(sol, params, grid + sol.speed * t, t)
-        worst = max(worst, r1, r2)
-    if worst > RESIDUAL_GATE:
+    # np.max keeps a NaN residual, and the gate refuses it and an infinite one;
+    # the overflow behind them is reported by the gate, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.max([pde_residual(sol, params, grid + sol.speed * t, t)
+                        for t in (0.0, 0.5, 1.0)])
+    if not worst <= RESIDUAL_GATE:
         raise ValueError(
             f"closed form '{sol.label}' fails the residual gate: {worst:.3e}"
         )
@@ -243,8 +241,6 @@ def solitary_bona_smith(theta2: float, x0: float = 0.0) -> ExactSolution:
         return big_b * eta0 * _sech2_derivs(lam, xi, d)
 
     sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bs-solitary")
-    sol.amplitude = eta0
-    sol.velocity_factor = big_b
     return _validated(sol, params, halfwidth=30.0 / lam)
 
 
@@ -315,7 +311,6 @@ def solitary_b_neq_d(eta0: float, x0: float = 0.0) -> ExactSolution:
         return u0 * _sech2_derivs(lam, xi, d)
 
     sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bneqd-solitary")
-    sol.amplitude = eta0
     return _validated(sol, params, halfwidth=30.0 / lam)
 
 

@@ -1,0 +1,28 @@
+"""The cells of ``golden_cells.json`` and the comparison the tests make with them.
+
+The errors and rates of ``table1``-``table3`` and the quotient rows that
+acceptance criteria 4 and 5 read were computed at one OpenBLAS thread by
+the tree that still factored the mass blocks with its own recursive LU.
+``ratios.csv`` holds the N = 16 and 32 rows of the ``table5`` and
+``table5b`` chains n = 16 32 64 128 as ``solver run`` printed them, at one
+OpenBLAS thread, on the tree that solved them with LAPACK.
+"""
+
+import json
+from pathlib import Path
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_cells.json").read_text())
+# per cell, relative, with a floor of CELL_FLOOR x the column's largest value
+# (an error near the round-off of its column); two BLAS threads moved the
+# error tables by at most 2.4e-10
+CELL_RTOL, CELL_FLOOR = 1e-9, 1e-12
+# a quotient row carries fewer digits than it prints: FOUND 32 in CHANGES.md
+# saw table5b's N = 128 row move by 2e-8 under one rounding change
+RATIO_RTOL = 1e-7
+
+
+def match_golden(what, cells, golden, rtol):
+    floor = CELL_FLOOR * max(abs(g) for g in golden)
+    off = [f"{c!r} (golden {g!r})" for c, g in zip(cells, golden, strict=True)
+           if not abs(c - g) <= max(rtol * abs(g), floor)]
+    assert not off, f"{what}: {', '.join(off)}"

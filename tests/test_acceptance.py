@@ -12,10 +12,9 @@ for ``table5``, ``table5b``, ``table6`` and ``table4``, each on the
 doubling chain its criterion reads.  Criterion 7 solves the ``table1``
 problem at several N.
 
-Criteria 1-5 also compare their cells with ``golden_cells.json``: the
-errors and rates of ``table1``-``table3``, and the quotient rows that
-criteria 4 and 5 read, computed at one OpenBLAS thread by the tree that
-still factored the mass blocks with its own recursive LU.
+Criteria 1-5 also compare their cells with ``golden_cells.json`` (see
+``golden.py``): the errors and rates of ``table1``-``table3``, and the
+quotient rows that criteria 4 and 5 read.
 
 Three sub-criteria encode reference targets that the governing equations
 themselves contradict; they are kept failing on purpose and document the
@@ -31,9 +30,7 @@ measured values:
 """
 
 import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +40,7 @@ from bousspec.analysis import NodalSolution
 from bousspec.experiments import PRESETS
 from bousspec.jacobi import build_basis, glj_rule
 from bousspec.timestep import GAMMA_ORDER3, IntegrationPlan
+from golden import CELL_RTOL, GOLDEN, RATIO_RTOL, match_golden
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -64,37 +62,20 @@ def _check_error_table(tag, result, reference, reference_rates):
     report(tag, ok, "; ".join(lines))
 
 
-GOLDEN = json.loads(Path(__file__).with_name("golden_cells.json").read_text())
-# per cell, relative, with a floor of CELL_FLOOR x the column's largest value
-# (an error near the round-off of its column); two BLAS threads moved the
-# error tables by at most 2.4e-10
-CELL_RTOL, CELL_FLOOR = 1e-9, 1e-12
-# a quotient row carries fewer digits than it prints: FOUND 32 in CHANGES.md
-# saw table5b's N = 128 row move by 2e-8 under one rounding change
-RATIO_RTOL = 1e-7
-
-
-def _match_golden(what, cells, golden, rtol):
-    floor = CELL_FLOOR * max(abs(g) for g in golden)
-    off = [f"{c!r} (golden {g!r})" for c, g in zip(cells, golden, strict=True)
-           if not abs(c - g) <= max(rtol * abs(g), floor)]
-    assert not off, f"{what}: {', '.join(off)}"
-
-
 def _match_golden_table(preset, result):
     golden = GOLDEN[preset]
     assert list(golden) == [f"{g:.10g}" for g in result["columns"]]
     for gamma, (errors, rates) in result["columns"].items():
         label = f"{gamma:.10g}"
-        _match_golden(f"{preset} errors, gamma={label}", errors, golden[label]["errors"], CELL_RTOL)
-        _match_golden(f"{preset} rates, gamma={label}", rates, golden[label]["rates"], CELL_RTOL)
+        match_golden(f"{preset} errors, gamma={label}", errors, golden[label]["errors"], CELL_RTOL)
+        match_golden(f"{preset} rates, gamma={label}", rates, golden[label]["rates"], CELL_RTOL)
 
 
 def _match_golden_row(preset, row):
     golden = dict(GOLDEN[preset])
     assert row["n"] == golden.pop("n")
     for label, value in golden.items():
-        _match_golden(f"{preset} E_{row['n']}({label})", [row[label]], [value], RATIO_RTOL)
+        match_golden(f"{preset} E_{row['n']}({label})", [row[label]], [value], RATIO_RTOL)
 
 
 def _error_table(preset):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import glob
@@ -21,6 +22,7 @@ from bousspec.analysis import NormSpec
 from bousspec.experiments import ConfigError, PRESETS, parse_config
 from bousspec.jacobi import build_basis
 from bousspec.timestep import GAMMA_ORDER3, STAGE_TOL
+from golden import GOLDEN, RATIO_RTOL, match_golden
 
 
 QUICK_RATIO = """
@@ -45,6 +47,24 @@ def test_presets_cover_documented_names():
     documented = {key for line in keys_block.splitlines() if line.startswith("- `")
                   for key in re.findall(r"`([^`]+)`", line.split(":", 1)[0])}
     assert documented == set(experiments.CONFIG_KEYS) | {"include-preset"}
+
+
+def _commands(parser, path=()):
+    """The command paths that ``parser`` accepts, e.g. ("diagnose", "residual")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path}
+    return {cmd for name, sub in subs[0].choices.items() for cmd in _commands(sub, path + (name,))}
+
+
+def test_readme_cli_block_lists_every_command():
+    # each "solver ..." line of the README's CLI block names a command the
+    # parser accepts, and each command the parser accepts has a line
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [tuple(re.match(r"solver((?: [a-z]+)+)", line).group(1).split())
+                  for line in block.splitlines() if line.startswith("solver ")]
+    assert sorted(documented) == sorted(_commands(cli.build_parser()))
 
 
 def test_public_names_exist_sorted_and_unique():
@@ -75,6 +95,8 @@ def test_parse_config_fraction_and_gamma_aliases():
     [
         ("bogus line", "key = value"),
         ("unknown-key = 3", "unknown key"),
+        # the output directory is --output's alone
+        ("include-preset = table5\noutput-dir = elsewhere", "line 2: unknown key 'output-dir'"),
         ("include-preset = nope", "unknown preset"),
         # include-preset is the base every other key overrides, so it comes first
         ("n = 32\nk-list = 0.5 0.25\ninclude-preset = table2",
@@ -258,6 +280,9 @@ def test_cli_run_drops_preset_values_that_the_run_does_not_read(tmp_path, text):
     # data that the closed forms refuse
     ("include-preset = table2\nrho = -1\n", "need rho > 0 and c_s != 0"),
     (SMALL_TABLE1 + "theta2 = 0.7\n", "theta^2 must lie in (7/9, 1), got 0.7"),
+    # the traveling wave's derivatives overflow, and its residual is NaN
+    ("include-preset = table2\nn = 16\nk-list = 0.5 0.25\nrho = 1e150\n",
+     "closed form 'bbm-traveling' fails the residual gate: nan"),
 ])
 def test_cli_run_refuses_bad_data_before_writing_anything(tmp_path, capsys, monkeypatch,
                                                          text, message):
@@ -324,7 +349,7 @@ def test_cli_run_writes_artifacts(tmp_path):
     cfg_file = tmp_path / "quick.cfg"
     cfg_file.write_text(QUICK_RATIO)
     out = tmp_path / "out"
-    rc = cli.main(["compare", str(cfg_file), "--output", str(out)])
+    rc = cli.main(["run", str(cfg_file), "--output", str(out)])
     assert rc == 0
     assert (out / "ratios.csv").exists()
     assert (out / "table.md").exists()
@@ -332,6 +357,18 @@ def test_cli_run_writes_artifacts(tmp_path):
     header, row = (out / "ratios.csv").read_text().splitlines()
     assert header == "n,E_H1xH1,log2_E_H1xH1"
     assert row.startswith("16,2.63624")
+
+
+def test_cli_run_writes_to_results_under_the_working_directory(tmp_path, monkeypatch):
+    # without --output a run writes to results/<name>; the environment
+    # variable that once moved that root is ignored
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BOUSSPEC_OUTPUT_ROOT", str(tmp_path / "elsewhere"))
+    (tmp_path / "quick.cfg").write_text(QUICK_RATIO)
+    assert cli.main(["run", "quick.cfg"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["quick.cfg", "results"]
+    written = sorted(os.listdir(tmp_path / "results" / "quick"))
+    assert written == ["ratios.csv", "run.json", "table.md"]
 
 
 def test_cli_ratio_table_writes_one_column_group_per_norm(tmp_path):
@@ -379,7 +416,7 @@ def test_cli_rerun_reproduces_identical_bytes(tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        assert cli.main(["compare", str(cfg_file), "--output", str(out)]) == 0
+        assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
         outs.append((out / "ratios.csv").read_bytes())
     assert outs[0] == outs[1]
 
@@ -546,6 +583,15 @@ def test_ratio_table_bytes_do_not_depend_on_worker_count(tmp_path, preset):
     assert outs["default"][3] == min(len(os.sched_getaffinity(0)), 4)
     assert outs["default"][:3] == outs["pinned"][:3]
     assert len(outs["default"][2]) == 4
+    # the rows N = 16 and 32, each cell against golden.py's
+    golden = GOLDEN["ratios.csv"][preset]
+    header, *rows = outs["pinned"][0].decode().splitlines()
+    columns = list(zip(*(row.split(",") for row in rows)))
+    assert header.split(",") == list(golden)
+    assert list(map(int, columns[0])) == golden["n"]
+    for label, cells in zip(header.split(",")[1:], columns[1:]):
+        match_golden(f"{preset} ratios.csv {label}", list(map(float, cells)), golden[label],
+                     RATIO_RTOL)
 
 
 def test_cli_ratio_divergence_reports_the_serial_first_failure(tmp_path, capsys):
@@ -629,12 +675,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "does-not-exist"]) == cli.EXIT_CONFIG
     bad = tmp_path / "bad.cfg"
     bad.write_text("mode = ratio_table\nn = 16\nk = 0.1\n")
-    assert cli.main(["compare", str(bad)]) == cli.EXIT_CONFIG
-    capsys.readouterr()
-    # a valid preset of another mode
-    assert cli.main(["compare", "table1", "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    assert "compare needs a ratio_table config" in capsys.readouterr().err
+    assert cli.main(["run", str(bad), "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "three N values" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # run is the one command that runs a config
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "table5"])
+    assert exc.value.code == cli.EXIT_CONFIG
 
 
 def test_cli_stage_divergence_names_the_run_and_exits_3(tmp_path, capsys):
@@ -796,11 +843,6 @@ def test_cli_diagnose_refuses_other_diagnostics_flags(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_output_root_env_override(monkeypatch):
-    monkeypatch.setenv("BOUSSPEC_OUTPUT_ROOT", "/tmp/elsewhere")
-    assert experiments.output_root() == "/tmp/elsewhere"
-
-
 EDGES = ("nan", "inf", "-inf", "0", "-1", "1e308")
 # valid values per key; every generated config sets n (N <= 32) and t-end
 FUZZ_VALUES = {
@@ -825,7 +867,6 @@ FUZZ_VALUES = {
     "c-s": ("1",),
     "x0": ("0", "0.5"),
     "snapshot-times": ("0.5", "0.25 0.5"),
-    "output-dir": ("elsewhere",),
 }
 
 

@@ -80,8 +80,8 @@ def test_interval_map_roundtrip(rng):
 
 def test_solitary_bona_smith_parameters():
     sol = model.solitary_bona_smith(9 / 11)
-    assert sol.amplitude == pytest.approx(1.0, rel=1e-12)
-    assert sol.velocity_factor == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert sol.eta(0.0, 0.0) == pytest.approx(1.0, rel=1e-12)   # the crest's eta0
+    assert sol.u(0.0, 0.0) / sol.eta(0.0, 0.0) == pytest.approx(math.sqrt(3) / 2, rel=1e-12)   # B
     assert sol.speed == pytest.approx(5 * math.sqrt(3) / 6, rel=1e-12)
     with pytest.raises(ValueError):
         model.solitary_bona_smith(0.7)
