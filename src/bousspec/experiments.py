@@ -308,29 +308,16 @@ def available_cpus() -> int:
     return 1
 
 
-def _lpt_shares(weights, processes: int) -> list[list[int]]:
-    """Split item indices over ``processes``: heaviest first, each to the
-    least loaded (LPT), so share 0 holds the heaviest item; each share is
-    in ascending order and none is empty."""
-    loads, shares = [0.0] * processes, [[] for _ in range(processes)]
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        p = loads.index(min(loads))
-        shares[p].append(i)
-        loads[p] += weights[i]
-    return [sorted(share) for share in shares if share]
-
-
-def _run_share(fn, items, share) -> dict:
-    """{index: (ok, result or exception)} for the items of ``share`` in
-    order, up to and including the first that raises."""
-    done = {}
-    for i in share:
+def _run_share(fn, share) -> tuple[list, Exception | None]:
+    """``(results, failure)``: ``fn`` over ``share`` in order, up to the
+    first item that raises, and that exception (None if none raised)."""
+    results = []
+    for x in share:
         try:
-            done[i] = (True, fn(items[i]))
+            results.append(fn(x))
         except Exception as exc:
-            done[i] = (False, exc)
-            break
-    return done
+            return results, exc
+    return results, None
 
 
 def _portable(exc: Exception) -> Exception:
@@ -342,7 +329,7 @@ def _portable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _fork_worker(fn, items, share, inherited) -> tuple[int, int]:
+def _fork_worker(fn, share, inherited) -> tuple[int, int]:
     """Fork a process that runs ``share`` and writes its ``_run_share``
     outcome, pickled, to a pipe; return (pid, read end of the pipe).
     ``inherited`` are earlier workers' read ends, which the worker closes."""
@@ -353,10 +340,10 @@ def _fork_worker(fn, items, share, inherited) -> tuple[int, int]:
         try:
             for fd in (read_fd, *inherited):
                 os.close(fd)
-            done = {i: (ok, value if ok else _portable(value))
-                    for i, (ok, value) in _run_share(fn, items, share).items()}
+            results, failure = _run_share(fn, share)
+            outcome = (results, None if failure is None else _portable(failure))
             with os.fdopen(write_fd, "wb") as fh:
-                pickle.dump(done, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(outcome, fh, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)   # no atexit handlers, no flush of the parent's buffers
@@ -364,27 +351,30 @@ def _fork_worker(fn, items, share, inherited) -> tuple[int, int]:
     return pid, read_fd
 
 
-def fork_map(fn, items, weights, processes: int) -> list:
+def fork_map(fn, items, processes: int) -> list:
     """``[fn(x) for x in items]``, over ``processes`` (at least 1) processes;
-    fewer only if there are fewer items of positive weight.
+    fewer only if there are fewer items.
 
-    The items are split by ``_lpt_shares``; this process runs the share with
-    the heaviest item and forks one worker per other share, so with one
-    share everything runs here.  Workers inherit everything built before
-    the call, and send back their results (or exception) pickled.  Every
-    process runs its items in ascending order and stops at its first
-    exception, so the exception of smallest index, which is re-raised here,
-    is the one the serial loop raises.  A worker that dies without a result
-    raises ChildProcessError naming its exit status.  Every worker is reaped
-    before this returns or raises; on any other failure the workers are
-    killed first.
+    The items are split by position: this process runs the last item, one
+    worker each of the next p - 2 from the end, and the last worker the
+    rest, so with p = 1 everything runs here.  On a doubling chain, where
+    each item costs more than all those before it together, this is the
+    longest-processing-time split (Graham 1969).  Workers inherit
+    everything built before the call, and send back their results and
+    failure pickled.  Every process runs its items in ascending order and
+    stops at its first exception, so the exception of smallest index,
+    which is re-raised here, is the one the serial loop raises.  A worker
+    that dies without a result raises ChildProcessError naming its exit
+    status.  Every worker is reaped before this returns or raises; on any
+    other failure the workers are killed first.
     """
-    shares = _lpt_shares(weights, processes) or [[]]
+    cut = max(len(items) - processes + 1, 1)
+    shares = [items[:cut], *([x] for x in items[cut:])]   # in item order
     workers, reaped = [], set()
     try:
-        for share in shares[1:]:
-            workers.append(_fork_worker(fn, items, share, [fd for _, fd in workers]))
-        outcome = _run_share(fn, items, shares[0])
+        for share in shares[-2::-1]:
+            workers.append(_fork_worker(fn, share, [fd for _, fd in workers]))
+        outcomes = [_run_share(fn, shares[-1])]
         for pid, fd in workers:
             payload = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -394,7 +384,7 @@ def fork_map(fn, items, weights, processes: int) -> list:
                 how = (f"was killed by signal {signal.Signals(-status).name}" if status < 0
                        else f"exited with status {status}")
                 raise ChildProcessError(f"worker process {pid} {how} before sending its results")
-            outcome.update(pickle.loads(payload))
+            outcomes.append(pickle.loads(payload))
     finally:
         for pid, fd in workers:
             os.close(fd)
@@ -402,23 +392,25 @@ def fork_map(fn, items, weights, processes: int) -> list:
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    failed = [i for i, (ok, _) in outcome.items() if not ok]
-    if failed:
-        raise outcome[min(failed)][1]
-    return [outcome[i][1] for i in range(len(items))]
+    results = []
+    for done, failure in reversed(outcomes):   # the shares in item order
+        if failure is not None:
+            raise failure
+        results += done
+    return results
 
 
 def run_ratio_table(cfg: ExperimentConfig, problem: Problem) -> dict:
     """Refinement quotients E_N along the doubling chain, in each norm of ``cfg.norms``.
 
     The solves are independent, so they run in up to one process per
-    available CPU (``fork_map``, weighted by N).  Each sends back the
+    available CPU (``fork_map``).  Each sends back the
     ``RunResult`` of its solve, and the norms read the basis that came with it.
     """
     n_values, gamma = cfg.n_values, cfg.gammas[0]
-    processes = min(available_cpus(), len(n_values))   # every N > 0: fork_map uses them all
+    processes = min(available_cpus(), len(n_values))
     runs = fork_map(lambda n: solve_once(problem, n, cfg.step_for(n), gamma, cfg.t_end),
-                    n_values, n_values, processes)
+                    n_values, processes)
     sols = {n: run.solution for n, run in zip(n_values, runs)}
     rows = []
     for n in n_values[:-2]:

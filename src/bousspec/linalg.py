@@ -23,20 +23,19 @@ class SingularMatrixError(ValueError):
     """Raised when LAPACK finds the matrix exactly singular."""
 
 
-def lu_factor(a) -> tuple[np.ndarray, None]:
+def lu_factor(a) -> np.ndarray:
     """Check that ``a`` is a square matrix with finite entries and return
-    ``(a, None)``, the argument ``lu_solve`` takes."""
+    it as a float array, the argument ``lu_solve`` takes."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise FloatingPointError("matrix has non-finite entries")
-    return a, None
+    return a
 
 
-def lu_solve(factors: tuple[np.ndarray, None], rhs) -> np.ndarray:
-    """Solve A x = rhs, a vector or a matrix, for ``factors = lu_factor(A)``."""
-    a, _ = factors
+def lu_solve(a: np.ndarray, rhs) -> np.ndarray:
+    """Solve A x = rhs, a vector or a matrix, for ``a = lu_factor(A)``."""
     try:
         return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:

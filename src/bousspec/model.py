@@ -259,7 +259,11 @@ def traveling_bbm(rho: float, cs: float, x0: float = 0.0) -> ExactSolution:
     params = params_from_theta(2.0 / 3.0)
     b = params.b
     lam = 0.5 * math.sqrt(rho)
-    amp = (cs * b * rho) ** 2
+    try:
+        amp = (cs * b * rho) ** 2
+    except OverflowError:
+        raise ValueError(f"initial data 'bbm-traveling' overflow at rho = {rho!r}, "
+                         f"c_s = {cs!r}") from None
     u_base = cs / 3.0 * (3.0 - 5.0 * b * rho)
     u_amp = 5.0 * cs * b * rho
 
@@ -316,7 +320,10 @@ def solitary_b_neq_d(eta0: float, x0: float = 0.0) -> ExactSolution:
 
 def bore_u0(eta0: float) -> float:
     """Right-moving bore velocity scale u0 = eta0/(eta0+1) sqrt((2+3 eta0+eta0^2)/2)."""
-    return eta0 / (eta0 + 1.0) * math.sqrt(0.5 * (2.0 + 3.0 * eta0 + eta0**2))
+    try:
+        return eta0 / (eta0 + 1.0) * math.sqrt(0.5 * (2.0 + 3.0 * eta0 + eta0**2))
+    except OverflowError:
+        raise ValueError(f"initial data 'bore' overflow at amplitude = {eta0!r}") from None
 
 
 def bore_data(eta0: float, kappa: float):

@@ -42,19 +42,18 @@ MAX_STAGE_ITERS = 100    # iterations before a stage solve is abandoned
 class StageDivergenceError(RuntimeError):
     """Fixed-point stage iteration failed to contract; ``gamma``, ``k`` and
     ``step`` name the run and the step that failed, and ``n``, when the
-    caller knows it, the polynomial degree of the solve."""
+    caller knows it, the polynomial degree of the solve.  The fields are
+    the exception's ``args``, so a pickled copy (ratio tables send a
+    worker's failure back pickled) is rebuilt with its message."""
 
     def __init__(self, problem: str, gamma: float, k: float, step: int, n: int | None = None):
-        super().__init__(
-            ("" if n is None else f"N={n}: ") + f"stage iteration {problem} at step {step} "
-            f"of the run gamma={gamma:.10g}, k={k:.10g}; reduce the time step"
-        )
+        super().__init__(problem, gamma, k, step, n)
         self.problem, self.gamma, self.k, self.step, self.n = problem, gamma, k, step, n
 
-    def __reduce__(self):
-        # rebuild through __init__ so the copy keeps its message (ratio
-        # tables send a worker's failure back pickled)
-        return type(self), (self.problem, self.gamma, self.k, self.step, self.n), vars(self)
+    def __str__(self):
+        return (("" if self.n is None else f"N={self.n}: ") + f"stage iteration {self.problem} "
+                f"at step {self.step} of the run gamma={self.gamma:.10g}, k={self.k:.10g}; "
+                "reduce the time step")
 
 
 def _numerator(gamma: float) -> tuple[float, float]:

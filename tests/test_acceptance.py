@@ -13,8 +13,9 @@ doubling chain its criterion reads.  Criterion 7 solves the ``table1``
 problem at several N.
 
 Criteria 1-5 also compare their cells with ``golden_cells.json`` (see
-``golden.py``): the errors and rates of ``table1``-``table3``, and the
-quotient rows that criteria 4 and 5 read.
+``golden.py``): the errors and rates of ``table1``-``table3``, as computed
+and as written to ``errors.csv`` and ``rates.csv``, and the quotient rows
+that criteria 4 and 5 read.
 
 Three sub-criteria encode reference targets that the governing equations
 themselves contradict; they are kept failing on purpose and document the
@@ -71,6 +72,25 @@ def _match_golden_table(preset, result):
         match_golden(f"{preset} rates, gamma={label}", rates, golden[label]["rates"], CELL_RTOL)
 
 
+def _match_written_table(preset, result, outdir):
+    """The ``errors.csv`` and ``rates.csv`` that ``solver run`` writes for
+    ``result``, against the golden cells: errors at ``CELL_RTOL``, rates as
+    the writer prints them, to four decimals."""
+    experiments.write_error_table(result, str(outdir), PRESETS[preset])
+    golden = GOLDEN[preset]
+    for name in ("errors", "rates"):
+        header, *rows = (outdir / f"{name}.csv").read_text().splitlines()
+        assert header.split(",")[1:] == [f"{name[:-1]}_gamma_{label}" for label in golden]
+        columns = list(zip(*(row.split(",") for row in rows)))
+        for label, cells in zip(golden, columns[1:], strict=True):
+            want = golden[label][name]
+            if name == "errors":
+                match_golden(f"{preset} errors.csv gamma={label}", list(map(float, cells)), want,
+                             CELL_RTOL)
+            else:
+                assert list(cells) == [f"{rate:.4f}" for rate in want], f"{preset} rates.csv"
+
+
 def _match_golden_row(preset, row):
     golden = dict(GOLDEN[preset])
     assert row["n"] == golden.pop("n")
@@ -98,7 +118,7 @@ def table1_result():
     return _error_table("table1")
 
 
-def test_criterion_1_table1(table1_result):
+def test_criterion_1_table1(table1_result, tmp_path):
     reference = {
         0.5: (2.2373e-2, 5.6737e-3, 1.4236e-3),
         timestep.GAMMA_ORDER3: (6.7487e-3, 8.7667e-4, 1.1029e-4),
@@ -106,6 +126,7 @@ def test_criterion_1_table1(table1_result):
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.96, 2.99)}
     _check_error_table("1", table1_result, reference, rates)
     _match_golden_table("table1", table1_result)
+    _match_written_table("table1", table1_result, tmp_path)
 
 
 def test_stage_iteration_regression_guard(table1_result):
@@ -115,7 +136,7 @@ def test_stage_iteration_regression_guard(table1_result):
 
 # --- criterion 2: BBM-BBM traveling-wave error table -------------------------
 
-def test_criterion_2_table2():
+def test_criterion_2_table2(tmp_path):
     reference = {
         0.5: (2.6200e-2, 6.6298e-3, 1.6627e-3),
         timestep.GAMMA_ORDER3: (6.8554e-3, 8.6027e-4, 1.0989e-4),
@@ -124,11 +145,12 @@ def test_criterion_2_table2():
     result = _error_table("table2")
     _check_error_table("2", result, reference, rates)
     _match_golden_table("table2", result)
+    _match_written_table("table2", result, tmp_path)
 
 
 # --- criterion 3: unequal mass coefficients ----------------------------------
 
-def test_criterion_3_table3():
+def test_criterion_3_table3(tmp_path):
     reference = {
         0.5: (3.6446e-2, 9.2402e-3, 2.3183e-3),
         timestep.GAMMA_ORDER3: (1.0898e-2, 1.4150e-3, 1.7802e-4),
@@ -137,6 +159,7 @@ def test_criterion_3_table3():
     result = _error_table("table3")
     _check_error_table("3", result, reference, rates)
     _match_golden_table("table3", result)
+    _match_written_table("table3", result, tmp_path)
 
 
 # --- criteria 4-6: refinement quotients --------------------------------------

@@ -283,6 +283,13 @@ def test_cli_run_drops_preset_values_that_the_run_does_not_read(tmp_path, text):
     # the traveling wave's derivatives overflow, and its residual is NaN
     ("include-preset = table2\nn = 16\nk-list = 0.5 0.25\nrho = 1e150\n",
      "closed form 'bbm-traveling' fails the residual gate: nan"),
+    # data whose parameters overflow a float
+    ("include-preset = table2\nn = 32\nrho = 1e308\n",
+     "initial data 'bbm-traveling' overflow at rho = 1e+308, c_s = 1.0"),
+    ("include-preset = table2\nn = 32\nc-s = 1e300\n",
+     "initial data 'bbm-traveling' overflow at rho = 2.0, c_s = 1e+300"),
+    ("include-preset = bore\nn = 32\namplitude = 1e200\n",
+     "initial data 'bore' overflow at amplitude = 1e+200"),
 ])
 def test_cli_run_refuses_bad_data_before_writing_anything(tmp_path, capsys, monkeypatch,
                                                          text, message):
@@ -694,12 +701,17 @@ def test_cli_stage_divergence_names_the_run_and_exits_3(tmp_path, capsys):
     assert f"at step 0 of the run gamma={GAMMA_ORDER3:.10g}, k=2;" in err
 
 
-def test_cli_overflowing_closed_form_exits_3(tmp_path, capsys):
-    # rho = 1e308 passes validation but the traveling wave's amplitude overflows
+def test_cli_overflowing_closed_form_exits_2(tmp_path, capsys):
+    # rho = 1e308 passes validation but the traveling wave's amplitude
+    # overflows: the data are refused, by run and by the residual diagnostic
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("include-preset = table2\nn = 32\nrho = 1e308\n")
-    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
-    assert "Numerical result out of range" in capsys.readouterr().err
+    message = "config error: initial data 'bbm-traveling' overflow at rho = 1e+308, c_s = 1.0\n"
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == message
+    assert cli.main(["diagnose", "residual", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_zero_error_names_the_column_and_exits_3(tmp_path):

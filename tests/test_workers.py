@@ -1,5 +1,6 @@
 """The fork helper behind ratio tables, and the exceptions it carries back."""
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -7,7 +8,8 @@ import time
 
 import pytest
 
-from bousspec.experiments import ConfigError, _lpt_shares, available_cpus, fork_map
+from bousspec import experiments
+from bousspec.experiments import PRESETS, ConfigError, available_cpus, fork_map
 from bousspec.jacobi import QuadratureError
 from bousspec.linalg import SingularMatrixError
 from bousspec.timestep import StageDivergenceError
@@ -27,27 +29,52 @@ def test_exceptions_survive_pickling(exc):
     assert vars(copy) == vars(exc)
 
 
-@pytest.mark.parametrize("weights, processes, shares", [
-    ((16, 32, 64, 128), 2, [[3], [0, 1, 2]]),
-    ((128, 256, 512), 2, [[2], [0, 1]]),
-    ((16, 32, 64, 128, 256, 512, 1024), 2, [[6], [0, 1, 2, 3, 4, 5]]),
-    ((1, 1, 1), 5, [[0], [1], [2]]),
+CHAIN = (16, 32, 64, 128, 256, 512, 1024)
+
+
+@pytest.mark.parametrize("items, processes, shares", [
+    (CHAIN[:4], 2, [[0, 1, 2], [3]]),
+    (CHAIN[3:6], 2, [[0, 1], [2]]),
+    (CHAIN, 2, [[0, 1, 2, 3, 4, 5], [6]]),
+    (CHAIN[:5], 1, [[0, 1, 2, 3, 4]]),
+    (CHAIN[:5], 3, [[0, 1, 2], [3], [4]]),
+    (CHAIN[:4], 8, [[0], [1], [2], [3]]),
 ])
-def test_lpt_shares_keep_the_heaviest_here(weights, processes, shares):
-    assert _lpt_shares(weights, processes) == shares
+def test_fork_map_splits_a_doubling_chain_by_position(items, processes, shares):
+    # this process runs the last item, one worker each of the next p - 2
+    # and the last worker the rest: each share as the pids show it
+    pids = fork_map(lambda x: os.getpid(), items, processes)
+    by_pid = {}
+    for i, pid in enumerate(pids):
+        by_pid.setdefault(pid, []).append(i)
+    assert sorted(by_pid.values()) == shares
+    assert by_pid[os.getpid()] == shares[-1]
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3, 8])
 def test_fork_map_returns_results_in_item_order(processes):
     items = list(range(7))
-    results = fork_map(lambda x: (x * x, os.getpid()), items, items, processes)
+    results = fork_map(lambda x: (x * x, os.getpid()), items, processes)
     assert [square for square, _ in results] == [x * x for x in items]
     assert len({pid for _, pid in results}) == min(processes, len(items))
-    assert results[-1][1] == os.getpid()   # this process solves the heaviest item
+    assert results[-1][1] == os.getpid()   # this process solves the largest item
 
 
 def test_fork_map_of_no_items_is_empty():
-    assert fork_map(abs, [], [], 2) == []
+    assert fork_map(abs, [], 2) == []
+
+
+def test_ratio_table_on_more_processes_matches_one_process(monkeypatch):
+    cfg = dataclasses.replace(PRESETS["table5"], n_values=(8, 16, 32, 64)).validate()
+    problem = experiments._resolve_problem(cfg)
+    results = {}
+    for cpus in (1, 3, 8):
+        monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
+        results[cpus] = experiments.run_ratio_table(cfg, problem)
+    assert [results[cpus]["workers"] for cpus in (1, 3, 8)] == [1, 3, 4]
+    for cpus in (3, 8):
+        assert results[cpus]["rows"] == results[1]["rows"]
+        assert results[cpus]["solves"] == results[1]["solves"]
 
 
 def test_only_hosts_that_report_cpu_affinity_fork(monkeypatch):
@@ -65,7 +92,7 @@ def test_fork_map_raises_the_failure_a_serial_loop_raises_first(processes, faili
 
     items = list(range(6))
     with pytest.raises(StageDivergenceError) as err:
-        fork_map(fn, items, [x + 1 for x in items], processes)
+        fork_map(fn, items, processes)
     assert err.value.step == first
 
 
@@ -76,7 +103,7 @@ def test_fork_map_names_the_signal_of_a_killed_worker():
         return x
 
     with pytest.raises(ChildProcessError, match="killed by signal SIGKILL"):
-        fork_map(fn, [0, 1], [1, 10], 2)
+        fork_map(fn, [0, 1], 2)
 
 
 class Unpicklable(Exception):
@@ -91,7 +118,7 @@ def test_fork_map_reports_an_unpicklable_worker_failure_by_its_text():
         return x
 
     with pytest.raises(RuntimeError, match="^Unpicklable: left and right$"):
-        fork_map(fn, [0, 1], [1, 10], 2)
+        fork_map(fn, [0, 1], 2)
 
 
 class Abort(BaseException):
@@ -106,5 +133,5 @@ def test_fork_map_kills_its_workers_when_this_process_fails():
 
     started = time.monotonic()
     with pytest.raises(Abort):
-        fork_map(fn, [0, 1], [1, 10], 2)
+        fork_map(fn, [0, 1], 2)
     assert time.monotonic() - started < 30
