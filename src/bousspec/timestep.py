@@ -4,12 +4,14 @@ more runs of one vector field in lockstep.
 Butcher tableau (gamma, 0; 1-2 gamma, gamma) with weights (1/2, 1/2);
 gamma = 1/2 gives the second-order midpoint-type member, gamma =
 (3 + sqrt(3))/6 the third-order member.  Stage systems are solved by
-fixed-point iteration started from a predictor: within an integration the
-previous step's stage derivatives are extrapolated linearly in time
-(Hairer & Wanner, Solving ODEs II, IV.8), so the iteration starts O(k^2)
-close to its fixed point.  Boundary data is evaluated at the stage
-abscissae t_n + gamma k and t_n + (1 - gamma) k, which is required to keep
-the classical order with time-dependent Dirichlet data.
+fixed-point iteration started from a predictor (Hairer & Wanner, Solving
+ODEs II, IV.8): within an integration each stage's derivative is
+extrapolated from the same stage's derivatives in the last three steps,
+quadratically in the step index, so a stage whose derivatives vary
+smoothly from step to step can end in its first round.  Boundary data is
+evaluated at the stage abscissae t_n + gamma k and t_n + (1 - gamma) k,
+which is required to keep the classical order with time-dependent
+Dirichlet data.
 
 The vector field acts on a block: F(t, Y) takes a (rows, m) block Y of
 states and the (rows, 1) column t of their times and returns the (rows, m)
@@ -116,6 +118,18 @@ class IntegrationStats:
     max_stage_residual: float = 0.0
 
 
+def _extrapolate(history: list):
+    """The next term of a sequence from its last terms ``history`` (newest
+    first), by the polynomial in the step index through them: weights
+    (3, -3, 1) for three terms, (2, -1) for two, the last term alone for
+    one, and 0 for none."""
+    if len(history) == 3:
+        return 3.0 * (history[0] - history[1]) + history[2]
+    if len(history) == 2:
+        return 2.0 * history[0] - history[1]
+    return history[0] if history else 0.0
+
+
 def _steps(gamma: float, plan: IntegrationPlan, y: np.ndarray, snapshots: list,
            stats: IntegrationStats):
     """The steps of one (gamma, plan) run from y, as a generator of stage
@@ -125,35 +139,34 @@ def _steps(gamma: float, plan: IntegrationPlan, y: np.ndarray, snapshots: list,
     abscissa t_i.  The generator yields (base_i, start, t_i) and is sent the
     converged Y_i, from which the fixed-point relation recovers f_i exactly,
     so the final combination needs no further evaluation.  The iteration
-    starts from base_i + gamma k p(t_i), p extrapolating known stage
-    derivatives linearly in time; the previous step's (f1, f2) lie at
-    t - k + gamma k and t - k + (1 - gamma) k.  Stage 1 takes p through both
-    (p = f2 when gamma = 1/2 puts them at one abscissa), or starts from y
-    without history.  Stage 2 takes p through the previous f2 and the
-    current f1 (p = f1 when gamma = 1/2 or without history: an explicit
-    Euler step, O(k^2) from the stage where Y1 is O(k)).  Only the starting
-    point differs from a cold start; the stopping rule is the same.  Each
-    step counts in ``stats.steps``; y is appended to ``snapshots`` at the
-    step boundary nearest each of the plan's snapshot times.
+    starts from base_i + gamma k p_i, each stage predicted from its own
+    derivatives in the last three steps by E, the extrapolation of
+    ``_extrapolate``: quadratic in the step index, or of lower degree while
+    fewer steps are known.  The stage-order-1 tableau puts f1 and f2 on one
+    smooth curve in time only to O(k^2), but each stage's own sequence is
+    smooth in the step index.  Stage 1 takes p1 = E(f1), so without history
+    it starts from y.  Stage 2 takes p2 = f1 + E(f2 - f1), so without
+    history it takes an explicit Euler step, O(k^2) from the stage where Y1
+    is O(k); for gamma = 1/2 the two stages coincide, f2 - f1 vanishes and
+    stage 2 starts at Y1.  Only the starting point differs from a cold
+    start; the stopping rule is the same.  Each step counts in
+    ``stats.steps``; y is appended to ``snapshots`` at the step boundary
+    nearest each of the plan's snapshot times.
     """
     k, n, want = plan.k, plan.n_steps, plan.snapshot_steps
     gk = gamma * k
     if 0 in want:
         snapshots.append((0.0, y.copy()))
-    f2 = None
+    # f1 and f2 - f1 of the last three steps, newest first
+    f1s, ds = [], []
     for step in range(n):
         t = step * k
-        if f2 is None:
-            start = y
-        elif gamma == 0.5:
-            start = y + gk * f2
-        else:
-            start = y + gk * (f1 + (f2 - f1) / (1.0 - 2.0 * gamma))
-        f1 = ((yield y, start, t + gk) - y) / gk
+        f1 = ((yield y, y + gk * _extrapolate(f1s), t + gk) - y) / gk
         base2 = y + ((1.0 - 2.0 * gamma) * k) * f1
-        slope2 = f1 if f2 is None else f1 + (2.0 * gamma - 1.0) / (2.0 * gamma) * (f2 - f1)
-        f2 = ((yield base2, base2 + gk * slope2, t + (1.0 - gamma) * k) - base2) / gk
+        start2 = base2 + gk * (f1 + _extrapolate(ds))
+        f2 = ((yield base2, start2, t + (1.0 - gamma) * k) - base2) / gk
         y = y + 0.5 * k * (f1 + f2)
+        f1s, ds = [f1] + f1s[:2], [f2 - f1] + ds[:2]
         stats.steps += 1
         if step + 1 in want:
             snapshots.append(((step + 1) * k, y.copy()))
@@ -165,10 +178,11 @@ def integrate(f, y0: np.ndarray, runs):
     lockstep; returns ([(t, y, snapshots, stats) per run], total stats).
 
     Each round evaluates the block of rows still iterating once.  Each step
-    after a run's first starts its stage iterations from that run's previous
-    stage derivatives.  Snapshots are recorded at the step boundary nearest
-    each requested time (exact when the time is a multiple of k).  The total
-    sums the steps and evaluations of the runs and keeps their maxima.
+    after a run's first starts its stage iterations from that run's stage
+    derivatives in its last three steps.  Snapshots are recorded at the step
+    boundary nearest each requested time (exact when the time is a multiple
+    of k).  The total sums the steps and evaluations of the runs and keeps
+    their maxima.
     """
     y0 = np.asarray(y0, dtype=float)
     results, rows, stages = [], [], []

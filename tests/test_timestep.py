@@ -145,12 +145,29 @@ def test_first_integrate_step_is_sdirk_step(gamma):
 
 
 def test_predictor_evaluation_count_table5():
-    # 6.0 evaluations per step; 10.0 with cold starts, 7.0 when either
-    # stage drops its extrapolation from the previous step
+    # 3.1 evaluations per step; 5.0 when each stage extrapolates its last
+    # two steps linearly, 7.0 from its last step alone, 10.0 with cold starts
     cfg = experiments.PRESETS["table5"]
     problem = experiments._resolve_problem(cfg)
     run = experiments.solve_once(problem, 128, cfg.step_for(128), cfg.gammas[0], cfg.t_end)
-    assert run.stats.rhs_evals / run.stats.steps <= 6.5
+    assert run.stats.rhs_evals / run.stats.steps <= 3.5
+
+
+@SCHEMES
+def test_quadratic_forcing_is_predicted_exactly(gamma):
+    # each stage's derivative is a quadratic in the step index, which the
+    # three-step extrapolation reproduces: from the fourth step on, every
+    # stage ends in its first round (43 and 45 evaluations in all)
+    k, steps, times = 0.1, 20, []
+
+    def f(t, v):
+        times.append(t[0, 0])
+        return 0.3 - 2.0 * t + 5.0 * t * t + 0.0 * v
+
+    [(_, _, _, stats)], _ = timestep.integrate(f, np.array([1.0]),
+                                               [(gamma, IntegrationPlan(k=k, t_end=steps * k))])
+    assert sum(t > 3 * k for t in times) == 2 * (steps - 3)
+    assert stats.steps == steps and stats.rhs_evals <= 2 * steps + 6
 
 
 # --- lockstep runs -------------------------------------------------------------
@@ -238,8 +255,10 @@ def test_later_failure_after_the_block_shrank_names_its_run():
                        match=r"diverging .* at step 3 of the run gamma=0.5, k=0.1;") as info:
         timestep.integrate(f, np.array([1.0, -0.5]), runs)
     assert info.value.step == 3
-    # the one-step run's two stages end in round 17; the failure is in round 37
-    assert heights == [3] * 17 + [2] * 20
+    # the one-step run's two stages end in round 17; the k = 0.1 run's first
+    # three steps take 11, 10 and 9 rounds, and its fourth step's first stage
+    # has grown five times in its sixth round, round 36
+    assert heights == [3] * 17 + [2] * 19
 
 
 # --- stability function and dispersion --------------------------------------
