@@ -5,9 +5,11 @@
     solver diagnose dispersion [--gamma G]      SDIRK phase error y - arg R(iy)
     solver diagnose residual <config|preset>    PDE residual of its closed form
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
-ratio-table worker process that died included).  A run writes to
---output DIR, or to results/<name> under the working directory.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure: a
+stage iteration that diverged, a failed quadrature, an ArithmeticError
+(overflow, a singular mass block) or a ratio-table worker process that
+died.  A run writes to --output DIR, or to results/<name> under the
+working directory.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from . import experiments, model, timestep
 from .experiments import ConfigError, ExperimentConfig, PRESETS
 from .jacobi import QuadratureError, build_basis
-from .linalg import SingularMatrixError
 from .timestep import StageDivergenceError
 
 EXIT_OK = 0
@@ -74,7 +75,7 @@ def _cmd_dispersion(args) -> int:
         raise ConfigError(f"--gamma {args.gamma!r}: {exc}") from None
     # every row and the slope before any output, so a failure prints nothing
     rows = [f"{y:.6E},{timestep.dispersion_error(args.gamma, y):.15E}"
-            for y in np.logspace(-3, -1, 25)]
+            for y in np.logspace(*timestep.DISPERSION_Y_GRID)]
     slope = timestep.dispersion_slope(args.gamma)
     print("\n".join(["y,phase_error", *rows, f"# log-log slope = {slope:.4f}"]))
     return EXIT_OK
@@ -127,11 +128,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # SingularMatrixError is a ValueError, so it must be caught first;
-    # ArithmeticError covers overflow and division by zero, ChildProcessError
-    # a fork_map worker that died
-    except (StageDivergenceError, QuadratureError, SingularMatrixError, ArithmeticError,
-            ChildProcessError) as exc:
+    # ArithmeticError covers overflow, division by zero and a singular mass
+    # block (linalg.SingularMatrixError), ChildProcessError a fork_map worker that died
+    except (StageDivergenceError, QuadratureError, ArithmeticError, ChildProcessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__, analysis, model, semidiscrete, timestep
 from .jacobi import build_basis
-from .linalg import SingularMatrixError
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
@@ -261,7 +260,7 @@ def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
         results, _ = timestep.integrate(field, y0, runs)
     except timestep.StageDivergenceError as exc:
         raise timestep.StageDivergenceError(exc.problem, exc.gamma, exc.k, exc.step, n) from exc
-    except (FloatingPointError, SingularMatrixError) as exc:
+    except ArithmeticError as exc:
         raise type(exc)(f"N={n}: {exc}") from exc
     wrapped = []
     for (gamma, plan), (tf, y, raw_snaps, stats) in zip(runs, results):
@@ -308,16 +307,13 @@ def available_cpus() -> int:
     return 1
 
 
-def _run_share(fn, share) -> tuple[list, Exception | None]:
-    """``(results, failure)``: ``fn`` over ``share`` in order, up to the
-    first item that raises, and that exception (None if none raised)."""
-    results = []
-    for x in share:
-        try:
-            results.append(fn(x))
-        except Exception as exc:
-            return results, exc
-    return results, None
+def _run_share(fn, share) -> tuple[list | None, Exception | None]:
+    """``([fn(x) for x in share], None)``, or ``(None, exc)`` for the
+    first exception ``exc`` that ``fn`` raises over ``share`` in order."""
+    try:
+        return [fn(x) for x in share], None
+    except Exception as exc:
+        return None, exc
 
 
 def _portable(exc: Exception) -> Exception:

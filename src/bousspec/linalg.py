@@ -11,7 +11,8 @@ the work.  Neither overwrites its argument.
 The contracts the rest of the package relies on: ``ValueError`` for a
 matrix that is not square, ``FloatingPointError`` for non-finite entries
 (an overflow upstream, reported as a numerical failure) and
-``SingularMatrixError`` for an exactly singular matrix.
+``SingularMatrixError``, an ``ArithmeticError`` like it, for an exactly
+singular matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(ArithmeticError):
     """Raised when LAPACK finds the matrix exactly singular."""
 
 

@@ -14,8 +14,10 @@ problem at several N.
 
 Criteria 1-5 also compare their cells with ``golden_cells.json`` (see
 ``golden.py``): the errors and rates of ``table1``-``table3``, as computed
-and as written to ``errors.csv`` and ``rates.csv``, and the quotient rows
-that criteria 4 and 5 read.
+and as written to ``errors.csv`` and ``rates.csv``, the errors also with a
+run whose stage systems were solved to round-off, and the quotient rows
+that criteria 4 and 5 read.  They gate the work of each of their solves:
+its rhs evaluations per step (``EVALS_PER_STEP``).
 
 Three sub-criteria encode reference targets that the governing equations
 themselves contradict; they are kept failing on purpose and document the
@@ -41,7 +43,19 @@ from bousspec.analysis import NodalSolution
 from bousspec.experiments import PRESETS
 from bousspec.jacobi import build_basis, glj_rule
 from bousspec.timestep import GAMMA_ORDER3, IntegrationPlan
-from golden import CELL_RTOL, GOLDEN, RATIO_RTOL, match_golden
+from golden import CELL_RTOL, CONVERGED_ATOL, GOLDEN, RATIO_RTOL, match_golden
+
+# rhs evaluations per step of each solve, in the order of its result's
+# "solves", as measured at one OpenBLAS thread; each may exceed its value by
+# max(0.1, 2 %)
+EVALS_PER_STEP = {
+    "table1": (14.25, 10.09, 7.09, 35.19, 21.19, 13.19),
+    "table2": (13.31, 9.19, 7.08, 31.50, 19.38, 13.17),
+    "table3": (14.19, 10.09, 7.09, 33.50, 21.19, 13.19),
+    "table5": (3.103, 3.009, 2.004),     # N = 128, 256, 512
+    "table5b": (3.397, 3.009, 2.077),    # N = 128, 256, 512
+    "table6": (2.007, 2.004, 2.002),     # N = 256, 512, 1024
+}
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -63,13 +77,28 @@ def _check_error_table(tag, result, reference, reference_rates):
     report(tag, ok, "; ".join(lines))
 
 
+def _check_work(preset, solves):
+    """Each solve's rhs evaluations per step against ``EVALS_PER_STEP``."""
+    over = []
+    for rec, measured in zip(solves, EVALS_PER_STEP[preset], strict=True):
+        per_step, bound = rec["rhs_evals"] / rec["steps"], measured + max(0.1, 0.02 * measured)
+        if not per_step <= bound:
+            over.append(f"N={rec['n']} k={rec['k']:.6g} gamma={rec['gamma']:.10g}: "
+                        f"{per_step:.3f} per step, above {bound:.3f}")
+    assert not over, f"{preset} work: {'; '.join(over)}"
+
+
 def _match_golden_table(preset, result):
-    golden = GOLDEN[preset]
-    assert list(golden) == [f"{g:.10g}" for g in result["columns"]]
+    """The errors and rates against their golden cells, and the errors
+    against the converged run."""
+    golden, converged = GOLDEN[preset], GOLDEN["converged"][preset]
+    assert list(golden) == list(converged) == [f"{g:.10g}" for g in result["columns"]]
     for gamma, (errors, rates) in result["columns"].items():
         label = f"{gamma:.10g}"
         match_golden(f"{preset} errors, gamma={label}", errors, golden[label]["errors"], CELL_RTOL)
         match_golden(f"{preset} rates, gamma={label}", rates, golden[label]["rates"], CELL_RTOL)
+        match_golden(f"{preset} errors against the converged run, gamma={label}", errors,
+                     converged[label], 0.0, CONVERGED_ATOL)
 
 
 def _match_written_table(preset, result, outdir):
@@ -105,10 +134,11 @@ def _error_table(preset):
 
 
 def _ratio_rows(preset, n_values):
-    """The rows of ``preset``'s ratio table on the chain ``n_values``, by N."""
+    """The rows of ``preset``'s ratio table on the chain ``n_values``, by N,
+    and the records of its solves."""
     cfg = dataclasses.replace(PRESETS[preset], n_values=n_values).validate()
-    rows = experiments.run_ratio_table(cfg, experiments._resolve_problem(cfg))["rows"]
-    return {row["n"]: row for row in rows}
+    result = experiments.run_ratio_table(cfg, experiments._resolve_problem(cfg))
+    return {row["n"]: row for row in result["rows"]}, result["solves"]
 
 
 # --- criterion 1: solitary-wave error table ---------------------------------
@@ -126,6 +156,7 @@ def test_criterion_1_table1(table1_result, tmp_path):
     rates = {0.5: (1.98, 1.99), timestep.GAMMA_ORDER3: (2.96, 2.99)}
     _check_error_table("1", table1_result, reference, rates)
     _match_golden_table("table1", table1_result)
+    _check_work("table1", table1_result["solves"])
     _match_written_table("table1", table1_result, tmp_path)
 
 
@@ -145,6 +176,7 @@ def test_criterion_2_table2(tmp_path):
     result = _error_table("table2")
     _check_error_table("2", result, reference, rates)
     _match_golden_table("table2", result)
+    _check_work("table2", result["solves"])
     _match_written_table("table2", result, tmp_path)
 
 
@@ -159,14 +191,16 @@ def test_criterion_3_table3(tmp_path):
     result = _error_table("table3")
     _check_error_table("3", result, reference, rates)
     _match_golden_table("table3", result)
+    _check_work("table3", result["solves"])
     _match_written_table("table3", result, tmp_path)
 
 
 # --- criteria 4-6: refinement quotients --------------------------------------
 
 def test_criterion_4_table5():
-    row_a = _ratio_rows("table5", (128, 256, 512))[128]
-    row_b = _ratio_rows("table5b", (128, 256, 512))[128]
+    rows_a, solves_a = _ratio_rows("table5", (128, 256, 512))
+    rows_b, solves_b = _ratio_rows("table5b", (128, 256, 512))
+    row_a, row_b = rows_a[128], rows_b[128]
     e_a, e_b = row_a["H1xH1"], row_b["H1xL2"]
     ok = abs(e_a - 2.818) <= 0.05 and abs(e_b - 2.823) <= 0.05
     ok &= 1.485 <= math.log2(e_a) <= 1.505 and 1.485 <= math.log2(e_b) <= 1.505
@@ -178,10 +212,13 @@ def test_criterion_4_table5():
     )
     _match_golden_row("table5", row_a)
     _match_golden_row("table5b", row_b)
+    _check_work("table5", solves_a)
+    _check_work("table5b", solves_b)
 
 
 def test_criterion_5_table6():
-    row = _ratio_rows("table6", (256, 512, 1024))[256]
+    rows, solves = _ratio_rows("table6", (256, 512, 1024))
+    row = rows[256]
     e_l2 = row["L2xL2"]
     e_h1 = row["H1xH1"]
     ok = abs(e_l2 - 2.813) <= 0.05 and abs(e_h1 - 1.413) <= 0.03
@@ -191,11 +228,12 @@ def test_criterion_5_table6():
         f"E_256(H1xH1)={e_h1:.4f} (want 1.413+-0.03)",
     )
     _match_golden_row("table6", row)
+    _check_work("table6", solves)
 
 
 @pytest.fixture(scope="module")
 def bore_chain():
-    return _ratio_rows("table4", (128, 256, 512, 1024))
+    return _ratio_rows("table4", (128, 256, 512, 1024))[0]
 
 
 @pytest.mark.slow

@@ -742,6 +742,10 @@ def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
     # the serial loop's first failure: N = 8
     assert capsys.readouterr().err == "numerical failure: N=8: matrix is singular\n"
+    # an error table solves in this process
+    cfg.write_text("include-preset = table1\nn = 8\nk-list = 0.5 0.25\n")
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "b")]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: N=8: matrix is singular\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -752,11 +756,16 @@ def test_cli_non_finite_field_names_n_and_exits_3(tmp_path, monkeypatch, capsys)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("include-preset = table2\nn = 16\nk-list = 0.5 0.25\n")
     initial_state = semidiscrete.initial_state
-    # fluxes such as u + eta*u overflow in the first evaluation of the field
-    monkeypatch.setattr(semidiscrete, "initial_state", lambda *args: 1e200 * initial_state(*args))
-    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith(
-        "numerical failure: N=16: semidiscrete vector field produced non-finite values at t=")
+    for scale, message in [
+        # fluxes such as u + eta*u overflow in the first evaluation of the field
+        (lambda: 1e200, "semidiscrete vector field produced non-finite values at t="),
+        # any ArithmeticError raised inside the solve: here an OverflowError
+        (lambda: math.exp(1e3), "math range error"),
+    ]:
+        monkeypatch.setattr(semidiscrete, "initial_state",
+                            lambda *args: scale() * initial_state(*args))
+        assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(f"numerical failure: N=16: {message}")
 
 
 def test_cli_diagnose_quadrature(capsys):

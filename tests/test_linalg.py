@@ -62,6 +62,9 @@ def test_roundtrip_poorly_conditioned(rng):
 
 
 def test_singular_matrix_is_reported_by_the_solve(rng):
+    # a numerical failure (exit 3) like FloatingPointError, not a bad config
+    assert issubclass(linalg.SingularMatrixError, ArithmeticError)
+    assert not issubclass(linalg.SingularMatrixError, ValueError)
     # a zero row stays zero through elimination and ends as an exactly zero pivot
     a = rng.standard_normal((64, 64))
     a[21, :] = 0.0
