@@ -3,13 +3,13 @@
     solver run <config|preset> [--output DIR]   execute an experiment, write artifacts
     solver diagnose quadrature [--mu M] [--N N] [--matrices]   Lobatto rule (and matrices)
     solver diagnose dispersion [--gamma G]      SDIRK phase error y - arg R(iy)
-    solver diagnose residual <config|preset>    PDE residual of its closed form
+    solver diagnose residual <config|preset>    PDE residuals its closed form's gate measured
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure: a
-stage iteration that diverged, a failed quadrature, an ArithmeticError
-(overflow, a singular mass block) or a ratio-table worker process that
-died.  A run writes to --output DIR, or to results/<name> under the
-working directory.
+Exit codes: 0 success, 2 configuration error or an artifact that cannot be
+written, 3 numerical failure: a stage iteration that diverged, a failed
+quadrature, an ArithmeticError (overflow, a singular mass block) or a
+ratio-table worker process that died.  A run writes to --output DIR, or
+to results/<name> under the working directory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, model, timestep
+from . import experiments, timestep
 from .experiments import ConfigError, ExperimentConfig, PRESETS
 from .jacobi import QuadratureError, build_basis
 from .timestep import StageDivergenceError
@@ -87,11 +87,9 @@ def _cmd_residual(args) -> int:
     if sol is None:
         raise ConfigError(f"{args.config!r} has initial-data {cfg.initial_data!r}, "
                           "which has no closed form")
-    grid = np.linspace(sol.x0 - 30.0, sol.x0 + 30.0, 2001)
-    r1, r2 = model.pde_residual(sol, sol.params, grid, 0.0)
     print("equation,max_residual")
-    print(f"eta,{r1:.6E}")
-    print(f"u,{r2:.6E}")
+    for name, r in zip(("eta", "u"), sol.residual):
+        print(f"{name},{r:.6E}")
     return EXIT_OK
 
 
@@ -117,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp = diag.add_parser("dispersion", help="phase error y - arg R(iy) of the SDIRK member")
     p_disp.add_argument("--gamma", type=experiments._parse_gamma, default=0.5)
     p_disp.set_defaults(func=_cmd_dispersion)
-    p_res = diag.add_parser("residual", help="PDE residual of a config's closed form")
+    p_res = diag.add_parser("residual", help="residuals of a config's closed form, from its gate")
     p_res.add_argument("config", help="config file path or preset name")
     p_res.set_defaults(func=_cmd_residual)
     return parser

@@ -222,8 +222,7 @@ def _resolve_problem(cfg: ExperimentConfig) -> Problem:
     if cfg.initial_data == "bore":
         eta_init, u_init, bdata = model.bore_data(cfg.amplitude, cfg.kappa)
     else:
-        kind = cfg.initial_data.replace("-", "_")
-        eta_init, u_init = model.nonsmooth_data(kind)
+        eta_init, u_init = model.nonsmooth_data(cfg.initial_data)
         bdata = BoundaryData.homogeneous()
     problem = Problem(params, imap, eta_init, u_init, bdata, None)
     if problem.boundary_mismatch > BORE_COMPAT_TOL:
@@ -536,11 +535,13 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
     Lines are ``key = value`` with ``#`` comments; lists are whitespace
     separated and read through ``CONFIG_KEYS``.  ``include-preset``, allowed
     only as the first key, starts from a named preset; later keys override.
-    Unknown keys, a later ``include-preset`` and bad values are errors naming
-    the line.  A preset's value that the run does not read is dropped for the
-    default; ``validate`` is told which keys the text wrote.
+    Unknown keys, a later ``include-preset``, a key written twice, both ``k``
+    and ``k-per-h``, and bad values are errors naming the lines.  A preset's
+    value that the run does not read is dropped for the default; ``validate``
+    is told which keys the text wrote.
     """
     base, updates, written = ExperimentConfig(name=name), {}, set()
+    setters = {}   # the fields a key sets -> (line, key) that set them
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -559,6 +560,11 @@ def parse_config(text: str, name: str = "run") -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         else:
             convert, *names = CONFIG_KEYS[key]
+            if tuple(names) in setters:
+                prev, prev_key = setters[tuple(names)]
+                raise ConfigError(f"line {lineno}: {key!r} conflicts with {prev_key!r} "
+                                  f"on line {prev}")
+            setters[tuple(names)] = lineno, key
             try:
                 values = convert(value)
             except (ValueError, KeyError, ZeroDivisionError) as exc:
@@ -688,7 +694,11 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
         if made:
             os.rmdir(outdir)    # still empty: the solves write nothing
         raise
-    written = write(result, outdir, cfg)
-    write_metadata(outdir, cfg, time.time() - started, problem.boundary_mismatch,
-                   result["solves"], workers=result.get("workers", 1))
+    try:
+        written = write(result, outdir, cfg)
+        write_metadata(outdir, cfg, time.time() - started, problem.boundary_mismatch,
+                       result["solves"], workers=result.get("workers", 1))
+    except OSError as exc:   # e.g. a directory, or a file, where an artifact goes
+        path = exc.filename or outdir
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
     return written

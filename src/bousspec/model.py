@@ -155,7 +155,8 @@ class ExactSolution:
 
     ``eta(x, t, deriv)`` and ``u(x, t, deriv)`` take physical coordinates;
     time derivatives follow from the traveling reduction d/dt = -speed d/dx.
-    Construction through the module factories runs the PDE residual gate.
+    Construction through the module factories runs the PDE residual gate,
+    which keeps its per-equation maxima (eta, u) in ``residual``.
     """
 
     def __init__(self, params: SystemParams, speed: float, x0: float, eta_fn, u_fn,
@@ -166,6 +167,7 @@ class ExactSolution:
         self._eta = eta_fn
         self._u = u_fn
         self.label = label
+        self.residual: tuple[float, float] | None = None
 
     def eta(self, x, t: float, deriv: int = 0):
         return self._eta(np.asarray(x, dtype=float) - self.speed * t - self.x0, deriv)
@@ -174,45 +176,50 @@ class ExactSolution:
         return self._u(np.asarray(x, dtype=float) - self.speed * t - self.x0, deriv)
 
 
-def pde_residual(sol: ExactSolution, params: SystemParams, grid, t: float):
+def pde_residual(sol: ExactSolution, grid, t: float):
     """Max-norm residuals of both equations at the grid points.
 
     Time derivatives use the traveling reduction, so eta_xxt = -c_s eta_xxx
     and the mixed terms need third x-derivatives of the closed forms.
     """
     x = np.asarray(grid, dtype=float)
-    cs = sol.speed
+    params, cs = sol.params, sol.speed
     eta = [sol.eta(x, t, d) for d in range(4)]
     u = [sol.u(x, t, d) for d in range(4)]
-    r1 = (
-        -cs * eta[1]
-        + u[1]
-        + eta[1] * u[0]
-        + eta[0] * u[1]
-        + params.b * cs * eta[3]
-    )
-    r2 = (
-        -cs * u[1]
-        + eta[1]
-        + u[0] * u[1]
-        + params.c * eta[3]
-        + params.d * cs * u[3]
-    )
+    r1 = -cs * eta[1] + u[1] + eta[1] * u[0] + eta[0] * u[1] + params.b * cs * eta[3]
+    r2 = -cs * u[1] + eta[1] + u[0] * u[1] + params.c * eta[3] + params.d * cs * u[3]
     return float(np.abs(r1).max()), float(np.abs(r2).max())
 
 
-def _validated(sol: ExactSolution, params: SystemParams, halfwidth: float) -> ExactSolution:
+def _validated(sol: ExactSolution, halfwidth: float) -> ExactSolution:
+    """``sol``, with the residual maxima over x0 +- halfwidth, moving with the
+    wave, at t = 0, 0.5 and 1 in ``sol.residual``, if they pass the gate."""
     grid = np.linspace(sol.x0 - halfwidth, sol.x0 + halfwidth, 2001)
     # np.max keeps a NaN residual, and the gate refuses it and an infinite one;
     # the overflow behind them is reported by the gate, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = np.max([pde_residual(sol, params, grid + sol.speed * t, t)
-                        for t in (0.0, 0.5, 1.0)])
+        sol.residual = tuple(np.max([pde_residual(sol, grid + sol.speed * t, t)
+                                     for t in (0.0, 0.5, 1.0)], axis=0).tolist())
+    worst = np.max(sol.residual)
     if not worst <= RESIDUAL_GATE:
         raise ValueError(
             f"closed form '{sol.label}' fails the residual gate: {worst:.3e}"
         )
     return sol
+
+
+def _sech2_wave(params: SystemParams, speed: float, x0: float, lam: float,
+                eta0: float, u0: float, label: str) -> ExactSolution:
+    """The gated wave eta = eta0 w, u = u0 w, w = sech^2(lam (x - speed t - x0))."""
+
+    def eta_fn(xi, d):
+        return eta0 * _sech2_derivs(lam, xi, d)
+
+    def u_fn(xi, d):
+        return u0 * _sech2_derivs(lam, xi, d)
+
+    sol = ExactSolution(params, speed, x0, eta_fn, u_fn, label=label)
+    return _validated(sol, halfwidth=30.0 / lam)
 
 
 def solitary_bona_smith(theta2: float, x0: float = 0.0) -> ExactSolution:
@@ -233,15 +240,7 @@ def solitary_bona_smith(theta2: float, x0: float = 0.0) -> ExactSolution:
         3.0 * (theta2 - 7.0 / 9.0) / ((theta2 - 1.0 / 3.0) * (theta2 - 2.0 / 3.0))
     )
     big_b = math.sqrt(2.0 * (1.0 - theta2) / (theta2 - 1.0 / 3.0))
-
-    def eta_fn(xi, d):
-        return eta0 * _sech2_derivs(lam, xi, d)
-
-    def u_fn(xi, d):
-        return big_b * eta0 * _sech2_derivs(lam, xi, d)
-
-    sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bs-solitary")
-    return _validated(sol, params, halfwidth=30.0 / lam)
+    return _sech2_wave(params, cs, x0, lam, eta0, big_b * eta0, "bs-solitary")
 
 
 def traveling_bbm(rho: float, cs: float, x0: float = 0.0) -> ExactSolution:
@@ -286,7 +285,7 @@ def traveling_bbm(rho: float, cs: float, x0: float = 0.0) -> ExactSolution:
         return (u_base if d == 0 else 0.0) + u_amp * w
 
     sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bbm-traveling")
-    return _validated(sol, params, halfwidth=30.0 / lam)
+    return _validated(sol, halfwidth=30.0 / lam)
 
 
 def solitary_b_neq_d(eta0: float, x0: float = 0.0) -> ExactSolution:
@@ -306,16 +305,7 @@ def solitary_b_neq_d(eta0: float, x0: float = 0.0) -> ExactSolution:
     lam2 = 2.0 * eta0 / (params.b * (3.0 + 2.0 * eta0))
     if lam2 <= 0.0:
         raise ValueError(f"amplitude {eta0} gives no real decay rate")
-    lam = 0.5 * math.sqrt(lam2)
-
-    def eta_fn(xi, d):
-        return eta0 * _sech2_derivs(lam, xi, d)
-
-    def u_fn(xi, d):
-        return u0 * _sech2_derivs(lam, xi, d)
-
-    sol = ExactSolution(params, cs, x0, eta_fn, u_fn, label="bneqd-solitary")
-    return _validated(sol, params, halfwidth=30.0 / lam)
+    return _sech2_wave(params, cs, x0, 0.5 * math.sqrt(lam2), eta0, u0, "bneqd-solitary")
 
 
 def bore_u0(eta0: float) -> float:
@@ -352,11 +342,11 @@ def bore_data(eta0: float, kappa: float):
 def nonsmooth_data(kind: str):
     """Initial data on [-1, 1] with limited regularity: (eta_init, u_init).
 
-    'piecewise_quadratic': eta = 1 + 2x + x^2 for x <= 0, 1 + 2x - 3x^2 for
+    'piecewise-quadratic': eta = 1 + 2x + x^2 for x <= 0, 1 + 2x - 3x^2 for
     x >= 0 (second derivative jumps at 0), u = eta.  'tent': eta = 1 - |x|,
     u = 0.
     """
-    if kind == "piecewise_quadratic":
+    if kind == "piecewise-quadratic":
 
         def eta_init(x):
             x = np.asarray(x, dtype=float)

@@ -347,13 +347,13 @@ def test_criterion_9_residual_gates():
         lambda: model.solitary_b_neq_d(1.0),
     ):
         sol = factory()
-        worst = max(worst, *model.pde_residual(sol, sol.params, grid, 0.5))
+        worst = max(worst, *model.pde_residual(sol, grid, 0.5))
     sol = model.solitary_bona_smith(9 / 11)
     bad = model.ExactSolution(
         sol.params, sol.speed, 0.0,
         lambda xi, d: 1.01 * sol._eta(xi, d), sol._u,
     )
-    neg = max(model.pde_residual(bad, sol.params, grid, 0.0))
+    neg = max(model.pde_residual(bad, grid, 0.0))
     ok = worst <= 1e-8 and neg >= 1e-4
     report("9", ok, f"families max residual {worst:.2e}; perturbed control {neg:.2e}")
 

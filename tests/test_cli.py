@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bousspec
 from bousspec import cli, experiments
 from bousspec.analysis import NormSpec
 from bousspec.experiments import ConfigError, PRESETS, parse_config
@@ -67,16 +66,14 @@ def test_readme_cli_block_lists_every_command():
     assert sorted(documented) == sorted(_commands(cli.build_parser()))
 
 
-def test_public_names_exist_sorted_and_unique():
-    assert all(hasattr(bousspec, name) for name in bousspec.__all__)
-    assert bousspec.__all__ == sorted(set(bousspec.__all__))
-
-
 def test_parse_config_overrides_preset():
     cfg = parse_config(QUICK_RATIO, name="quick")
     assert cfg.mode == "ratio_table"
     assert cfg.n_values == (16, 32, 64)
     assert cfg.theta2 == pytest.approx(2 / 3)
+    # a step written once replaces the preset's step of the other kind
+    cfg = parse_config(QUICK_RATIO + "k = 0.01")
+    assert (cfg.k, cfg.k_per_h) == (0.01, None)
 
 
 def test_parse_config_fraction_and_gamma_aliases():
@@ -103,6 +100,13 @@ def test_parse_config_fraction_and_gamma_aliases():
          "line 3: include-preset must be the first key"),
         ("include-preset = table1\nn = 32\ninclude-preset = table2",
          "line 3: include-preset must be the first key"),
+        # a key is written once, and the step as k or as k-per-h, not both
+        ("include-preset = table5\nn = 16 32 64\nn = 8 16 32",
+         "line 3: 'n' conflicts with 'n' on line 2"),
+        ("include-preset = table5\nn = 16 32 64\nk-per-h = 0.1\nk = 0.01",
+         "line 4: 'k' conflicts with 'k-per-h' on line 3"),
+        ("mode = snapshot\nk = 0.01\nn = 16\nk-per-h = 0.1",
+         "line 4: 'k-per-h' conflicts with 'k' on line 2"),
         ("mode = ratio_table\nn = 16 32\nk = 0.1", "three N values"),
         ("mode = ratio_table\nn = 16 32 48\nk = 0.1", "doubling chain"),
         ("mode = snapshot\nn = 16\ninitial-data = tent\ntheta2 = 2/3", "exactly one"),
@@ -202,6 +206,22 @@ def test_cli_uncreatable_output_exits_2_before_any_solve(tmp_path, capsys, monke
 
 SMALL_TABLE1 = "include-preset = table1\nn = 32\nk-list = 0.5 0.25\n"
 SMALL_BORE = "include-preset = bore\nn = 16\nt-end = 0.8\nsnapshot-times = 0.8\n"
+
+
+@pytest.mark.parametrize("text, blocker, make", [
+    (SMALL_TABLE1, "errors.csv", lambda path: path.mkdir()),       # open() of a directory
+    (SMALL_BORE, "snapshots", lambda path: path.write_text("")),   # makedirs over a file
+])
+def test_cli_unwritable_artifact_exits_2_naming_it(tmp_path, capsys, text, blocker, make):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    make(out / blocker)
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {str(out / blocker)!r}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -823,12 +843,12 @@ def test_cli_diagnose_dispersion_checks_gamma_like_a_config(capsys, gamma, code)
 
 
 def test_cli_diagnose_residual(capsys):
+    # the printed numbers are the ones the closed form's gate accepted
     for preset in ("table1", "table2", "table3"):
         assert cli.main(["diagnose", "residual", preset]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "equation,max_residual"
-        assert float(out[1].split(",")[1]) <= 1e-8, preset
-        assert float(out[2].split(",")[1]) <= 1e-8, preset
+        out = capsys.readouterr().out
+        r1, r2 = experiments.closed_form(PRESETS[preset]).residual
+        assert out == f"equation,max_residual\neta,{r1:.6E}\nu,{r2:.6E}\n", preset
 
 
 def test_cli_diagnose_residual_refuses_data_without_closed_form(capsys):
@@ -840,14 +860,17 @@ def test_cli_diagnose_residual_refuses_data_without_closed_form(capsys):
 
 
 def test_cli_diagnose_residual_centres_the_grid_on_x0(tmp_path, monkeypatch, capsys):
-    # a config's x0 moves the wave and the grid with it
+    # a config's x0 moves the wave and the gate's grid with it
     cfg = tmp_path / "moved.cfg"
     cfg.write_text("include-preset = table1\nx0 = 25\n")
-    grids = []
-    monkeypatch.setattr(cli.model, "pde_residual",
-                        lambda sol, params, grid, t: grids.append(grid) or (0.0, 0.0))
+    calls = []
+    pde_residual = experiments.model.pde_residual
+    monkeypatch.setattr(experiments.model, "pde_residual",
+                        lambda sol, grid, t: calls.append((grid, t)) or pde_residual(sol, grid, t))
     assert cli.main(["diagnose", "residual", str(cfg)]) == 0
-    assert grids[-1][[0, 1000, -1]].tolist() == [-5.0, 25.0, 55.0]   # [0]: the closed form's gate
+    assert [t for _, t in calls] == [0.0, 0.5, 1.0]
+    grid = calls[0][0]
+    assert grid[1000] == pytest.approx(25.0) and grid[0] + grid[-1] == pytest.approx(50.0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -123,9 +123,10 @@ def test_traveling_bbm_translation_property(rng):
 )
 def test_residual_gate_all_families(factory):
     sol = factory()
+    assert max(sol.residual) <= 1e-8   # what the gate measured
     grid = np.linspace(-40.0, 40.0, 2001)
     for t in (0.0, 0.5, 1.0):
-        r1, r2 = model.pde_residual(sol, sol.params, grid, t)
+        r1, r2 = model.pde_residual(sol, grid, t)
         assert max(r1, r2) <= 1e-8
 
 
@@ -135,7 +136,7 @@ def test_residual_zero_solution():
         lambda xi, d: np.zeros_like(np.asarray(xi, dtype=float)),
         lambda xi, d: np.zeros_like(np.asarray(xi, dtype=float)),
     )
-    r1, r2 = model.pde_residual(zero, zero.params, np.linspace(-1, 1, 11), 0.0)
+    r1, r2 = model.pde_residual(zero, np.linspace(-1, 1, 11), 0.0)
     assert r1 == 0.0 and r2 == 0.0
 
 
@@ -145,7 +146,7 @@ def test_residual_detects_perturbed_amplitude():
         sol.params, sol.speed, 0.0,
         lambda xi, d: 1.01 * sol._eta(xi, d), sol._u, label="perturbed",
     )
-    r1, r2 = model.pde_residual(bad, sol.params, np.linspace(-20.0, 20.0, 2001), 0.0)
+    r1, r2 = model.pde_residual(bad, np.linspace(-20.0, 20.0, 2001), 0.0)
     assert max(r1, r2) >= 1e-4
 
 
@@ -167,7 +168,7 @@ def test_bore_data_shape_and_compatibility():
 
 
 def test_piecewise_quadratic_data():
-    eta0, u0 = model.nonsmooth_data("piecewise_quadratic")
+    eta0, u0 = model.nonsmooth_data("piecewise-quadratic")
     assert eta0(0.0) == 1.0
     assert eta0(-1.0) == 0.0 and eta0(1.0) == 0.0
     assert u0(0.3) == eta0(0.3)
