@@ -61,11 +61,16 @@ def _cmd_quadrature(args) -> int:
     for x, w in zip(basis.nodes, basis.weights):
         print(f"{x:.15E},{w:.15E}")
     if args.matrices:
-        for label, mat in (("d1", basis.d1), ("d2", basis.d2), ("psi", basis.psi)):
-            print(f"# {label}")
-            for row in np.atleast_2d(mat):
-                print(",".join(f"{v:.15E}" for v in row))
+        # one dense matrix at a time: each is freed when its print returns
+        for label in ("d1", "d2", "psi"):
+            _print_matrix(label, getattr(basis, label))
     return EXIT_OK
+
+
+def _print_matrix(label: str, mat: np.ndarray) -> None:
+    print(f"# {label}")
+    for row in np.atleast_2d(mat):
+        print(",".join(f"{v:.15E}" for v in row))
 
 
 def _cmd_dispersion(args) -> int:

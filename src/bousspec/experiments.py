@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import resource
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -35,10 +37,10 @@ from .jacobi import build_basis
 from .model import BoundaryData, IntervalMap
 
 BORE_COMPAT_TOL = 1e-8   # accepted smoothed-step/boundary mismatch (tanh tail)
-# A basis keeps O(N) data, and assembly peaks at about 2.3 dense (N+1)^2
-# matrices (0.13 GB each at N = 4096) with c = 0 and 3.5 with c != 0: a
-# one-step N = 4096 bore run (c = 0) peaked at 0.33 GB of RSS.  The largest
-# preset N is 1024.
+# A basis keeps O(N) data, and a run's peak RSS grows as about 2.0 dense
+# (N+1)^2 matrices (0.13 GB each at N = 4096) with c = 0 and 2.4-2.7 with
+# c != 0: one-step N = 4096 runs peaked at 0.29 GB of RSS (bore, c = 0)
+# and 0.36 GB (table1's system, c != 0).  The largest preset N is 1024.
 N_MAX = 4096
 # the two-stage SDIRK family is stable on the imaginary axis only for gamma >= 1/4,
 # and its stage abscissae gamma k and (1 - gamma) k lie in the step only for gamma <= 1
@@ -244,12 +246,20 @@ class RunResult:
     record: dict
 
 
+def _peak_rss_mb() -> float:
+    """The peak resident set size of this process so far, in MB (2^20 bytes):
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 2)
+
+
 def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
     """Build the basis at N, assemble, and integrate the (gamma, plan)
     ``runs`` in lockstep from one read-only initial state; one RunResult
-    per run, in order.  The solution operators are freed on return.  A
-    numerical failure of the solve is raised again, of the same type,
-    with N in its message."""
+    per run, in order, whose record holds the peak RSS of the process that
+    ran the solve, read when the solve ends.  The solution operators are
+    freed on return.  A numerical failure of the solve is raised again, of
+    the same type, with N in its message."""
     try:
         basis = build_basis(0.0, n)
         sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
@@ -261,13 +271,15 @@ def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
         raise timestep.StageDivergenceError(exc.problem, exc.gamma, exc.k, exc.step, n) from exc
     except ArithmeticError as exc:
         raise type(exc)(f"N={n}: {exc}") from exc
+    peak = _peak_rss_mb()
     wrapped = []
     for (gamma, plan), (tf, y, raw_snaps, stats) in zip(runs, results):
         sols = [analysis.NodalSolution(basis, problem.imap,
                                        *semidiscrete.nodal_values(ys, problem.bdata.at(ts)), ts)
                 for ts, ys in [(tf, y)] + raw_snaps]
         wrapped.append(RunResult(solution=sols[0], snapshots=sols[1:], stats=stats,
-                                 record={"n": n, "k": plan.k, "gamma": gamma, **asdict(stats)}))
+                                 record={"n": n, "k": plan.k, "gamma": gamma, **asdict(stats),
+                                         "peak_rss_mb": peak}))
     return wrapped
 
 
@@ -658,11 +670,14 @@ def write_snapshots(result: dict, outdir: str, cfg: ExperimentConfig) -> list[st
 def write_metadata(outdir: str, cfg: ExperimentConfig, wall_time: float,
                    boundary_mismatch: float, solves=(), *, workers: int) -> str:
     """Write the run record ``run.json``, apart from the byte-reproducible CSVs:
-    the versions (numpy's BLAS does every product and solve), the wall time,
-    the problem's boundary mismatch (``Problem``), the processes that ran the
-    solves, the config and each solve's ``RunResult.record`` in solve order."""
+    the versions (numpy's BLAS does every product and solve, and is named
+    with its version), the wall time, the problem's boundary mismatch
+    (``Problem``), the processes that ran the solves, the config and each
+    solve's ``RunResult.record`` in solve order."""
     import json   # lazily, like fork_map's signal: the CLI's import path stays as it was
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {"version": __version__, "numpy": np.__version__,
+              "blas": {"name": blas.get("name"), "version": blas.get("version")},
               "wall_time_seconds": round(wall_time, 3), "boundary_mismatch": boundary_mismatch,
               "workers": workers, "config": asdict(cfg), "solves": list(solves)}
     path = os.path.join(outdir, "run.json")

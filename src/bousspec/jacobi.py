@@ -325,7 +325,8 @@ def aux_matrix(mu: float, nodes: np.ndarray, d1: np.ndarray) -> np.ndarray:
     interior basis functions j = 1..N-1.  Interior rows vanish off the
     diagonal; the diagonal is 2 x_j mu / (1 - x_j^2).  At the endpoints the
     value equals -mu psi_j'(+-1) (write psi_j = (1-x^2) q; then the column
-    function is 2 x mu q(x) and psi_j'(+-1) = -(+-2) q(+-1)).
+    function is 2 x mu q(x) and psi_j'(+-1) = -(+-2) q(+-1)).  Of ``d1``
+    only the first and the last row are read: the dense D1, or those two.
     """
     mu = validate_mu(mu)
     nodes = np.asarray(nodes, dtype=float)
@@ -335,7 +336,7 @@ def aux_matrix(mu: float, nodes: np.ndarray, d1: np.ndarray) -> np.ndarray:
     cols = np.arange(n - 1)
     psi[1 + cols, cols] = 2.0 * xj * mu / (1.0 - xj * xj)
     psi[0, :] = -mu * d1[0, 1:n]
-    psi[n, :] = -mu * d1[n, 1:n]
+    psi[n, :] = -mu * d1[-1, 1:n]
     return psi
 
 
@@ -381,8 +382,9 @@ class JacobiBasis:
 
     @property
     def psi(self) -> np.ndarray:
-        """The auxiliary matrix (``aux_matrix``)."""
-        return aux_matrix(self.mu, self.nodes, self.d1)
+        """The auxiliary matrix (``aux_matrix``), from the end rows of D1."""
+        ends = [d1_block(self, rows=slice(i, i + 1)) for i in (0, self.n)]
+        return aux_matrix(self.mu, self.nodes, np.vstack(ends))
 
 
 def _build_basis(mu: float, n: int) -> JacobiBasis:
@@ -422,10 +424,10 @@ def d1_matmul(basis: JacobiBasis, values) -> np.ndarray:
 
 def matmul_d1(x: np.ndarray, basis: JacobiBasis) -> np.ndarray:
     """x @ D1, for an r x (N+1) block x, forming D1 one block of columns
-    at a time (``_d1_spans``)."""
+    at a time (``_d1_spans``) and writing each product into its columns."""
     out = np.empty(x.shape)
     for cols in _d1_spans(basis.n + 1, len(x)):
-        out[:, cols] = x @ d1_block(basis, cols=cols)
+        np.matmul(x, d1_block(basis, cols=cols), out=out[:, cols])
     return out
 
 

@@ -39,12 +39,13 @@ half size (the even-odd decomposition: Solomonoff, J. Comput. Phys. 98
 (1992) 174-177; Kopriva, Implementing Spectral Methods for PDEs, Springer
 2009).  Assembly works in the folded form throughout: each distinct mass
 matrix splits into an even and an odd half block, each half block is
-factored once and solved against the folded G (and |c| B2), and the full
-(N-1)^2 operators are never formed.  Of G, B and B2 only the top half
+solved against the folded G (and |c| B2), and the full (N-1)^2 operators
+are never formed.  Of G, B and B2 only the top half
 rows are formed, from blocks of D1 (the basis keeps no dense matrix), and
-the mirror symmetry gives the rows below; each half block's mass block
-and right-hand sides are folded from them into fresh buffers and solved
-by one LAPACK call (``linalg``).
+the mirror symmetry gives the rows below.  The folded right-hand sides go
+straight into their slots of the operator stack, each source is freed
+once folded, and each slot is solved in place by one LAPACK call per
+source block (``linalg``).
 
 The folded operators M_b^-1 G, M_d^-1 G and (when c != 0) -|c| M_d^-1 B2
 are stacked in one array, ``AssembledSystem.ops``, whose shape alone
@@ -141,28 +142,30 @@ def _aligned_zeros(shape) -> np.ndarray:
 
 
 def _fold(x: np.ndarray, half: int, f: int, out: np.ndarray) -> np.ndarray:
-    """X U_e (f = 0) or X U_o (f = 1) into ``out``, for an r x m block X,
+    """U_e^T X (f = 0) or U_o^T X (f = 1) into ``out``, for an m x r block X,
     with U_e (U_o) the m x half (m x (m - half)) map from the top half of
-    an even (odd) vector to the whole vector: a column plus its mirror (a
-    centre column once) or a column minus its mirror."""
-    pairs = x.shape[1] - half
-    mirror = x[:, ::-1]
+    an even (odd) vector to the whole vector: a row plus its mirror (a
+    centre row once) or a row minus its mirror.  The callers fold the
+    columns of a row block by passing its transpose, so that ``out`` is
+    written row by row."""
+    pairs = len(x) - half
+    mirror = x[::-1]
     if f:
-        return np.subtract(x[:, :pairs], mirror[:, :pairs], out=out)
-    np.add(x[:, :half], mirror[:, :half], out=out)
+        return np.subtract(x[:pairs], mirror[:pairs], out=out)
+    np.add(x[:half], mirror[:half], out=out)
     if half > pairs:
-        out[:, -1] *= 0.5
+        out[-1] *= 0.5
     return out
 
 
-def _top_rows(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
+def _top_rows(basis: JacobiBasis, imap: IntervalMap):
     """The interior weights, in physical scaling, and the top half rows of
-    G, B = G D1 and (when ``stiff``) B2 = B D1, in reference scaling.
+    G and B = G D1, in reference scaling.
 
     In reference scaling G is the same (the weights scale by s, D1 and Psi
-    by 1/s); B scales by 1/s and B2 by 1/s^2.  The rows of G are columns of
-    D1 times the weights, and B and B2 come from products with D1 formed a
-    block of columns at a time, so neither D1 nor D2 is ever formed whole.
+    by 1/s); B scales by 1/s (and B2 = B D1 by 1/s^2).  The rows of G are
+    columns of D1 times the weights, and B comes from a product with D1
+    formed a block of columns at a time, so D1 is never formed whole.
     """
     n, mu = basis.n, basis.mu
     half = n // 2
@@ -177,20 +180,21 @@ def _top_rows(basis: JacobiBasis, imap: IntervalMap, stiff: bool):
     j = np.arange(1, half + 1)
     xj = basis.nodes[j]
     g[j - 1, j] = (basis.d1_diag[j] - 2.0 * xj * mu / (1.0 - xj * xj)) * w[j]
-    del cols                # freed before the products
-    b = matmul_d1(g, basis)
-    return imap.scale * w[1:n], g, b, matmul_d1(b, basis) if stiff else None
+    del cols                # freed before the product
+    return imap.scale * w[1:n], g, matmul_d1(g, basis)
 
 
 def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> AssembledSystem:
     """Build the folded G-NI blocks and solve the folded mass systems.
 
     The eta-equation mass uses coefficient b, the u-equation mass uses d;
-    with b == d one pair of half-size factorizations and solves serves both
-    equations.  Only the top half rows of G, B and B2 are formed
-    (``_top_rows``); each half block's mass block and right-hand sides are
-    folded from them into fresh buffers, solved by one LAPACK call
-    (``linalg``) and freed before the next half block.
+    with b == d one pair of half blocks serves both equations.  Each piece
+    of the set-up lives only as long as it is needed: the folds of G's top
+    half rows (``_top_rows``) go straight into their slots of ``ops`` and G
+    is freed; B2 = B D1 is formed only then, folded and freed; B is freed
+    once the last mass block is folded from it.  Each slot is solved in
+    place, one LAPACK call per source block of a half block (``linalg``),
+    and the edge columns of a half block by one more.
     """
     n = basis.n
     m = n - 1
@@ -199,53 +203,49 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
     p = params
     absc = abs(p.c)
     s = imap.scale
-    w, g, b, b2 = _top_rows(basis, imap, absc > 0.0)
+    w, g, b = _top_rows(basis, imap)
     interior, edge = slice(1, n), [0, n]
+    width = 2 * half if absc else half
+    # per equation, u first: its mass coefficient and its operators
+    if p.b == p.d:
+        ops = _aligned_zeros((2, width, half))
+        eqs = [(p.d, ops)]
+    else:
+        ops = _aligned_zeros((2, 2, width, half))
+        eqs = [(p.d, ops[:, 1]), (p.b, ops[:, 0, :half])]
+    sizes = (pairs, half)
+
+    def slot(out: np.ndarray, k: int, f: int) -> np.ndarray:
+        """Source block k's (0: G, 1: B2) part of an equation's operators
+        for the folds of parity f, as stored: a row per fold, a column per
+        row of its image.  Images of even folds (f = 0, half of them) are
+        odd, with rows [:pairs], and of odd folds (f = 1, pairs of them)
+        even, with rows [:half]."""
+        return out[f, k * half:k * half + sizes[1 - f], :sizes[f]]
+
+    def fold_source(src: np.ndarray, k: int, div: float, c: float, outs) -> None:
+        # the divisor of the source's reference scaling, and its factor: a
+        # fold counts each mirror pair twice, hence the 1/2 in c
+        for out in outs:
+            for f in (0, 1):
+                cell = _fold(src[:sizes[f], interior].T, half, f, slot(out, k, f))
+                cell /= div
+                cell *= c
+
     # the edge columns' top rows, and the rows of their mirror images (row
     # m-1-k of a column is row k of the other end's column): B is even
     # under the flip of rows and columns, G and B2 = B D1 are odd
     mass_edge = b[:, edge] / s
     grad_edge = g[:, edge]
-    third_edge = b2[:, edge] / (s * s) if absc else np.zeros((half, 2))
-
-    def solve_folded(coeff: float, out: np.ndarray, edge_top: np.ndarray,
-                     edge_mirror: np.ndarray) -> np.ndarray:
-        """Fold M^-1 G (and -|c| M^-1 B2 when ``out`` has room) into ``out``
-        for the mass matrix M = W + coeff B, from its even and odd half
-        blocks; return the dense M^-1 of the edge columns, whose top rows
-        are ``edge_top`` and mirror rows ``edge_mirror``."""
-        blocks = out.shape[1] // half
-        # each source row block, the divisor of its reference scaling, its factor
-        sources = ((g, 1.0, 0.5), (b2, s * s, -0.5 * absc))[:blocks]
-
-        def solve_half(f: int, size: int, width: int, sign: float) -> np.ndarray:
-            # images of even folds (f = 0, width half) are odd, rows [:pairs],
-            # and of odd folds (f = 1, width pairs) even, rows [:half]; the
-            # block is (M U_o)[:pairs] or (M U_e)[:half].  A fold counts each
-            # mirror pair twice, hence the 1/2.  Returns the edge columns.
-            block = _fold(b[:size, interior], half, 1 - f, np.empty((size, size)))
-            block /= s
-            block *= coeff
-            block[np.diag_indices(size)] += w[:size]
-            rhs = np.empty((size, blocks * width + edge_top.shape[1]))
-            for k, (src, div, c) in enumerate(sources):
-                cell = _fold(src[:size, interior], half, f, rhs[:, k * width:(k + 1) * width])
-                cell /= div
-                cell *= c
-            rhs[:, blocks * width:] = 0.5 * (edge_top[:size] + sign * edge_mirror[:size])
-            x = linalg.lu_solve(linalg.lu_factor(block), rhs)
-            for k in range(blocks):
-                out[f, k * half:k * half + width, :size] = x[:, k * width:(k + 1) * width].T
-            return x[:, blocks * width:].copy()
-
-        # one half block at a time, so one set of its buffers is alive
-        edge_odd = solve_half(0, pairs, half, -1.0)
-        edge_even = solve_half(1, half, pairs, 1.0)
-        solved = np.empty((m, edge_top.shape[1]))
-        solved[:half] = edge_even
-        solved[:pairs] += edge_odd
-        solved[::-1][:pairs] = edge_even[:pairs] - edge_odd
-        return solved
+    fold_source(g, 0, 1.0, 0.5, [out for _, out in eqs])
+    del g
+    if absc:
+        b2 = matmul_d1(b, basis)
+        third_edge = b2[:, edge] / (s * s)
+        fold_source(b2, 1, s * s, -0.5 * absc, [eqs[0][1]])
+        del b2
+    else:
+        third_edge = np.zeros((half, 2))
 
     def edge_rows(coeff: float, third: bool):
         parts = [(-coeff * mass_edge, 1.0), (grad_edge, -1.0)]
@@ -254,15 +254,33 @@ def assemble(basis: JacobiBasis, params: SystemParams, imap: IntervalMap) -> Ass
         return (np.hstack([e for e, _ in parts]),
                 np.hstack([sign * e[:, ::-1] for e, sign in parts]))
 
-    width = 2 * half if absc else half
-    if p.b == p.d:
-        ops = _aligned_zeros((2, width, half))
-        edge_u = solve_folded(p.d, ops, *edge_rows(p.d, True))
-        edge_eta = edge_u[:, :4]
-    else:
-        ops = _aligned_zeros((2, 2, width, half))
-        edge_u = solve_folded(p.d, ops[:, 1], *edge_rows(p.d, True))
-        edge_eta = solve_folded(p.b, ops[:, 0, :half], *edge_rows(p.b, False))
+    solved = []
+    for i, (coeff, out) in enumerate(eqs):
+        edge_top, edge_mirror = edge_rows(coeff, i == 0)
+        halves = []
+        for f, size in enumerate(sizes):
+            # (M U_o)[:pairs] (f = 0) or (M U_e)[:half] (f = 1), formed a row
+            # of its transpose at a time: LAPACK reads it without transposing
+            block = _fold(b[:size, interior].T, half, 1 - f, np.empty((size, size))).T
+            if f and i == len(eqs) - 1:
+                del b
+            block /= s
+            block *= coeff
+            block[np.diag_indices(size)] += w[:size]
+            block = linalg.lu_factor(block)
+            for k in range(out.shape[1] // half):
+                cell = slot(out, k, f)
+                cell[...] = linalg.lu_solve(block, cell.T).T
+            sign = 1.0 if f else -1.0
+            halves.append(linalg.lu_solve(block, 0.5 * (edge_top[:size] + sign * edge_mirror[:size])))
+        edge_odd, edge_even = halves
+        full = np.empty((m, edge_top.shape[1]))
+        full[:half] = edge_even
+        full[:pairs] += edge_odd
+        full[::-1][:pairs] = edge_even[:pairs] - edge_odd
+        solved.append(full)
+    edge_u = solved[0]
+    edge_eta = solved[-1] if p.b != p.d else edge_u[:, :4]
     return AssembledSystem(basis=basis, ops=ops, edge_eta=edge_eta, edge_u=edge_u)
 
 

@@ -468,6 +468,8 @@ def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves, worker
     assert cli.main(["run", str(cfg_file), "--output", str(out)]) == 0
     meta = _run_record(out)
     assert meta["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert meta["workers"] == workers
     records = meta["solves"]
     assert [(r["n"], r["k"], r["gamma"]) for r in records] == pytest.approx(solves)
@@ -476,6 +478,8 @@ def test_cli_run_records_integration_stats(tmp_path, text, t_end, solves, worker
         assert 2 * rec["steps"] <= rec["rhs_evals"]
         assert 1 <= rec["max_stage_iters"] <= rec["rhs_evals"]
         assert 0.0 <= rec["max_stage_residual"] <= STAGE_TOL
+        # this interpreter alone holds more than 10 MB
+        assert isinstance(rec["peak_rss_mb"], float) and 10.0 < rec["peak_rss_mb"] < 1e4
 
 
 @pytest.mark.parametrize("text, window", [
@@ -603,9 +607,11 @@ def test_ratio_table_bytes_do_not_depend_on_worker_count(tmp_path, preset):
                            OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         assert done.returncode == 0, done.stderr
         meta = _run_record(tmp_path / label)
+        # a solve's peak RSS is that of the process that ran it
+        solves = [{k: v for k, v in rec.items() if k != "peak_rss_mb"} for rec in meta["solves"]]
         outs[label] = ((tmp_path / label / "ratios.csv").read_bytes(),
                        (tmp_path / label / "table.md").read_bytes(),
-                       meta["solves"], meta["workers"])
+                       solves, meta["workers"])
     assert outs["pinned"][3] == 1
     assert outs["default"][3] == min(len(os.sched_getaffinity(0)), 4)
     assert outs["default"][:3] == outs["pinned"][:3]
@@ -755,8 +761,8 @@ def test_cli_singular_mass_exits_3(tmp_path, monkeypatch, capsys):
 
     def singular(*args):
         # zero weights and rows of B: every folded mass block is exactly 0
-        w, g, b, b2 = top_rows(*args)
-        return 0.0 * w, g, 0.0 * b, b2
+        w, g, b = top_rows(*args)
+        return 0.0 * w, g, 0.0 * b
 
     monkeypatch.setattr(semidiscrete, "_top_rows", singular)
     assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL

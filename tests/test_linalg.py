@@ -87,3 +87,17 @@ def test_non_finite_entries_are_a_numerical_failure(bad):
 def test_non_square_matrix_is_refused(shape):
     with pytest.raises(ValueError, match="must be square"):
         linalg.lu_factor(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 257])
+def test_columns_solve_to_the_same_bits_in_any_split(rng, n):
+    # the assembly solves a block against one source block of right-hand
+    # sides at a time; a column, a one-column matrix included, must come
+    # out as it does among all of them
+    a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    rhs = rng.standard_normal((n, 12))
+    whole = linalg.lu_solve(a, rhs)
+    for lo, hi in [(0, 1), (1, 3), (3, 12), (5, 6)]:
+        assert np.array_equal(linalg.lu_solve(a, rhs[:, lo:hi]), whole[:, lo:hi]), (lo, hi)
+    # a transposed (Fortran-ordered) view, as the operator slots are passed
+    assert np.array_equal(linalg.lu_solve(a, np.ascontiguousarray(rhs.T).T), whole)
