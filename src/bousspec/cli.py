@@ -7,9 +7,9 @@
 
 Exit codes: 0 success, 2 configuration error or an artifact that cannot be
 written, 3 numerical failure: a stage iteration that diverged, a failed
-quadrature, an ArithmeticError (overflow, a singular mass block) or a
-ratio-table worker process that died.  A run writes to --output DIR, or
-to results/<name> under the working directory.
+quadrature, an ArithmeticError (overflow, a non-finite stage, a singular
+mass block) or a ratio-table worker process that died.  A run writes to
+--output DIR, or to results/<name> under the working directory.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ArithmeticError covers overflow, division by zero and a singular mass
-    # block (linalg.SingularMatrixError), ChildProcessError a fork_map worker that died
+    # ArithmeticError covers overflow, division by zero, a non-finite stage and a
+    # singular mass block (linalg.SingularMatrixError), ChildProcessError a dead fork_map worker
     except (StageDivergenceError, QuadratureError, ArithmeticError, ChildProcessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -21,6 +21,7 @@ lockstep) and writes its tables through ``_write_tables``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -703,17 +704,25 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     run, write = {"error_table": (run_error_table, write_error_table),
                   "ratio_table": (run_ratio_table, write_ratio_table),
                   "snapshot": (run_snapshot, write_snapshots)}[cfg.mode]
+    before = _paths(outdir)
     try:
         result = run(cfg, problem)
+        try:
+            written = write(result, outdir, cfg)
+            write_metadata(outdir, cfg, time.time() - started, problem.boundary_mismatch,
+                           result["solves"], workers=result.get("workers", 1))
+        except OSError as exc:   # e.g. a directory, or a file, where an artifact goes
+            raise ConfigError(f"cannot write {exc.filename or outdir!r}: {exc.strerror or exc}") from exc
     except BaseException:
-        if made:
-            os.rmdir(outdir)    # still empty: the solves write nothing
+        # no partial table: remove what the run made, children first, not what was there
+        for path in sorted(_paths(outdir) - before, reverse=True) + ([outdir] if made else []):
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(path) and not os.path.islink(path) else os.remove)(path)
         raise
-    try:
-        written = write(result, outdir, cfg)
-        write_metadata(outdir, cfg, time.time() - started, problem.boundary_mismatch,
-                       result["solves"], workers=result.get("workers", 1))
-    except OSError as exc:   # e.g. a directory, or a file, where an artifact goes
-        path = exc.filename or outdir
-        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
     return written
+
+
+def _paths(top: str) -> set:
+    """The entries of ``top`` and of its ``snapshots``, where the writers write."""
+    return {os.path.join(d, name) for d in (top, os.path.join(top, "snapshots"))
+            if os.path.isdir(d) for name in os.listdir(d)}

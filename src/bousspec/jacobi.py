@@ -387,7 +387,8 @@ class JacobiBasis:
         return aux_matrix(self.mu, self.nodes, np.vstack(ends))
 
 
-def _build_basis(mu: float, n: int) -> JacobiBasis:
+@lru_cache(maxsize=32)
+def build_basis(mu: float, n: int) -> JacobiBasis:
     rule = glj_rule(mu, n)
     # the parity-folded assembly (semidiscrete) relies on x_{N-j} == -x_j
     if not np.array_equal(rule.nodes[::-1], -rule.nodes):
@@ -400,9 +401,6 @@ def _build_basis(mu: float, n: int) -> JacobiBasis:
     for a in (bary, diag):
         a.setflags(write=False)
     return JacobiBasis(mu=float(mu), n=n, rule=rule, bary=bary, d1_diag=diag)
-
-
-build_basis = lru_cache(maxsize=32)(_build_basis)
 
 
 def d1_block(basis: JacobiBasis, rows: slice = slice(None),

@@ -21,12 +21,12 @@ from one initial state as rows of such a block.  Each run's steps are one
 generator, ``_steps``, that yields the stage systems in turn and forms the
 step from their solutions.  ``integrate`` owns the stage iteration: each
 round makes one field call on the rows still iterating a stage and applies
-each row's ``STAGE_TOL`` stop, its growth and ``MAX_STAGE_ITERS`` checks and
-its own ``IntegrationStats``.  A row leaves the block when its run's
-generator returns.  A row's arithmetic does not depend on the other rows,
-so a run alone is the batch of one row, and in a batch it differs from that
-only by how the field's products round at another block height (not at all
-for an elementwise field).
+each row's ``STAGE_TOL`` stop, its finiteness, growth and ``MAX_STAGE_ITERS``
+checks and its own ``IntegrationStats``.  A row leaves the block when its
+run's generator returns.  A row's arithmetic does not depend on the other
+rows, so a run alone is the batch of one row, and in a batch it differs from
+that only by how the field's products round at another block height (not at
+all for an elementwise field).
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def integrate(f, y0: np.ndarray, runs):
     derivatives in its last three steps.  Snapshots are recorded at the step
     boundary nearest each requested time (exact when the time is a multiple
     of k).  The total sums the steps and evaluations of the runs and keeps
-    their maxima.
+    their maxima.  A non-finite stage change raises ``FloatingPointError``.
     """
     y0 = np.asarray(y0, dtype=float)
     results, rows, stages = [], [], []
@@ -230,6 +230,10 @@ def integrate(f, y0: np.ndarray, runs):
                     result[1], stats.rhs_evals = done.value, rnd
                     ended.append(row)
                 continue
+            if not math.isfinite(diff):     # NaN meets neither the stop nor the growth test
+                _, result, gamma, k = rows[row]
+                raise FloatingPointError(f"non-finite stage at t={times[row, 0]:.10g} in step "
+                                         f"{result[3].steps} of the run gamma={gamma:.10g}, k={k:.10g}")
             grown = growth[row] = growth[row] + 1 if diff > last[row] else 0
             last[row] = diff
             if grown >= 5 or rnd - started[row] >= MAX_STAGE_ITERS:

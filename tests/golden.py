@@ -9,7 +9,11 @@ acceptance criteria 4 and 5 read were computed at one OpenBLAS thread by
 the tree that still factored the mass blocks with its own recursive LU.
 ``ratios.csv`` holds the N = 16 and 32 rows of the ``table5`` and
 ``table5b`` chains n = 16 32 64 128 as ``solver run`` printed them, at one
-OpenBLAS thread, on the tree that solved them with LAPACK.
+OpenBLAS thread, on the tree that solved them with LAPACK.  ``bore`` holds
+every cell of the ``bore`` preset's ``snapshots/t20.csv`` (x, eta, u) as
+``solver run bore`` wrote it at one OpenBLAS thread, on the tree whose
+vector field no longer checks its own output for finiteness; it pins the
+one preset with no reference values.
 
 ``converged`` holds the ``table1``-``table3`` errors of one run, at one
 OpenBLAS thread, of a copy of the same tree with ``STAGE_TOL`` set to

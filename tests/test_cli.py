@@ -21,7 +21,7 @@ from bousspec.analysis import NormSpec
 from bousspec.experiments import ConfigError, PRESETS, parse_config
 from bousspec.jacobi import build_basis
 from bousspec.timestep import GAMMA_ORDER3, STAGE_TOL
-from golden import GOLDEN, RATIO_RTOL, match_golden
+from golden import CELL_RTOL, GOLDEN, RATIO_RTOL, match_golden
 
 
 QUICK_RATIO = """
@@ -222,6 +222,32 @@ def test_cli_unwritable_artifact_exits_2_naming_it(tmp_path, capsys, text, block
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {str(out / blocker)!r}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, blocker, kept", [
+    # errors.csv is written before rates.csv fails; one that was there stays
+    (SMALL_TABLE1, "rates.csv", []),
+    (SMALL_TABLE1, "rates.csv", ["errors.csv"]),
+    # the snapshots directory and its file are made before run.json fails
+    (SMALL_BORE, "run.json", []),
+    # ratios.csv is written after the forked workers are reaped
+    ("include-preset = table5\nn = 8 16 32\n", "table.md", []),
+])
+def test_cli_failed_write_removes_what_the_run_wrote(tmp_path, capsys, text, blocker, kept):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / blocker).mkdir()
+    for name in ["notes.txt"] + kept:
+        (out / name).write_text("before the run\n")
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {str(out / blocker)!r}: ")
+    assert sorted(path.name for path in out.iterdir()) == sorted([blocker, "notes.txt"] + kept)
+    assert (out / "notes.txt").read_text() == "before the run\n"
+    # a file the run overwrote keeps its new contents
+    assert all((out / name).read_text().startswith("k,") for name in kept)
+    assert not any((out / blocker).iterdir())
 
 
 @pytest.mark.parametrize("text, message", [
@@ -627,6 +653,18 @@ def test_ratio_table_bytes_do_not_depend_on_worker_count(tmp_path, preset):
                      RATIO_RTOL)
 
 
+def test_cli_bore_snapshot_matches_golden_cells(tmp_path):
+    # the one preset with no oracle: every cell of its t = 20 snapshot; the
+    # cells ahead of the bore are round-off, under the column-maximum floor
+    out = tmp_path / "bore"
+    assert cli.main(["run", "bore", "--output", str(out)]) == 0
+    header, *rows = (out / "snapshots" / "t20.csv").read_text().splitlines()
+    golden = GOLDEN["bore"]["t20.csv"]
+    assert header.split(",") == list(golden)
+    for label, cells in zip(golden, zip(*(row.split(",") for row in rows)), strict=True):
+        match_golden(f"bore t20.csv {label}", list(map(float, cells)), golden[label], CELL_RTOL)
+
+
 def test_cli_ratio_divergence_reports_the_serial_first_failure(tmp_path, capsys):
     # k = 8h diverges at N = 16 (k = 1), which a worker solves while this
     # process solves N = 64; the message is the one a serial run gives
@@ -784,7 +822,7 @@ def test_cli_non_finite_field_names_n_and_exits_3(tmp_path, monkeypatch, capsys)
     initial_state = semidiscrete.initial_state
     for scale, message in [
         # fluxes such as u + eta*u overflow in the first evaluation of the field
-        (lambda: 1e200, "semidiscrete vector field produced non-finite values at t="),
+        (lambda: 1e200, "non-finite stage at t=0.25 in step 0 of the run gamma=0.5, k=0.5\n"),
         # any ArithmeticError raised inside the solve: here an OverflowError
         (lambda: math.exp(1e3), "math range error"),
     ]:

@@ -261,6 +261,29 @@ def test_later_failure_after_the_block_shrank_names_its_run():
     assert heights == [3] * 17 + [2] * 19
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_stage_after_the_block_shrank_names_its_run(bad):
+    # the field is not finite at t = 0.35 only, the first-stage time of the
+    # k = 0.1 run's fourth step; the other runs' stage times miss it by at
+    # least 2e-3, and the one-step run has left the block by then
+    calls = []
+
+    def f(t, v):
+        calls.append(t.ravel().tolist())
+        return np.where(abs(t - 0.35) < 1e-3, bad, -v)
+
+    runs = [(GAMMA_ORDER3, IntegrationPlan(k=0.05, t_end=0.05)),
+            (0.5, IntegrationPlan(k=0.1, t_end=1.0)),
+            (GAMMA_ORDER3, IntegrationPlan(k=0.01, t_end=1.0))]
+    with pytest.raises(FloatingPointError) as info:
+        timestep.integrate(f, np.array([1.0, -0.5]), runs)
+    assert str(info.value) == "non-finite stage at t=0.35 in step 3 of the run gamma=0.5, k=0.1"
+    # it fails in the first round that reaches t = 0.35, with two rows left
+    hits = [i for i, times in enumerate(calls) if any(abs(s - 0.35) < 1e-3 for s in times)]
+    assert hits == [len(calls) - 1] and len(calls[-1]) == 2
+    assert len(calls[0]) == 3
+
+
 # --- stability function and dispersion --------------------------------------
 
 def test_stability_function_basics():
