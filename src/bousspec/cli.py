@@ -6,10 +6,10 @@
     solver diagnose residual <config|preset>    PDE residuals its closed form's gate measured
 
 Exit codes: 0 success, 2 configuration error or an artifact that cannot be
-written, 3 numerical failure: a stage iteration that diverged, a failed
-quadrature, an ArithmeticError (overflow, a non-finite stage, a singular
-mass block) or a ratio-table worker process that died.  A run writes to
---output DIR, or to results/<name> under the working directory.
+written, 3 numerical failure: an ArithmeticError (a diverged stage iteration,
+a failed quadrature, overflow, a non-finite stage, a singular mass block) or
+a dead ratio-table worker.  A run writes to --output DIR, or to results/<name>
+in the working directory; a failed run removes what it made, parents included.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import experiments, timestep
 from .experiments import ConfigError, ExperimentConfig, PRESETS
-from .jacobi import QuadratureError, build_basis
-from .timestep import StageDivergenceError
+from .jacobi import build_basis
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,12 +130,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ArithmeticError covers overflow, division by zero, a non-finite stage and a
-    # singular mass block (linalg.SingularMatrixError), ChildProcessError a dead fork_map worker
-    except (StageDivergenceError, QuadratureError, ArithmeticError, ChildProcessError) as exc:
+    # every numerical failure is an ArithmeticError; ChildProcessError is a dead fork_map worker
+    except (ArithmeticError, ChildProcessError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:   # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

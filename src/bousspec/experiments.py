@@ -122,7 +122,9 @@ class ExperimentConfig:
                 dim = "mode" if readers[0] in _RUNS else "initial_data"
                 raise ConfigError(f"{key} applies to {', '.join(_RUNS.get(r, r) for r in readers)} "
                                   f"only, got {dim.replace('_', '-')} {getattr(self, dim)!r}")
-        if not self.n_values or any(not 2 <= n <= N_MAX for n in self.n_values):
+        if not self.n_values:
+            raise ConfigError("n needs one or more values")
+        if any(not 2 <= n <= N_MAX for n in self.n_values):
             raise ConfigError(f"n values must lie in [2, {N_MAX}]")
         if self.mode == "ratio_table" and (len(self.n_values) < 3 or any(
                 b != 2 * a for a, b in zip(self.n_values, self.n_values[1:]))):
@@ -259,8 +261,8 @@ def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
     ``runs`` in lockstep from one read-only initial state; one RunResult
     per run, in order, whose record holds the peak RSS of the process that
     ran the solve, read when the solve ends.  The solution operators are
-    freed on return.  A numerical failure of the solve is raised again, of
-    the same type, with N in its message."""
+    freed on return.  A numerical failure of the solve, an ArithmeticError,
+    is raised again, of the same type, with N in its message."""
     try:
         basis = build_basis(0.0, n)
         sys_ = semidiscrete.assemble(basis, problem.params, problem.imap)
@@ -268,8 +270,6 @@ def _solve(problem: Problem, n: int, runs) -> list[RunResult]:
         y0.flags.writeable = False
         field = semidiscrete.make_vector_field(sys_, problem.bdata)
         results, _ = timestep.integrate(field, y0, runs)
-    except timestep.StageDivergenceError as exc:
-        raise timestep.StageDivergenceError(exc.problem, exc.gamma, exc.k, exc.step, n) from exc
     except ArithmeticError as exc:
         raise type(exc)(f"N={n}: {exc}") from exc
     peak = _peak_rss_mb()
@@ -496,10 +496,12 @@ def check_gammas(gammas) -> None:
     """Refuse an empty list of gammas, a non-finite gamma or one outside
     [``GAMMA_MIN``, ``GAMMA_MAX``], with the messages of
     ``ExperimentConfig.validate``."""
+    if not gammas:
+        raise ConfigError("gamma needs one or more values")
     for gamma in gammas:
         if not math.isfinite(gamma):
             raise ConfigError(f"gammas must be finite, got {gamma!r}")
-    if not gammas or min(gammas) < GAMMA_MIN:
+    if min(gammas) < GAMMA_MIN:
         raise ConfigError(f"gamma values must be >= {GAMMA_MIN} (stability on the imaginary axis)")
     if max(gammas) > GAMMA_MAX:
         raise ConfigError(f"gamma values must be <= {GAMMA_MAX} (stage times inside the step)")
@@ -696,16 +698,21 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
     started = time.time()
     # before any basis is built, and refused data leave no output directory
     problem = _resolve_problem(cfg)
-    made = not os.path.isdir(outdir)
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir!r}: {exc.strerror or exc}") from exc
+    # the levels makedirs creates, deepest first, up to the first that exists
+    made, level = [], os.path.normpath(outdir)
+    while level and not os.path.lexists(level):
+        made.append(level)
+        level = os.path.dirname(level)
     run, write = {"error_table": (run_error_table, write_error_table),
                   "ratio_table": (run_ratio_table, write_ratio_table),
                   "snapshot": (run_snapshot, write_snapshots)}[cfg.mode]
     before = _paths(outdir)
     try:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir!r}: "
+                              f"{exc.strerror or exc}") from exc
         result = run(cfg, problem)
         try:
             written = write(result, outdir, cfg)
@@ -715,7 +722,7 @@ def execute(cfg: ExperimentConfig, outdir: str | None = None) -> list[str]:
             raise ConfigError(f"cannot write {exc.filename or outdir!r}: {exc.strerror or exc}") from exc
     except BaseException:
         # no partial table: remove what the run made, children first, not what was there
-        for path in sorted(_paths(outdir) - before, reverse=True) + ([outdir] if made else []):
+        for path in sorted(_paths(outdir) - before, reverse=True) + made:
             with contextlib.suppress(OSError):
                 (os.rmdir if os.path.isdir(path) and not os.path.islink(path) else os.remove)(path)
         raise

@@ -31,7 +31,7 @@ _HIT_TOL = 1e-12           # points this close to a node take its unit row
 _BLOCK_ENTRIES = 1 << 16   # entries of one interpolation or D1 block (at least one row)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Node search or weight verification failed; indicates an internal bug."""
 
 

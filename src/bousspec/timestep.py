@@ -44,21 +44,9 @@ MAX_STAGE_ITERS = 100    # iterations before a stage solve is abandoned
 DISPERSION_Y_GRID = (-3, -1, 25)
 
 
-class StageDivergenceError(RuntimeError):
-    """Fixed-point stage iteration failed to contract; ``gamma``, ``k`` and
-    ``step`` name the run and the step that failed, and ``n``, when the
-    caller knows it, the polynomial degree of the solve.  The fields are
-    the exception's ``args``, so a pickled copy (ratio tables send a
-    worker's failure back pickled) is rebuilt with its message."""
-
-    def __init__(self, problem: str, gamma: float, k: float, step: int, n: int | None = None):
-        super().__init__(problem, gamma, k, step, n)
-        self.problem, self.gamma, self.k, self.step, self.n = problem, gamma, k, step, n
-
-    def __str__(self):
-        return (("" if self.n is None else f"N={self.n}: ") + f"stage iteration {self.problem} "
-                f"at step {self.step} of the run gamma={self.gamma:.10g}, k={self.k:.10g}; "
-                "reduce the time step")
+class StageDivergenceError(ArithmeticError):
+    """Fixed-point stage iteration failed to contract; the message names the
+    run (gamma, k) and the step that failed."""
 
 
 def _numerator(gamma: float) -> tuple[float, float]:
@@ -176,6 +164,12 @@ def _steps(gamma: float, plan: IntegrationPlan, y: np.ndarray, snapshots: list,
     return y
 
 
+def _step_of(row) -> str:
+    """Name the step and run of an ``integrate`` row; only a failing round calls it."""
+    _, result, gamma, k = row
+    return f"step {result[3].steps} of the run gamma={gamma:.10g}, k={k:.10g}"
+
+
 def integrate(f, y0: np.ndarray, runs):
     """Integrate the (gamma, plan) ``runs`` of y' = f(t, y) from y0 in
     lockstep; returns ([(t, y, snapshots, stats) per run], total stats).
@@ -185,7 +179,8 @@ def integrate(f, y0: np.ndarray, runs):
     derivatives in its last three steps.  Snapshots are recorded at the step
     boundary nearest each requested time (exact when the time is a multiple
     of k).  The total sums the steps and evaluations of the runs and keeps
-    their maxima.  A non-finite stage change raises ``FloatingPointError``.
+    their maxima.  A non-finite stage change raises ``FloatingPointError``,
+    a stage that diverges or hits the cap ``StageDivergenceError``.
     """
     y0 = np.asarray(y0, dtype=float)
     results, rows, stages = [], [], []
@@ -231,16 +226,15 @@ def integrate(f, y0: np.ndarray, runs):
                     ended.append(row)
                 continue
             if not math.isfinite(diff):     # NaN meets neither the stop nor the growth test
-                _, result, gamma, k = rows[row]
-                raise FloatingPointError(f"non-finite stage at t={times[row, 0]:.10g} in step "
-                                         f"{result[3].steps} of the run gamma={gamma:.10g}, k={k:.10g}")
+                raise FloatingPointError(f"non-finite stage at t={times[row, 0]:.10g} "
+                                         f"in {_step_of(rows[row])}")
             grown = growth[row] = growth[row] + 1 if diff > last[row] else 0
             last[row] = diff
             if grown >= 5 or rnd - started[row] >= MAX_STAGE_ITERS:
-                _, result, gamma, k = rows[row]
                 problem = (f"diverging (residual {diff:.3e})" if grown >= 5
                            else f"exceeded {MAX_STAGE_ITERS} iterations")
-                raise StageDivergenceError(problem, gamma, k, result[3].steps)
+                raise StageDivergenceError(f"stage iteration {problem} at {_step_of(rows[row])}; "
+                                           "reduce the time step")
         if ended:
             keep = [row for row in range(len(rows)) if row not in ended]
             rows, started, last, growth = ([a[row] for row in keep]

@@ -120,6 +120,9 @@ def test_parse_config_fraction_and_gamma_aliases():
         ("include-preset = bore\nn = 1000000000000", r"n values must lie in \[2, 4096\]"),
         (QUICK_RATIO + "k = inf", "k must be finite"),
         (QUICK_RATIO + "gamma = 1e-9", "gamma values must be >= 0.25"),
+        # the gamma and n lists are not empty
+        (QUICK_RATIO + "gamma =", "^gamma needs one or more values$"),
+        ("include-preset = table5\nn =", "^n needs one or more values$"),
         # past gamma = 1 a stage time leaves the step
         (QUICK_RATIO + "gamma = 1.5", r"gamma values must be <= 1.0 \(stage times inside the step\)"),
         (QUICK_RATIO + "gamma = 1e30", r"gamma values must be <= 1.0"),
@@ -690,6 +693,24 @@ def test_cli_failed_run_keeps_an_output_directory_that_existed(tmp_path):
     assert out.is_dir()
 
 
+def test_cli_failed_run_removes_the_parents_it_made(tmp_path, monkeypatch):
+    # makedirs creates nest/a/b/out, and the failed run removes all four
+    # levels; an empty parent that was there before the run stays, and so
+    # does the working directory when results/<name> goes
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("include-preset = table5\nn = 16 32 64\nk-per-h = 8\n")
+    out = tmp_path / "nest" / "a" / "b" / "out"
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == cli.EXIT_NUMERICAL
+    assert not (tmp_path / "nest").exists()
+    (tmp_path / "kept").mkdir()
+    out = tmp_path / "kept" / "a" / "out"
+    assert cli.main(["run", str(cfg), "--output", str(out)]) == cli.EXIT_NUMERICAL
+    assert os.listdir(tmp_path / "kept") == []
+    monkeypatch.chdir(tmp_path / "kept")
+    assert cli.main(["run", str(cfg)]) == cli.EXIT_NUMERICAL
+    assert os.listdir(tmp_path / "kept") == []
+
+
 def test_cli_dead_ratio_worker_exits_3(tmp_path, capsys, monkeypatch):
     # a worker killed before it sends its results is a numerical failure,
     # reported in one line
@@ -830,6 +851,25 @@ def test_cli_non_finite_field_names_n_and_exits_3(tmp_path, monkeypatch, capsys)
                             lambda *args: scale() * initial_state(*args))
         assert cli.main(["run", str(cfg), "--output", str(tmp_path / "a")]) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith(f"numerical failure: N=16: {message}")
+
+
+def test_cli_quadrature_failure_names_n_and_exits_3(tmp_path, monkeypatch, capsys):
+    from bousspec.jacobi import QuadratureError
+
+    def failed(mu, n):
+        raise QuadratureError(f"node residual too large for mu={mu}, n={n}")
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("include-preset = table1\nn = 8\nk-list = 0.5 0.25\n")
+    monkeypatch.setattr(experiments, "build_basis", failed)
+    assert cli.main(["run", str(cfg), "--output", str(tmp_path / "out")]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: N=8: "
+                                       "node residual too large for mu=0.0, n=8\n")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(cli, "build_basis", failed)
+    assert cli.main(["diagnose", "quadrature", "--N", "8"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", "numerical failure: node residual too large "
+                                   "for mu=0.0, n=8\n")
 
 
 def test_cli_diagnose_quadrature(capsys):

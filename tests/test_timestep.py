@@ -230,9 +230,8 @@ def test_stage_divergence_names_the_run():
     small, large = (IntegrationPlan(k=k, t_end=1.0) for k in (0.05, 0.5))
     runs = [(0.5, small), (0.5, large)]
     with pytest.raises(timestep.StageDivergenceError,
-                       match=r"diverging .* at step 0 of the run gamma=0.5, k=0.5;") as info:
+                       match=r"diverging .* at step 0 of the run gamma=0.5, k=0.5;"):
         timestep.integrate(f, np.array([1.0]), runs)
-    assert (info.value.gamma, info.value.k, info.value.step) == (0.5, 0.5, 0)
     [(_, y, _, stats)], _ = timestep.integrate(f, np.array([1.0]), runs[:1])
     assert stats.steps == 20 and 0.0 < y[0] < 1.0
 
@@ -252,9 +251,8 @@ def test_later_failure_after_the_block_shrank_names_its_run():
             (0.5, IntegrationPlan(k=0.1, t_end=1.0)),
             (GAMMA_ORDER3, IntegrationPlan(k=0.01, t_end=1.0))]
     with pytest.raises(timestep.StageDivergenceError,
-                       match=r"diverging .* at step 3 of the run gamma=0.5, k=0.1;") as info:
+                       match=r"diverging .* at step 3 of the run gamma=0.5, k=0.1;"):
         timestep.integrate(f, np.array([1.0, -0.5]), runs)
-    assert info.value.step == 3
     # the one-step run's two stages end in round 17; the k = 0.1 run's first
     # three steps take 11, 10 and 9 rounds, and its fourth step's first stage
     # has grown five times in its sixth round, round 36
